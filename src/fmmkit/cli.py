@@ -1,6 +1,7 @@
 """Command-line interface.
 
-Exit codes: 0 success / verified, 1 verification or search failure,
+Exit codes: 0 success / verified, 1 verification or search failure
+(including a multiply or count schedule whose scheme fails verification),
 2 usage or input errors.  Reports go to stdout, diagnostics and the
 search trace to stderr.
 """
@@ -28,7 +29,13 @@ from .io import (
     save_tensor,
     write_matrix,
 )
-from .tensor import LAURENT, type_polynomial, verify_approximate, verify_exact
+from .tensor import (
+    LAURENT,
+    UnverifiedSchemeError,
+    type_polynomial,
+    verify_approximate,
+    verify_exact,
+)
 
 
 def _signature(t):
@@ -257,7 +264,7 @@ def _build_parser():
 
     p = sub.add_parser("errscan", help="numeric error scan of an approximate tensor")
     p.add_argument("file")
-    p.add_argument("--eps", default="1e-1,1e-2,1e-3,1e-4", help="comma-separated decreasing values")
+    p.add_argument("--eps", default="3e-2,1e-2,3e-3,1e-3,3e-4", help="comma-separated decreasing values")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_errscan)
 
@@ -283,6 +290,9 @@ def main(argv=None):
     args = ap.parse_args(argv)
     try:
         return args.func(args)
+    except UnverifiedSchemeError as exc:
+        print("error: %s" % exc, file=sys.stderr)
+        return 1
     except (TensorFormatError, ValueError, KeyError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2

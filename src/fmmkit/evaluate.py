@@ -1,11 +1,20 @@
 """Run verified schemes as algorithms.
 
-apply_bilinear evaluates one scheme on exact matrices; multiply_recursive
-threads a schedule of schemes blockwise, so an r1-term scheme over an
-r2-term scheme performs r1*r2 base scalar multiplications; the counter
-verifies that claim at runtime.  epsilon_error_scan instantiates an
-approximate scheme at concrete epsilon values in floating point and fits
-the error decay slope.
+One evaluator runs every scheme.  It walks a schedule of schemes level by
+level, breadth first: at each level it splits the current batch of A and
+B operands into blocks, forms every term's linear combination of the A
+blocks and of the B blocks over the whole batch, and passes the results
+down as the next, rank-times larger batch.  Below the last level each
+operand is a scalar, so all leaf products are taken in one elementwise
+multiply; the products are then folded back up through the S factors.
+An r1-term scheme over an r2-term scheme so forms r1*r2 leaf products,
+and the counter advances by the number actually formed.
+
+The evaluator works on numpy arrays of any dtype.  Exact runs
+(apply_bilinear, multiply_recursive) use object arrays of Fraction, and
+only schemes that pass verify_exact are run.  epsilon_error_scan
+substitutes each epsilon into the nonzero Laurent entries and runs the
+same evaluator on float64 arrays, then fits the error decay slope.
 """
 
 import math
@@ -15,7 +24,7 @@ import numpy as np
 
 from .matrices import Matrix
 from .scalars import Laurent
-from .tensor import RATIONAL, FmmTensor
+from .tensor import RATIONAL, FmmTensor, UnverifiedSchemeError, verify_exact
 
 
 class MultiplicationCounter:
@@ -28,6 +37,70 @@ class MultiplicationCounter:
 
     def tick(self, k=1):
         self.count += k
+
+
+def _compile(t):
+    """dims plus, for each factor slot P, Q, S, every term's nonzero
+    entries as (row, col, value) triples."""
+    return t.dims, tuple(
+        [tuple(getattr(term, slot).nonzero_entries()) for term in t.terms]
+        for slot in "PQS")
+
+
+def _combine(blocks, factors):
+    """blocks (K, a, b, X, Y) -> (K*r, X, Y): for each batch entry, one
+    linear combination of its blocks per term.  Unit coefficients, the
+    most common kind, skip their multiply (as in the fold below): on
+    Fraction entries it would cost as much as the addition."""
+    K, _, _, X, Y = blocks.shape
+    out = np.empty((K, len(factors), X, Y), dtype=blocks.dtype)
+    for term, entries in enumerate(factors):
+        acc = None
+        for i, j, v in entries:
+            piece = blocks[:, i, j] if v == 1 else v * blocks[:, i, j]
+            acc = piece if acc is None else acc + piece
+        out[:, term] = acc
+    return out.reshape(K * len(factors), X, Y)
+
+
+def _evaluate(levels, A, B):
+    """A @ B through a schedule of compiled levels, outer level first.
+
+    A and B are 2-D arrays of the schedule's composite dimensions.
+    Returns the product and the number of leaf products formed.
+    """
+    a, b = A[None], B[None]
+    for (m, n, p), (P, Q, _) in levels:
+        K, M, N = a.shape
+        Mi, Ni, Pi = M // m, N // n, b.shape[2] // p
+        a = _combine(a.reshape(K, m, Mi, n, Ni).transpose(0, 1, 3, 2, 4), P)
+        b = _combine(b.reshape(K, n, Ni, p, Pi).transpose(0, 1, 3, 2, 4), Q)
+    c = a * b
+    leaves = c.shape[0]
+    for (m, n, p), (_, _, S) in reversed(levels):
+        r = len(S)
+        K, Mi, Pi = c.shape[0] // r, c.shape[1], c.shape[2]
+        c = c.reshape(K, r, Mi, Pi)
+        out = np.zeros((K, m, p, Mi, Pi), dtype=c.dtype)
+        for term, entries in enumerate(S):
+            for k, i, s in entries:
+                out[:, i, k] += c[:, term] if s == 1 else s * c[:, term]
+        c = out.transpose(0, 1, 3, 2, 4).reshape(K, m * Mi, p * Pi)
+    return c[0], leaves
+
+
+def _require_verified(t, what):
+    report = verify_exact(t)
+    if not report.passed:
+        raise UnverifiedSchemeError("%s fails verification: %s" % (what, report))
+
+
+def _run_exact(levels, A, B, counter):
+    C, leaves = _evaluate([_compile(t) for t in levels],
+                          np.array(A.data, dtype=object), np.array(B.data, dtype=object))
+    if counter is not None:
+        counter.tick(leaves)
+    return Matrix(C.tolist())
 
 
 def _check_mask_zeros(t, A):
@@ -43,8 +116,9 @@ def _check_mask_zeros(t, A):
 def apply_bilinear(t, A, B, counter=None):
     """C = sum_i <P_i,A> <Q_i,B> S_i^T, equal to A*B for a verified scheme.
 
-    Exactly rank(t) products of linear-form values are taken; when a
-    counter is supplied it advances by that amount.
+    The scheme must pass verify_exact.  Exactly rank(t) products of
+    linear-form values are taken; when a counter is supplied it advances
+    by that amount.
     """
     if t.field_mode != RATIONAL:
         raise ValueError("apply_bilinear evaluates exact schemes only")
@@ -52,16 +126,8 @@ def apply_bilinear(t, A, B, counter=None):
     if (A.rows, A.cols) != (m, n) or (B.rows, B.cols) != (n, p):
         raise ValueError("expected A %dx%d and B %dx%d" % (m, n, n, p))
     _check_mask_zeros(t, A)
-    cells = [[0] * p for _ in range(m)]
-    for term in t.terms:
-        v = term.P.frobenius_inner(A) * term.Q.frobenius_inner(B)
-        if counter is not None:
-            counter.tick()
-        if not v:
-            continue
-        for k, i, s in term.S.nonzero_entries():
-            cells[i][k] = cells[i][k] + s * v
-    return Matrix(cells)
+    _require_verified(t, "scheme")
+    return _run_exact([t], A, B, counter)
 
 
 def _schedule_dims(levels):
@@ -83,62 +149,22 @@ def _check_schedule(levels):
             raise ValueError("schedule level %d must be exact" % idx)
         if t.support is not None:
             raise ValueError("schedule level %d is masked" % idx)
-
-
-def _block(mat, r0, c0, rows, cols):
-    return Matrix([[mat[(r0 + r, c0 + c)] for c in range(cols)]
-                   for r in range(rows)])
-
-
-def _recurse(levels, A, B, counter):
-    if not levels:
-        # base scalar product
-        if counter is not None:
-            counter.tick()
-        return Matrix([[A[(0, 0)] * B[(0, 0)]]])
-    t = levels[0]
-    rest = levels[1:]
-    m, n, p = t.dims
-    Mi, Ni, Pi = _schedule_dims(rest)
-    c_cells = [[None] * (p * Pi) for _ in range(m * Mi)]
-    a_blocks = [[_block(A, i * Mi, j * Ni, Mi, Ni) for j in range(n)]
-                for i in range(m)]
-    b_blocks = [[_block(B, j * Ni, k * Pi, Ni, Pi) for k in range(p)]
-                for j in range(n)]
-    for term in t.terms:
-        a_lin = None
-        for i, j, v in term.P.nonzero_entries():
-            piece = a_blocks[i][j].scale(v)
-            a_lin = piece if a_lin is None else a_lin + piece
-        b_lin = None
-        for j, k, v in term.Q.nonzero_entries():
-            piece = b_blocks[j][k].scale(v)
-            b_lin = piece if b_lin is None else b_lin + piece
-        prod = _recurse(rest, a_lin, b_lin, counter)
-        for k, i, s in term.S.nonzero_entries():
-            scaled = prod.scale(s)
-            for r in range(Mi):
-                for c in range(Pi):
-                    cur = c_cells[i * Mi + r][k * Pi + c]
-                    val = scaled[(r, c)]
-                    c_cells[i * Mi + r][k * Pi + c] = (
-                        val if cur is None else cur + val)
-    zero = 0
-    return Matrix([[zero if v is None else v for v in row] for row in c_cells])
+        _require_verified(t, "schedule level %d" % idx)
 
 
 def multiply_recursive(levels, A, B, counter=None):
     """Blockwise product through a schedule of exact schemes.
 
-    A and B must have exactly the composite dimensions (componentwise
-    products over the levels); the result equals A*B.
+    Every level must pass verify_exact.  A and B must have exactly the
+    composite dimensions (componentwise products over the levels); the
+    result equals A*B.
     """
     _check_schedule(levels)
     M, N, P = _schedule_dims(levels)
     if (A.rows, A.cols) != (M, N) or (B.rows, B.cols) != (N, P):
         raise ValueError("schedule computes <%d,%d,%d>; got A %dx%d, B %dx%d"
                          % (M, N, P, A.rows, A.cols, B.rows, B.cols))
-    return _recurse(list(levels), A, B, counter)
+    return _run_exact(list(levels), A, B, counter)
 
 
 def count_multiplications(levels):
@@ -163,13 +189,15 @@ class ErrorScan:
         return "\n".join(lines)
 
 
-def _factor_at(mat, eps):
-    out = np.empty((mat.rows, mat.cols), dtype=float)
-    for r in range(mat.rows):
-        for c in range(mat.cols):
-            v = mat[(r, c)]
-            out[r, c] = v.evaluate(eps) if isinstance(v, Laurent) else float(v)
-    return out
+def _value_at(v, eps):
+    return v.evaluate(eps) if isinstance(v, Laurent) else float(v)
+
+
+def _level_at(level, eps):
+    dims, factors = level
+    return dims, tuple(
+        [tuple((i, j, _value_at(v, eps)) for i, j, v in entries) for entries in slot]
+        for slot in factors)
 
 
 def epsilon_error_scan(t, A, B, eps_values):
@@ -202,7 +230,7 @@ def epsilon_error_scan(t, A, B, eps_values):
                 if not t.support[r][c] and A[r, c] != 0.0:
                     raise ValueError(
                         "A[%d,%d] must be zero under the support mask" % (r, c))
-    lifted = t.as_laurent()
+    level = _compile(t)
     target = A @ B
     target_norm = float(np.linalg.norm(target))
     if target_norm == 0.0:
@@ -211,11 +239,7 @@ def epsilon_error_scan(t, A, B, eps_values):
     samples = []
     with np.errstate(over="ignore", invalid="ignore"):
         for eps in eps_values:
-            C = np.zeros((m, p))
-            for term in lifted.terms:
-                vp = float(np.sum(_factor_at(term.P, eps) * A))
-                vq = float(np.sum(_factor_at(term.Q, eps) * B))
-                C += vp * vq * _factor_at(term.S, eps).T
+            C, _ = _evaluate([_level_at(level, eps)], A, B)
             err = float(np.linalg.norm(C - target)) / target_norm
             if not math.isfinite(err):
                 err = math.inf

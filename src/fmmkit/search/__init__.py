@@ -14,4 +14,4 @@ from .als import (
     search,
     snap_models,
 )
-from .kernels import BACKEND, HAVE_NUMBA
+from .kernels import BACKEND

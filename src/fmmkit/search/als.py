@@ -10,10 +10,8 @@ S is r x (p*m), each row the row-major vectorization of one factor.
 """
 
 import math
-import os
 import warnings
 from collections import namedtuple
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -270,19 +268,6 @@ def rationalize(f, dims, snap_grid=DEFAULT_GRID):
     return t if report.passed else None
 
 
-def _thread_count():
-    raw = os.environ.get("FMMKIT_THREADS", "1").strip()
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ValueError("FMMKIT_THREADS must be an integer, got %r" % raw)
-    if n < 0:
-        raise ValueError("FMMKIT_THREADS must be >= 0, got %d" % n)
-    if n == 0:
-        return os.cpu_count() or 1
-    return n
-
-
 _Restart = namedtuple("_Restart", ["best_res", "factors", "sweeps", "trace"])
 
 
@@ -339,7 +324,7 @@ def search(cfg, progress=None):
     ascending residual order with ties broken by restart index; the first
     attempt that verifies exactly is reported.  best_residual, factors,
     sweeps_used and trace always describe the lowest-residual restart.
-    Fully deterministic for a given config and backend.  progress, when
+    Fully deterministic for a given config.  progress, when
     given, is called with one summary line per finished restart."""
     m, n, p = cfg.dims
     if m * n * p > DESK_LIMIT:
@@ -357,22 +342,11 @@ def search(cfg, progress=None):
     T1, T2, T3 = _matricize(Tdense)
     _, grid_floats = _grid_arrays(cfg.snap_grid)
 
-    def run(i):
-        return _run_restart(cfg, i, Tdense, T1, T2, T3, grid_floats)
-
-    threads = _thread_count()
-    results = [None] * cfg.restarts
-    if threads > 1 and cfg.restarts > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for i, out in enumerate(pool.map(run, range(cfg.restarts))):
-                results[i] = out
-                if progress is not None:
-                    progress(_summary_line(i, out, cfg))
-    else:
-        for i in range(cfg.restarts):
-            results[i] = run(i)
-            if progress is not None:
-                progress(_summary_line(i, results[i], cfg))
+    results = []
+    for i in range(cfg.restarts):
+        results.append(_run_restart(cfg, i, Tdense, T1, T2, T3, grid_floats))
+        if progress is not None:
+            progress(_summary_line(i, results[i], cfg))
 
     order = sorted(range(cfg.restarts), key=lambda i: (results[i].best_res, i))
     best_index = order[0]

@@ -1,14 +1,4 @@
-"""Hot numeric kernels for the ALS search, in two interchangeable flavors.
-
-The numba flavor compiles explicit loops with @njit; the numpy flavor is
-vectorized and has no dependency beyond numpy itself.  FMMKIT_BACKEND
-selects at import time:
-
-  auto   (default) use numba when importable, else fall back to numpy
-  numba  require the compiled path, ImportError when numba is missing
-  numpy  force the pure-numpy path even when numba is installed
-
-Both flavors implement the same two operations:
+"""Hot numeric kernels for the ALS search, vectorized with numpy.
 
   residual(P, Q, S, T)            squared Frobenius distance between the
                                   rank-r expansion of the stacks and the
@@ -18,40 +8,21 @@ Both flavors implement the same two operations:
                                   Tmat is the target matricized with the
                                   solved mode first, M the proximal model
 
-Floating summation order differs between the flavors, so results agree
-only to rounding; each flavor is individually deterministic.
+Both are deterministic for given inputs.
 """
-
-import os
 
 import numpy as np
 
-_choice = os.environ.get("FMMKIT_BACKEND", "auto").strip().lower()
-if _choice not in ("auto", "numba", "numpy"):
-    raise ValueError(
-        "FMMKIT_BACKEND must be one of auto, numba, numpy; got %r" % _choice
-    )
-
-HAVE_NUMBA = False
-if _choice in ("auto", "numba"):
-    try:
-        from numba import njit
-
-        HAVE_NUMBA = True
-    except ImportError:
-        if _choice == "numba":
-            raise ImportError("FMMKIT_BACKEND=numba but numba is not installed")
-
-BACKEND = "numba" if HAVE_NUMBA else "numpy"
+BACKEND = "numpy"
 
 
-def _residual_numpy(P, Q, S, T):
+def residual(P, Q, S, T):
     D = (P[:, :, None, None] * Q[:, None, :, None] * S[:, None, None, :]).sum(axis=0)
     D -= T
     return float((D * D).sum())
 
 
-def _block_solve_numpy(A, B, Tmat, lam, model):
+def block_solve(A, B, Tmat, lam, model):
     r = A.shape[0]
     G = (A @ A.T) * (B @ B.T)
     G.flat[:: r + 1] += lam
@@ -59,55 +30,3 @@ def _block_solve_numpy(A, B, Tmat, lam, model):
     RHS = KR @ Tmat.T
     RHS += lam * model
     return np.linalg.solve(G, RHS)
-
-
-if HAVE_NUMBA:
-
-    @njit(cache=True, nogil=True)
-    def _residual_numba(P, Q, S, T):
-        r = P.shape[0]
-        total = 0.0
-        for a in range(T.shape[0]):
-            for b in range(T.shape[1]):
-                for c in range(T.shape[2]):
-                    acc = -T[a, b, c]
-                    for i in range(r):
-                        acc += P[i, a] * Q[i, b] * S[i, c]
-                    total += acc * acc
-        return total
-
-    @njit(cache=True, nogil=True)
-    def _block_solve_numba(A, B, Tmat, lam, model):
-        r = A.shape[0]
-        da = A.shape[1]
-        db = B.shape[1]
-        dx = Tmat.shape[0]
-        G = np.empty((r, r))
-        for i in range(r):
-            for j in range(r):
-                sa = 0.0
-                for x in range(da):
-                    sa += A[i, x] * A[j, x]
-                sb = 0.0
-                for y in range(db):
-                    sb += B[i, y] * B[j, y]
-                G[i, j] = sa * sb
-            G[i, i] += lam
-        RHS = np.empty((r, dx))
-        for i in range(r):
-            for t in range(dx):
-                acc = 0.0
-                for x in range(da):
-                    ax = A[i, x]
-                    if ax != 0.0:
-                        base = x * db
-                        for y in range(db):
-                            acc += ax * B[i, y] * Tmat[t, base + y]
-                RHS[i, t] = acc + lam * model[i, t]
-        return np.linalg.solve(G, RHS)
-
-    residual = _residual_numba
-    block_solve = _block_solve_numba
-else:
-    residual = _residual_numpy
-    block_solve = _block_solve_numpy

@@ -232,6 +232,10 @@ class ApproxReport:
         return "%s discrepancy_order %s%s" % (status, order, extra)
 
 
+class UnverifiedSchemeError(ValueError):
+    """An exact scheme was asked to run but fails verify_exact."""
+
+
 def verify_exact(t):
     """Check the full Brent system: expansion == classical, entrywise.
 
@@ -251,8 +255,8 @@ def verify_approximate(t, mode="strict"):
 
     Strict mode: every residual coefficient of expansion - classical must
     have e-order >= 1 (nothing survives at e = 0 and no negative powers
-    blow up).  Scaled mode additionally searches for the minimal q >= 0
-    such that expansion - e^q * classical has order >= q + 1, covering
+    blow up).  Scaled mode additionally looks for a q >= 1 such that
+    expansion - e^q * classical has order >= q + 1, covering
     files normalized with a global e^q on the target; the reported
     discrepancy_order is then relative to the scaled target (order - q).
 
@@ -287,12 +291,12 @@ def verify_approximate(t, mode="strict"):
     strict = report_for(0)
     if mode == "strict" or strict.valid:
         return strict
-    # smallest plausible global scaling: bounded by the largest exponent
-    # appearing anywhere in the expansion
-    top = 0
-    for v in delta.values():
-        top = max(top, int(as_laurent(v).max_exponent()))
-    for q in range(1, top + 2):
+    # a valid scaling q leaves e^q + O(e^(q+1)) at every classical
+    # coordinate, so the expansion's order at any one of them is the only
+    # candidate
+    key = next(iter(classical))
+    q = laurent_order(delta.get(key, 0))
+    if 1 <= q < math.inf:
         candidate = report_for(q)
         if candidate.valid:
             return candidate

@@ -1,7 +1,9 @@
+import time
 from pathlib import Path
 
 import pytest
 
+from fmmkit import cli
 from fmmkit.cli import main
 from fmmkit.io import load_matrix, load_tensor, save_matrix, save_tensor, write_matrix
 from fmmkit.matrices import Matrix
@@ -53,6 +55,17 @@ def test_verify_failure_exits_one(capsys, tmp_path, strassen):
     code, out, _ = run(capsys, "verify", str(path))
     assert code == 1
     assert out.startswith("FAIL ")
+
+
+def test_verify_scaled_huge_exponent_is_bounded(capsys, tmp_path):
+    path = tmp_path / "huge.fmm"
+    path.write_text("fmm 1\ndims 1 1 1\nrank 1\nfield laurent\n"
+                    "term 1\n2*e^99999999\n1\n1\n")
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "verify", str(path), "--mode", "scaled")
+    assert time.perf_counter() - start < 1.0
+    assert code == 1
+    assert out.startswith("INVALID ")
 
 
 def test_type_command(capsys):
@@ -194,6 +207,26 @@ def test_multiply_dimension_error(capsys, tmp_path):
     assert "error:" in err
 
 
+def test_unverified_schedule_is_refused(capsys, tmp_path, strassen):
+    # one coefficient of Strassen with its sign flipped fails 4 of 64 equations
+    term = strassen.terms[0]
+    cells = [list(row) for row in term.P.data]
+    cells[0][0] = -cells[0][0]
+    bad = strassen.with_terms([term._replace(P=Matrix(cells))] + list(strassen.terms[1:]))
+    path = str(tmp_path / "bad.fmm")
+    save_tensor(bad, path)
+    a = tmp_path / "a.mat"
+    save_matrix(Matrix([[1, 2], [3, 4]]), a)
+    code, out, err = run(capsys, "multiply", "--schedule", path, "--a", str(a), "--b", str(a))
+    assert code == 1
+    assert out == ""
+    assert "schedule level 1 fails verification: FAIL 60/64 equations" in err
+    code, out, err = run(capsys, "count", "--schedule", "%s,%s" % (STRASSEN, path))
+    assert code == 1
+    assert out == ""
+    assert "schedule level 2 fails verification: FAIL 60/64 equations" in err
+
+
 def test_count_command(capsys):
     code, out, _ = run(capsys, "count", "--schedule", "%s,%s" % (STRASSEN, STRASSEN))
     assert code == 0
@@ -208,6 +241,18 @@ def test_errscan_command(capsys):
     assert lines[-1].startswith("fitted slope ")
     slope = float(lines[-1].split()[-1])
     assert abs(slope - 1.0) <= 0.3
+
+
+def test_errscan_default_eps_fits_the_order(capsys, monkeypatch, teps):
+    # teps is parsed once; what is under test is the default --eps list
+    monkeypatch.setattr(cli, "load_tensor", lambda path: teps)
+    off = []
+    for seed in range(100):
+        code, out, _ = run(capsys, "errscan", TEPS, "--seed", str(seed))
+        slope = float(out.strip().splitlines()[-1].split()[-1])
+        if code != 0 or abs(slope - 1.0) > 0.3:
+            off.append((seed, slope))
+    assert off == []
 
 
 def test_errscan_rejects_bad_eps(capsys):

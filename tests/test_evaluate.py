@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from fmmkit.algebra import kronecker
+from fmmkit.algebra import direct_sum, kronecker
 from fmmkit.evaluate import (
     MultiplicationCounter,
     apply_bilinear,
@@ -12,9 +12,9 @@ from fmmkit.evaluate import (
     multiply_recursive,
 )
 from fmmkit.matrices import Matrix
-from fmmkit.tensor import classical_tensor
+from fmmkit.tensor import UnverifiedSchemeError, classical_tensor
 
-from helpers import rand_fraction
+from helpers import mutate_one_entry, rand_fraction
 
 
 def rand_rational_matrix(rng, rows, cols):
@@ -109,6 +109,22 @@ def test_schedule_counter_matches_kronecker_evaluation(strassen):
     assert flat.count == nested.count == 49
 
 
+def test_multiply_recursive_exact_on_large_rationals(strassen, t58):
+    t108 = direct_sum(t58, classical_tensor((2, 5, 5)), axis="M")
+    rng = random.Random(16)
+    bound = 10 ** 12
+    for levels in ([strassen], [t58], [strassen, t108], [strassen] * 4):
+        M = N = P = 1
+        for t in levels:
+            M, N, P = M * t.dims.m, N * t.dims.n, P * t.dims.p
+        A, B = (Matrix([[Fraction(rng.randint(-bound, bound), rng.randint(1, bound))
+                         for _ in range(cols)] for _ in range(rows)])
+                for rows, cols in ((M, N), (N, P)))
+        counter = MultiplicationCounter()
+        assert multiply_recursive(levels, A, B, counter=counter) == A @ B
+        assert counter.count == count_multiplications(levels)
+
+
 def test_count_multiplications_products(strassen, t58):
     assert count_multiplications([strassen]) == 7
     assert count_multiplications([strassen, strassen, strassen]) == 343
@@ -127,6 +143,13 @@ def test_schedule_validation(strassen, teps):
         count_multiplications([strassen, "strassen"])
     with pytest.raises(ValueError):
         multiply_recursive([strassen], Matrix.zeros(4, 4), Matrix.zeros(4, 4))
+    broken = mutate_one_entry(strassen, random.Random(0))
+    with pytest.raises(UnverifiedSchemeError, match="level 2 fails verification"):
+        count_multiplications([strassen, broken])
+    with pytest.raises(UnverifiedSchemeError):
+        multiply_recursive([broken], Matrix.zeros(2, 2), Matrix.zeros(2, 2))
+    with pytest.raises(UnverifiedSchemeError):
+        apply_bilinear(broken, Matrix.zeros(2, 2), Matrix.zeros(2, 2))
 
 
 def test_epsilon_error_scan_slope(teps):

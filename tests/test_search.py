@@ -1,6 +1,3 @@
-import os
-import subprocess
-import sys
 import warnings
 from fractions import Fraction
 
@@ -22,7 +19,6 @@ from fmmkit.search import (
     search,
     snap_models,
 )
-from fmmkit.search import kernels
 from fmmkit.tensor import classical_tensor, verify_exact
 
 
@@ -185,55 +181,3 @@ def test_search_progress_lines():
     search(cfg, progress=seen.append)
     assert len(seen) == 2
     assert all(line.startswith("restart ") for line in seen)
-
-
-def _run_probe(env_extra, code):
-    env = dict(os.environ)
-    env.update(env_extra)
-    return subprocess.run(
-        [sys.executable, "-c", code],
-        capture_output=True, text=True, env=env,
-    )
-
-
-SEARCH_PROBE = """
-from fmmkit.search import SearchConfig, search
-cfg = SearchConfig((2, 2, 2), 3, seed=11, restarts=2, max_sweeps=30)
-out = search(cfg)
-for row in out.trace:
-    print("%d %.17g %.17g" % row)
-"""
-
-
-def test_threaded_search_matches_serial():
-    serial = _run_probe({"FMMKIT_THREADS": "1"}, SEARCH_PROBE)
-    threaded = _run_probe({"FMMKIT_THREADS": "2"}, SEARCH_PROBE)
-    assert serial.returncode == 0, serial.stderr
-    assert threaded.returncode == 0, threaded.stderr
-    assert serial.stdout == threaded.stdout
-
-
-def test_numpy_backend_flag():
-    probe = "from fmmkit.search import kernels; print(kernels.BACKEND)"
-    out = _run_probe({"FMMKIT_BACKEND": "numpy"}, probe)
-    assert out.returncode == 0 and out.stdout.strip() == "numpy"
-    bad = _run_probe({"FMMKIT_BACKEND": "bogus"}, probe)
-    assert bad.returncode != 0 and "FMMKIT_BACKEND" in bad.stderr
-
-
-def test_backends_agree_numerically(strassen):
-    f = factor_set_from_tensor(strassen)
-    r_active = kernels.residual(f.P, f.Q, f.S, classical_dense(strassen.dims))
-    assert r_active == 0.0
-    probe = """
-import numpy as np
-from fmmkit.search import SearchConfig, search
-cfg = SearchConfig((2, 2, 2), 4, seed=2, restarts=1, max_sweeps=25)
-out = search(cfg)
-print("%.12g" % out.best_residual)
-"""
-    a = _run_probe({"FMMKIT_BACKEND": "numpy"}, probe)
-    b = _run_probe({"FMMKIT_BACKEND": "numba"} if kernels.HAVE_NUMBA else {"FMMKIT_BACKEND": "numpy"}, probe)
-    assert a.returncode == 0 and b.returncode == 0, a.stderr + b.stderr
-    # same trajectory within float tolerance; summation order may differ
-    assert float(a.stdout) == pytest.approx(float(b.stdout), rel=1e-6, abs=1e-9)
