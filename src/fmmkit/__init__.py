@@ -18,7 +18,6 @@ from .tensor import (
     TypePolynomial,
     VerificationReport,
     classical_tensor,
-    contract,
     expand,
     type_polynomial,
     verify_approximate,
@@ -41,7 +40,6 @@ __all__ = [
     "VerificationReport",
     "as_laurent",
     "classical_tensor",
-    "contract",
     "expand",
     "format_scalar",
     "matrix_rank",

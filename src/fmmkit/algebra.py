@@ -177,8 +177,9 @@ def isotropy_apply(t, g):
     """Sandwich the factors by an invertible triple (U, V, W).
 
     The output represents the same bilinear map conjugated by basis
-    changes: contract(out, U A V^-1, V B W^-1, W C U^-1) equals
-    contract(t, A, B, C), and verification status is preserved.
+    changes: its complete contraction sum_i <P_i,A> <Q_i,B> <S_i,C> at
+    (U A V^-1, V B W^-1, W C U^-1) equals that of t at (A, B, C), and
+    verification status is preserved.
     """
     _check_unmasked(t, "isotropy_apply")
     m, n, p = t.dims

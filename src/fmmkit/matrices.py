@@ -1,17 +1,19 @@
 """Exact dense matrices over the rationals or the Laurent scalars.
 
 Everything here is immutable and pure.  Sizes stay at desk scale (at most
-a few tens of rows), so the algorithms favour exactness and clarity:
+a few tens of rows), so the algorithms favour exactness and clarity.
 
-* rank over Q: ordinary Gaussian elimination with Fraction pivots;
-* rank over Q(e): fraction-free Bareiss elimination on Laurent-polynomial
-  entries (rows are first scaled by e^(-min exponent) so every entry is an
-  ordinary polynomial; the Bareiss division by the previous pivot is then
-  exact and intermediates never leave the ring);
-* inverse over Q: Gauss-Jordan; over the Laurent scalars: adjugate over
-  determinant, rejecting inverses whose entries fall outside the ring.
+Rank, determinant and inverse share one fraction-free (Bareiss)
+elimination, exact in any integral domain and so in both scalar domains:
+Fraction entries divide with ``/``, Laurent entries with
+``Laurent.exact_div``, and a matrix mixing the two is lifted to Laurent
+first.  The rank is the number of pivots, the determinant the last pivot
+times the sign of the row swaps, and the inverse a Gauss-Jordan pass on
+[M | I] whose right half is divided by the last pivot; over the Laurent
+scalars that division fails exactly when the inverse leaves the ring.
 """
 
+import operator
 from fractions import Fraction
 
 from .scalars import Laurent, as_laurent, is_zero
@@ -164,9 +166,7 @@ class Matrix:
 
     def rank(self):
         """Exact rank over Q (rational entries) or over the field Q(e)."""
-        if self.has_laurent():
-            return _rank_laurent(self)
-        return _rank_rational(self)
+        return _eliminate(_scalar_rows(self), self.cols)[0]
 
     def inverse(self):
         """Exact inverse of a square matrix.
@@ -176,16 +176,28 @@ class Matrix:
         """
         if self.rows != self.cols:
             raise ValueError("only square matrices invert")
-        if self.has_laurent():
-            return _inverse_laurent(self)
-        return _inverse_rational(self)
+        n = self.rows
+        eye = Matrix.identity(n).data
+        a = _scalar_rows(Matrix([row + e for row, e in zip(self.data, eye)]))
+        rank, pivot, _ = _eliminate(a, n, jordan=True)
+        if rank < n:
+            raise ValueError("singular matrix")
+        if not isinstance(pivot, Laurent):
+            return Matrix([[x / pivot for x in row[n:]] for row in a])
+        try:
+            return Matrix([[x.exact_div(pivot) for x in row[n:]] for row in a])
+        except ValueError:
+            raise ValueError(
+                "inverse exists over Q(e) but leaves the Laurent scalars"
+            ) from None
 
     def determinant(self):
         if self.rows != self.cols:
             raise ValueError("determinant needs a square matrix")
-        if self.has_laurent():
-            return _bareiss_determinant(_cleared_polynomial_rows(self)[0])
-        return _det_rational(self)
+        rank, pivot, sign = _eliminate(_scalar_rows(self), self.cols)
+        if rank < self.rows:
+            return pivot * 0  # the zero of the pivot's domain
+        return -pivot if sign < 0 else pivot
 
 
 def _dot(row, col):
@@ -195,200 +207,56 @@ def _dot(row, col):
     return total
 
 
-# -- rational elimination ----------------------------------------------------
+def _scalar_rows(m):
+    """Mutable rows in one scalar domain: all Laurent if any entry is,
+    else all Fraction (existing Fractions are kept; the constructor is slow)."""
+    if m.has_laurent():
+        return [[as_laurent(x) for x in row] for row in m.data]
+    return [[x if type(x) is Fraction else Fraction(x) for x in row] for row in m.data]
 
 
-def _rank_rational(m):
-    a = [list(row) for row in m.data]
-    rows, cols = m.rows, m.cols
-    rank = 0
-    for c in range(cols):
-        pivot = next((r for r in range(rank, rows) if a[r][c]), None)
-        if pivot is None:
-            continue
-        a[rank], a[pivot] = a[pivot], a[rank]
-        inv = Fraction(1) / a[rank][c]
-        a[rank] = [x * inv for x in a[rank]]
-        for r in range(rows):
-            if r != rank and a[r][c]:
-                f = a[r][c]
-                a[r] = [x - f * y for x, y in zip(a[r], a[rank])]
-        rank += 1
+def _eliminate(a, pivot_cols, jordan=False):
+    """Fraction-free (Bareiss) elimination of the rows ``a``, in place.
+
+    Column by column over the first ``pivot_cols`` columns, the first row
+    at or below the current one with a nonzero entry is swapped up as the
+    pivot.  Every other row below it (and above it too when ``jordan``)
+    becomes (pivot * row - row[c] * pivot_row) / previous pivot; the
+    division is exact because each entry is then a minor of the input.
+    Only the columns right of the pivot are kept up to date.
+
+    Returns (rank, last pivot, sign of the row permutation).  For a full
+    rank square matrix the last pivot is the determinant up to that sign;
+    after a Gauss-Jordan pass on [M | I] the right half is that pivot
+    times the inverse.
+    """
+    rows, width = len(a), len(a[0])
+    laurent = isinstance(a[0][0], Laurent)
+    div = Laurent.exact_div if laurent else operator.truediv
+    prev = Laurent.monomial(1) if laurent else Fraction(1)
+    rank, sign = 0, 1
+    for c in range(pivot_cols):
         if rank == rows:
             break
-    return rank
-
-
-def _inverse_rational(m):
-    n = m.rows
-    a = [list(row) + [Fraction(1) if i == j else Fraction(0) for j in range(n)]
-         for i, row in enumerate(m.data)]
-    for c in range(n):
-        pivot = next((r for r in range(c, n) if a[r][c]), None)
-        if pivot is None:
-            raise ValueError("singular matrix")
-        a[c], a[pivot] = a[pivot], a[c]
-        inv = Fraction(1) / a[c][c]
-        a[c] = [x * inv for x in a[c]]
-        for r in range(n):
-            if r != c and a[r][c]:
-                f = a[r][c]
-                a[r] = [x - f * y for x, y in zip(a[r], a[c])]
-    return Matrix([row[n:] for row in a])
-
-
-def _det_rational(m):
-    n = m.rows
-    a = [list(row) for row in m.data]
-    det = Fraction(1)
-    for c in range(n):
-        pivot = next((r for r in range(c, n) if a[r][c]), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != c:
-            a[c], a[pivot] = a[pivot], a[c]
-            det = -det
-        det *= a[c][c]
-        inv = Fraction(1) / a[c][c]
-        for r in range(c + 1, n):
-            if a[r][c]:
-                f = a[r][c] * inv
-                a[r] = [x - f * y for x, y in zip(a[r], a[c])]
-    return det
-
-
-# -- Laurent elimination -------------------------------------------------------
-#
-# Rank over the field Q(e).  Rows are scaled by e^(-min exponent) (a unit,
-# so the rank is unchanged) to land in the polynomial subring, then Bareiss
-# elimination keeps every intermediate entry a polynomial: after step k the
-# entries are k+1 minors of the original matrix, and the division by the
-# previous pivot is exact.  Pivot choice: lowest e-order, then smallest
-# coefficient height, to curb expression growth.
-
-
-def _cleared_polynomial_rows(m):
-    rows = []
-    for row in m.data:
-        vals = [as_laurent(x) for x in row]
-        low = min((v.order() for v in vals if v), default=0)
-        if low != 0 and low != float("inf"):
-            vals = [v.shift(-low) for v in vals]
-        rows.append(vals)
-    return rows, m.rows, m.cols
-
-
-def _height(poly):
-    return max(
-        (max(abs(q.numerator), q.denominator) for q in poly.terms.values()),
-        default=0,
-    )
-
-
-def _pivot_key(poly):
-    return (poly.order(), _height(poly))
-
-
-def _rank_laurent(m):
-    a, rows, cols = _cleared_polynomial_rows(m)
-    rank = 0
-    prev = Laurent.monomial(1)
-    for _ in range(min(rows, cols)):
-        best = None
-        for r in range(rank, rows):
-            for c in range(cols):
-                if a[r][c]:
-                    key = _pivot_key(a[r][c])
-                    if best is None or key < best[0]:
-                        best = (key, r, c)
-        if best is None:
-            break
-        _, pr, pc = best
-        a[rank], a[pr] = a[pr], a[rank]
-        pivot = a[rank][pc]
-        for r in range(rank + 1, rows):
-            # rows are rescaled even where the eliminated entry is already
-            # zero; the minor-determinant invariant needs it
-            fac = a[r][pc]
-            row_new = []
-            for c in range(cols):
-                num = pivot * a[r][c] - fac * a[rank][c]
-                row_new.append(num.exact_div(prev))
-            a[r] = row_new
-            a[r][pc] = Laurent.zero
-        prev = pivot
-        rank += 1
-    return rank
-
-
-def _bareiss_determinant(a):
-    n = len(a)
-    if any(len(row) != n for row in a):
-        raise ValueError("determinant needs a square matrix")
-    a = [list(row) for row in a]
-    sign = 1
-    prev = Laurent.monomial(1)
-    for k in range(n - 1):
-        if not a[k][k]:
-            swap = next((r for r in range(k + 1, n) if a[r][k]), None)
-            if swap is None:
-                return Laurent.zero
-            a[k], a[swap] = a[swap], a[k]
+        p = next((r for r in range(rank, rows) if a[r][c]), None)
+        if p is None:
+            continue
+        if p != rank:
+            a[rank], a[p] = a[p], a[rank]
             sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = a[k][k] * a[i][j] - a[i][k] * a[k][j]
-                a[i][j] = num.exact_div(prev)
-            a[i][k] = Laurent.zero
-        prev = a[k][k]
-    det = a[n - 1][n - 1]
-    return -det if sign < 0 else det
-
-
-def _inverse_laurent(m):
-    n = m.rows
-    lifted = m.lifted()
-    # Row scaling by units e^(-low) keeps the inverse expressible: undo after.
-    rows, lows = [], []
-    for row in lifted.data:
-        vals = list(row)
-        low = min((v.order() for v in vals if v), default=0)
-        if low == float("inf"):
-            raise ValueError("singular matrix")
-        if low != 0:
-            vals = [v.shift(-low) for v in vals]
-        rows.append(vals)
-        lows.append(low)
-    det = _bareiss_determinant(rows)
-    if not det:
-        raise ValueError("singular matrix")
-    cof = []
-    for i in range(n):
-        cof_row = []
-        for j in range(n):
-            minor = [
-                [rows[r][c] for c in range(n) if c != j]
-                for r in range(n) if r != i
-            ]
-            d = _bareiss_determinant(minor) if n > 1 else Laurent.monomial(1)
-            if (i + j) % 2:
-                d = -d
-            cof_row.append(d)
-        cof.append(cof_row)
-    # inverse = adjugate / det; undo the row scaling on the adjugate columns
-    out = []
-    for i in range(n):
-        out_row = []
-        for j in range(n):
-            try:
-                q = cof[j][i].exact_div(det)
-            except ValueError:
-                raise ValueError(
-                    "inverse exists over Q(e) but leaves the Laurent scalars"
-                ) from None
-            out_row.append(q.shift(-lows[j]))
-        out.append(out_row)
-    return Matrix(out)
+        prow = a[rank]
+        piv = prow[c]
+        others = range(rows) if jordan else range(rank + 1, rows)
+        for i in others:
+            row = a[i]
+            f = row[c]
+            if i == rank or (not f and piv == prev):
+                continue
+            for j in range(c + 1, width):
+                row[j] = div(piv * row[j] - f * prow[j], prev)
+        prev = piv
+        rank += 1
+    return rank, prev, sign
 
 
 def matrix_rank(m):

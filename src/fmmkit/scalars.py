@@ -149,8 +149,19 @@ class Laurent:
         return Laurent({e + k: q for e, q in self.terms.items()})
 
     def evaluate(self, eps):
-        """Numerical value at a concrete float eps (for error scans)."""
-        return sum(float(q) * eps**k for k, q in self.terms.items())
+        """Numerical value at a concrete float eps (for error scans).
+
+        A power of eps too large for a float counts as infinite, so the
+        value is then inf or nan rather than an OverflowError.
+        """
+        total = 0.0
+        for k, q in self.terms.items():
+            try:
+                power = eps**k
+            except OverflowError:
+                power = -INF if eps < 0 and k % 2 else INF
+            total += float(q) * power
+        return total
 
     def exact_div(self, other):
         """Exact division by another Laurent scalar.
@@ -163,36 +174,29 @@ class Laurent:
             raise ZeroDivisionError("division by zero scalar")
         if not self:
             return Laurent.zero
-        # Shift both operands into ordinary polynomials and long-divide.
-        s_low, d_low = self.order(), other.order()
-        num = _dense(self.shift(-s_low))
-        den = _dense(other.shift(-d_low))
-        if len(num) < len(den):
-            raise ValueError("inexact Laurent division")
-        quot = [Fraction(0)] * (len(num) - len(den) + 1)
-        rem = list(num)
-        lead = den[-1]
-        for i in range(len(quot) - 1, -1, -1):
-            c = rem[i + len(den) - 1] / lead
-            quot[i] = c
-            if c:
-                for j, d in enumerate(den):
-                    rem[i + j] -= c * d
-        if any(rem):
-            raise ValueError("inexact Laurent division")
-        return Laurent({k: q for k, q in enumerate(quot) if q}).shift(s_low - d_low)
+        # Long division from the top exponent down over the stored terms;
+        # every quotient exponent lies at or above order(self) - order(other).
+        floor = self.order() - other.order()
+        top = other.max_exponent()
+        lead = other.terms[top]
+        rem, quot = dict(self.terms), {}
+        while rem:
+            k = max(rem)
+            if k - top < floor:
+                raise ValueError("inexact Laurent division")
+            c = rem[k] / lead
+            quot[k - top] = c
+            for e, d in other.terms.items():
+                key = k - top + e
+                s = rem.get(key, 0) - c * d
+                if s:
+                    rem[key] = s
+                else:
+                    rem.pop(key, None)
+        return Laurent(quot)
 
 
 Laurent.zero = Laurent({})
-
-
-def _dense(poly):
-    """Laurent with order >= 0 -> dense coefficient list, index = exponent."""
-    top = poly.max_exponent()
-    out = [Fraction(0)] * (int(top) + 1)
-    for k, q in poly.terms.items():
-        out[k] = q
-    return out
 
 
 def as_laurent(value):

@@ -18,7 +18,7 @@ from fractions import Fraction
 import numpy as np
 
 from ..matrices import Matrix
-from ..tensor import RATIONAL, Dims, FmmTensor, Term, verify_exact
+from ..tensor import RATIONAL, Dims, FmmTensor, Term, classical_map, verify_exact
 from . import kernels
 
 FactorSet = namedtuple("FactorSet", ["P", "Q", "S"])
@@ -98,10 +98,8 @@ def classical_dense(dims):
     """Dense float classical tensor, axes ordered (m*n, n*p, p*m)."""
     m, n, p = dims
     T = np.zeros((m * n, n * p, p * m))
-    for i in range(m):
-        for j in range(n):
-            for k in range(p):
-                T[i * n + j, j * p + k, k * m + i] = 1.0
+    for (i, j), (_, k), _ in classical_map(dims):
+        T[i * n + j, j * p + k, k * m + i] = 1.0
     return T
 
 

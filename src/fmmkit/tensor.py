@@ -140,17 +140,11 @@ def classical_tensor(dims, support=None, field_mode=RATIONAL):
     the target tensor of a partial matrix product.
     """
     dims = Dims(*dims)
-    terms = []
-    for i in range(dims.m):
-        for j in range(dims.n):
-            if support is not None and not support[i][j]:
-                continue
-            for k in range(dims.p):
-                terms.append(Term(
-                    Matrix.unit(dims.m, dims.n, i, j),
-                    Matrix.unit(dims.n, dims.p, j, k),
-                    Matrix.unit(dims.p, dims.m, k, i),
-                ))
+    m, n, p = dims
+    terms = [
+        Term(Matrix.unit(m, n, i, j), Matrix.unit(n, p, j, k), Matrix.unit(p, m, k, i))
+        for (i, j), (_, k), _ in classical_map(dims, support)
+    ]
     return FmmTensor(dims, field_mode, terms, support)
 
 
@@ -343,19 +337,3 @@ def type_polynomial(t):
         key = (term.P.rank(), term.Q.rank(), term.S.rank())
         counts[key] = counts.get(key, 0) + 1
     return TypePolynomial.from_counts(counts)
-
-
-def contract(t, A, B, C):
-    """Complete contraction sum_i <P_i,A> <Q_i,B> <S_i,C>.
-
-    For a verified tensor this equals Trace(A B C); C sits in the dual
-    slot, so it is p x m.
-    """
-    m, n, p = t.dims
-    if (A.rows, A.cols) != (m, n) or (B.rows, B.cols) != (n, p) or (C.rows, C.cols) != (p, m):
-        raise ValueError("contract expects A %dx%d, B %dx%d, C %dx%d" % (m, n, n, p, p, m))
-    total = None
-    for term in t.terms:
-        v = term.P.frobenius_inner(A) * term.Q.frobenius_inner(B) * term.S.frobenius_inner(C)
-        total = v if total is None else total + v
-    return total

@@ -6,6 +6,7 @@ the printed lines land on the terminal even under capture."""
 import random
 import time
 from fractions import Fraction
+from importlib import resources
 from pathlib import Path
 
 from fmmkit.algebra import (
@@ -34,9 +35,10 @@ from fmmkit.tensor import (
     verify_exact,
 )
 
-DATA = Path(__file__).resolve().parent.parent / "data"
-USER_40 = DATA / "user" / "2x5x5_40.fmm"
-USER_34 = DATA / "user" / "3x3x5_34.fmm"
+DATA = resources.files("fmmkit") / "data"
+USER_DATA = Path(__file__).resolve().parent.parent / "data" / "user"
+USER_40 = USER_DATA / "2x5x5_40.fmm"
+USER_34 = USER_DATA / "3x3x5_34.fmm"
 
 
 def report(capsys, num, ok, detail=""):

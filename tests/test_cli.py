@@ -1,5 +1,5 @@
 import time
-from pathlib import Path
+from importlib import resources
 
 import pytest
 
@@ -9,7 +9,7 @@ from fmmkit.io import load_matrix, load_tensor, save_matrix, save_tensor, write_
 from fmmkit.matrices import Matrix
 from fmmkit.tensor import verify_approximate, verify_exact
 
-DATA = Path(__file__).resolve().parent.parent / "data"
+DATA = resources.files("fmmkit") / "data"
 STRASSEN = str(DATA / "strassen.fmm")
 T58 = str(DATA / "3x5x5_58.fmm")
 TEPS = str(DATA / "teps.fmm")
@@ -66,6 +66,17 @@ def test_verify_scaled_huge_exponent_is_bounded(capsys, tmp_path):
     assert time.perf_counter() - start < 1.0
     assert code == 1
     assert out.startswith("INVALID ")
+
+
+def test_type_huge_exponent_is_fast(capsys, tmp_path):
+    path = tmp_path / "huge.fmm"
+    path.write_text("fmm 1\ndims 2 2 1\nrank 1\nfield laurent\n"
+                    "term 1\n1*e^1000000, 1\n1, 1\n1\n1\n1, 1\n")
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "type", str(path))
+    assert time.perf_counter() - start < 1.0
+    assert code == 0
+    assert out.strip() == "X^2*Y*Z"
 
 
 def test_type_command(capsys):
@@ -253,6 +264,15 @@ def test_errscan_default_eps_fits_the_order(capsys, monkeypatch, teps):
         if code != 0 or abs(slope - 1.0) > 0.3:
             off.append((seed, slope))
     assert off == []
+
+
+def test_errscan_overflowing_eps_records_inf(capsys):
+    # e^-3 at eps 1e-200 overflows a float: the sample is inf, not a traceback
+    code, out, _ = run(capsys, "errscan", TEPS, "--eps", "1e-2,1e-200")
+    assert code == 0
+    lines = out.strip().splitlines()
+    assert lines[1].split() == ["eps", "1.000e-200", "rel_error", "inf"]
+    assert lines[-1] == "fitted slope undefined"
 
 
 def test_errscan_rejects_bad_eps(capsys):

@@ -1,11 +1,7 @@
-from pathlib import Path
-
 import pytest
 
 from fmmkit import datasets
 from fmmkit.tensor import type_polynomial, verify_approximate, verify_exact
-
-REPO_DATA = Path(__file__).resolve().parent.parent / "data"
 
 
 def test_dataset_names():
@@ -50,10 +46,3 @@ def test_approx_tensor_contents(teps):
     report = verify_approximate(teps)
     assert report.valid and report.discrepancy_order == 1
     assert type_polynomial(teps).total() == 55
-
-
-@pytest.mark.parametrize("name", datasets.dataset_names())
-def test_repo_copies_match_package_data(name):
-    packaged = datasets.dataset_text(name)
-    repo = (REPO_DATA / (name + ".fmm")).read_text()
-    assert packaged == repo

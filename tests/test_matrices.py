@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -5,8 +6,9 @@ import pytest
 
 from fmmkit.matrices import Matrix, matrix_rank
 from fmmkit.scalars import Laurent
+from fmmkit.tensor import LAURENT, RATIONAL
 
-from helpers import rand_invertible
+from helpers import rand_factor, rand_invertible
 
 
 def test_constructor_and_shape():
@@ -103,6 +105,52 @@ def test_laurent_matrix_rank_and_inverse():
     assert sing.rank() == 1
     with pytest.raises(ValueError):
         sing.inverse()
+
+
+def test_laurent_determinant_keeps_its_e_power():
+    e = Laurent.monomial(1, 1)
+    assert Matrix([[e]]).determinant() == e
+    assert Matrix([[e, 1], [0, e]]).determinant() == e * e
+
+
+def _leibniz(m):
+    n = m.rows
+    total = 0
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        prod = 1
+        for i in range(n):
+            prod = m[(i, perm[i])] * prod
+        total = total - prod if inversions % 2 else total + prod
+    return total
+
+
+def test_elimination_matches_leibniz_in_both_domains():
+    rng = random.Random(4)
+    seen = {}
+    for trial in range(300):
+        mode = (RATIONAL, LAURENT)[trial % 2]
+        n = rng.randint(1, 4)
+        m = rand_factor(rng, n, n, mode)
+        det = m.determinant()
+        assert det == _leibniz(m), m
+        assert (m.rank() == n) == bool(det), m
+        assert m.rank() == m.transpose().rank(), m
+        if not det:
+            kind = "singular"
+            with pytest.raises(ValueError, match="singular matrix"):
+                m.inverse()
+        elif mode == RATIONAL or det.is_monomial():
+            kind = "unit"
+            one, zero = (Fraction(1), Fraction(0)) if mode == RATIONAL else (Laurent.monomial(1), Laurent.zero)
+            assert m @ m.inverse() == Matrix.identity(n, one=one, zero=zero), m
+        else:
+            # a non-monomial determinant is no unit of the Laurent ring
+            kind = "non-unit"
+            with pytest.raises(ValueError, match="leaves the Laurent scalars"):
+                m.inverse()
+        seen[mode, kind] = seen.get((mode, kind), 0) + 1
+    assert min(seen.values()) >= 20 and len(seen) == 5, seen
 
 
 def test_lifted_and_has_laurent():

@@ -13,7 +13,6 @@ from fmmkit.tensor import (
     Term,
     classical_map,
     classical_tensor,
-    contract,
     expand,
     residual_map,
     type_polynomial,
@@ -150,15 +149,6 @@ def test_type_polynomial_examples(strassen):
     classical = type_polynomial(classical_tensor((2, 2, 2)))
     assert classical.as_dict() == {(1, 1, 1): 8}
     assert str(classical) == "8*X*Y*Z"
-
-
-def test_contract_counts_scalar_products():
-    t = classical_tensor((2, 2, 2))
-    A = Matrix([[1, 2], [3, 4]])
-    B = Matrix([[5, 6], [7, 8]])
-    C = Matrix.identity(2)
-    value = contract(t, A, B, C)
-    assert value == (A @ B).frobenius_inner(C.transpose())
 
 
 def test_equality_and_as_laurent(strassen):

@@ -15,15 +15,16 @@ therefore differ from the printed layout of a summand only by where
 the unit scale sits, never in the term's value.
 
 The script rebuilds every file, re-verifies it (full Brent system for
-exact schemes, e -> 0 limit for the approximate one), checks the
-expected type polynomial, and writes canonical serializations to both
-src/fmmkit/data/ and data/.
+exact schemes, e -> 0 limit for the approximate one), checks the type
+polynomial that fmmkit.datasets expects, and writes the canonical
+serialization to src/fmmkit/data/, the one stored copy.
 """
 
 import pathlib
 import re
 import sys
 
+from fmmkit.datasets import expected_info
 from fmmkit.matrices import Matrix
 from fmmkit.scalars import Laurent
 from fmmkit.tensor import FmmTensor, Term, type_polynomial, verify_approximate, verify_exact
@@ -273,26 +274,9 @@ TEPS_SUPPORT = (
     (True, True, True, True, True),
 )
 
-EXPECTED_TYPE = {
-    "strassen": {(2, 2, 2): 1, (1, 1, 1): 6},
-    "3x5x5_58": {
-        (2, 2, 2): 17, (1, 4, 1): 2, (3, 2, 1): 1, (1, 2, 3): 1,
-        (3, 1, 1): 5, (1, 1, 3): 5, (2, 2, 1): 2, (1, 2, 2): 2,
-        (1, 3, 1): 1, (2, 1, 1): 1, (1, 1, 2): 1, (1, 2, 1): 13,
-        (1, 1, 1): 7,
-    },
-    "teps": {
-        (2, 2, 2): 20, (2, 2, 1): 3, (2, 1, 2): 2, (1, 2, 2): 4,
-        (2, 1, 1): 7, (1, 2, 1): 6, (1, 1, 2): 8, (1, 1, 1): 5,
-    },
-}
-
-
 def main():
-    root = pathlib.Path(__file__).resolve().parent.parent
-    targets = [root / "src" / "fmmkit" / "data", root / "data"]
-    for d in targets:
-        d.mkdir(parents=True, exist_ok=True)
+    target = pathlib.Path(__file__).resolve().parent.parent / "src" / "fmmkit" / "data"
+    target.mkdir(parents=True, exist_ok=True)
 
     schemes = {
         "strassen": build((2, 2, 2), "rational", STRASSEN),
@@ -310,26 +294,24 @@ def main():
             rep = verify_approximate(t)
             status = rep.valid
             detail = str(rep)
+        expected = expected_info(name)["type"]
         tp = type_polynomial(t)
-        type_ok = tp.as_dict() == EXPECTED_TYPE[name]
+        type_ok = tp.as_dict() == expected
         print("%-10s rank %-3d %-28s type %s" % (
             name, t.rank, detail, "OK" if type_ok else "MISMATCH"))
         if not type_ok:
-            expected = EXPECTED_TYPE[name]
             got = tp.as_dict()
             for key in sorted(set(expected) | set(got)):
                 if expected.get(key) != got.get(key):
                     print("   %s: expected %s, got %s"
                           % (key, expected.get(key), got.get(key)))
         ok = ok and status and type_ok
-        text = write_tensor(t)
-        for d in targets:
-            (d / (name + ".fmm")).write_text(text, encoding="utf-8")
+        (target / (name + ".fmm")).write_text(write_tensor(t), encoding="utf-8")
 
     if not ok:
         print("FAILED: fix the tables before shipping", file=sys.stderr)
         return 1
-    print("wrote %d files to %s and %s" % (len(schemes), targets[0], targets[1]))
+    print("wrote %d files to %s" % (len(schemes), target))
     return 0
 
 
