@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .matrices import Matrix
 from .scalars import Laurent
-from .tensor import LAURENT, RATIONAL, Dims, FmmTensor, Term
+from .tensor import LAURENT, RATIONAL, FmmTensor, Term
 
 AXIS_M = "M"
 AXIS_N = "N"

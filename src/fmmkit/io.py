@@ -20,8 +20,6 @@ such as `1/2*e^-3+2` are accepted on input.  Matrix files carry a
 `rows cols` header and then row-major rational entries.
 """
 
-from fractions import Fraction
-
 from .matrices import Matrix
 from .scalars import ScalarParseError, format_rational, format_scalar, parse_scalar
 from .tensor import LAURENT, RATIONAL, FmmTensor, Term

@@ -2,6 +2,7 @@ from .als import (
     DEFAULT_GRID,
     DESK_LIMIT,
     FactorSet,
+    RestartRecord,
     SearchConfig,
     SearchResult,
     als_block_solve,

@@ -6,7 +6,10 @@ pulling the iterate toward snap-grid models with a decaying ridge weight
 so that a converged solution usually rounds to exact rational factors.
 
 Factor stacks are plain float arrays: P is r x (m*n), Q is r x (n*p),
-S is r x (p*m), each row the row-major vectorization of one factor.
+S is r x (p*m), each row the row-major vectorization of one factor.  The
+restarts of a search run as batches that stack their restarts' factor
+stacks row block by row block (see kernels); a restart's trace is the same
+bit for bit in any batch, and alone.
 """
 
 import math
@@ -43,6 +46,17 @@ JITTER = 1e-12
 # over the last STALL_WINDOW sweeps, reset lambda to lambda_init
 STALL_WINDOW = 25
 STALL_DROP = 1e-3
+
+# largest float64 intermediate of kernels.residual, k*r*(mn)(np)(pm)*8 bytes,
+# that one batch of k restarts may build; a restart bigger than this runs
+# alone
+BATCH_BYTES = 16 * 2**20
+
+RestartRecord = namedtuple(
+    "RestartRecord", ["outcome", "sweeps", "lambda_resets", "best_residual"])
+RestartRecord.__doc__ = """How one restart ended.  outcome is "converged"
+(residual below tol), "exhausted" (ran max_sweeps), "nonfinite" (residual
+inf or nan) or "singular" (a block solve raised LinAlgError)."""
 
 
 @dataclass(frozen=True)
@@ -92,6 +106,7 @@ class SearchResult:
     sweeps_used: int
     rationalized: object
     trace: tuple
+    restarts: tuple = ()
 
 
 def classical_dense(dims):
@@ -157,7 +172,7 @@ def brent_residual(f, dims):
     dims = Dims(*dims)
     f = _check_factors(f, dims)
     T = classical_dense(dims)
-    return kernels.residual(f.P, f.Q, f.S, T)
+    return float(kernels.residual(f.P, f.Q, f.S, T, 1)[0])
 
 
 def _grid_arrays(grid):
@@ -168,9 +183,10 @@ def _grid_arrays(grid):
 
 
 def _snap_array(arr, grid_floats):
-    dist = np.abs(arr[..., None] - grid_floats)
-    idx = np.argmin(dist, axis=-1)
-    return idx
+    # index of the nearest grid point for each entry of the 1-D array arr,
+    # the first one on a tie; the grid axis comes first so that numpy's
+    # inner loops run along arr
+    return np.abs(arr - grid_floats[:, None]).argmin(axis=0)
 
 
 def snap_models(f, grid=DEFAULT_GRID):
@@ -179,8 +195,8 @@ def snap_models(f, grid=DEFAULT_GRID):
     _, gf = _grid_arrays(grid)
     out = []
     for stack in f:
-        idx = _snap_array(np.asarray(stack, dtype=np.float64), gf)
-        out.append(gf[idx])
+        arr = np.asarray(stack, dtype=np.float64)
+        out.append(gf[_snap_array(arr.ravel(), gf)].reshape(arr.shape))
     return FactorSet(*out)
 
 
@@ -196,7 +212,7 @@ def als_block_solve(f, models, lam, dims, slot):
     dims = Dims(*dims)
     f = _check_factors(f, dims)
     models = _check_factors(models, dims, rank=f.P.shape[0])
-    lam_eff = _effective_lambda(lam)
+    lam_eff = np.array([_effective_lambda(lam)])
     T1, T2, T3 = _matricize(classical_dense(dims))
     P, Q, S = f
     if slot == "P":
@@ -223,10 +239,10 @@ def als_objective(f, models, lam, dims):
     return brent_residual(f, dims) + lam * prox
 
 
-def _sweep(P, Q, S, mP, mQ, mS, T1, T2, T3, lam_eff):
-    P = kernels.block_solve(Q, S, T1, lam_eff, mP)
-    Q = kernels.block_solve(P, S, T2, lam_eff, mQ)
-    S = kernels.block_solve(P, Q, T3, lam_eff, mS)
+def _sweep(P, Q, S, mP, mQ, mS, T1, T2, T3, lam):
+    P = kernels.block_solve(Q, S, T1, lam, mP)
+    Q = kernels.block_solve(P, S, T2, lam, mQ)
+    S = kernels.block_solve(P, Q, T3, lam, mS)
     return P, Q, S
 
 
@@ -237,7 +253,7 @@ def als_sweep(f, models, lam, dims):
     dims = Dims(*dims)
     f = _check_factors(f, dims)
     models = _check_factors(models, dims, rank=f.P.shape[0])
-    lam_eff = _effective_lambda(lam)
+    lam_eff = np.array([_effective_lambda(lam)])
     T1, T2, T3 = _matricize(classical_dense(dims))
     P, Q, S = _sweep(f.P, f.Q, f.S, models.P, models.Q, models.S, T1, T2, T3, lam_eff)
     return FactorSet(P, Q, S)
@@ -255,8 +271,9 @@ def rationalize(f, dims, snap_grid=DEFAULT_GRID):
     for row in range(f.P.shape[0]):
         mats = []
         for stack, rows, cols in ((f.P, m, n), (f.Q, n, p), (f.S, p, m)):
-            idx = _snap_array(stack[row].reshape(rows, cols), gf)
-            mats.append(Matrix([[gr[idx[i][j]] for j in range(cols)] for i in range(rows)]))
+            idx = _snap_array(stack[row], gf)
+            mats.append(Matrix([[gr[idx[i * cols + j]] for j in range(cols)]
+                                for i in range(rows)]))
         terms.append(Term(*mats))
     try:
         t = FmmTensor(dims, RATIONAL, terms)
@@ -266,54 +283,158 @@ def rationalize(f, dims, snap_grid=DEFAULT_GRID):
     return t if report.passed else None
 
 
-_Restart = namedtuple("_Restart", ["best_res", "factors", "sweeps", "trace"])
+_Restart = namedtuple(
+    "_Restart", ["best_res", "factors", "sweeps", "trace", "outcome", "resets"])
 
 
-def _run_restart(cfg, index, Tdense, T1, T2, T3, grid_floats):
-    m, n, p = cfg.dims
-    rank = cfg.rank
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((cfg.seed, index))))
-    # draw order P, Q, S is part of the reproducibility contract
-    P = rng.uniform(-1.0, 1.0, (rank, m * n))
-    Q = rng.uniform(-1.0, 1.0, (rank, n * p))
-    S = rng.uniform(-1.0, 1.0, (rank, p * m))
-    lam = cfg.lambda_init
-    trace = []
-    history = []
-    best_res = math.inf
-    best = FactorSet(P.copy(), Q.copy(), S.copy())
-    prev_res = math.inf
-    guard = 0
-    sweeps = 0
-    for sweep in range(1, cfg.max_sweeps + 1):
-        mP = grid_floats[_snap_array(P, grid_floats)]
-        mQ = grid_floats[_snap_array(Q, grid_floats)]
-        mS = grid_floats[_snap_array(S, grid_floats)]
-        lam_eff = _effective_lambda(lam)
-        try:
-            P, Q, S = _sweep(P, Q, S, mP, mQ, mS, T1, T2, T3, lam_eff)
-        except np.linalg.LinAlgError:
-            break
-        res = kernels.residual(P, Q, S, Tdense)
-        sweeps = sweep
-        trace.append((sweep, res, lam_eff))
+class _Descent:
+    """Scalar state of one restart's descent.
+
+    An improvement does not copy the restart's rows out of the batch: best_at
+    keeps the batch stacks of the best sweep and the restart's first row in
+    them, which no later sweep writes to, and settle() copies the rows once
+    a sweep brings no improvement or the restart leaves.  So at most two
+    sweeps' stacks stay referenced."""
+
+    __slots__ = ("lam", "lam_eff", "trace", "best_res", "best", "best_at",
+                 "prev_res", "guard", "resets", "outcome")
+
+    def __init__(self, start, lam):
+        self.lam = lam
+        self.lam_eff = _effective_lambda(lam)
+        self.trace = []
+        self.best_res = math.inf
+        self.best = start
+        self.best_at = None
+        self.prev_res = math.inf
+        self.guard = 0
+        self.resets = 0
+        self.outcome = None
+
+    def settle(self, r):
+        if self.best_at is not None:
+            (P, Q, S), row = self.best_at
+            rows = slice(row, row + r)
+            self.best = FactorSet(P[rows].copy(), Q[rows].copy(), S[rows].copy())
+            self.best_at = None
+
+    def step(self, cfg, sweep, res, stacks, row):
+        """Book sweep number sweep, run at ridge weight lam_eff, with
+        residual res; this restart's block of the batch's stacks starts at
+        row.  Returns True while the restart goes on."""
+        self.trace.append((sweep, res, self.lam_eff))
         if not math.isfinite(res):
-            break
-        if res < best_res:
-            best_res = res
-            best = FactorSet(P.copy(), Q.copy(), S.copy())
+            self.outcome = "nonfinite"
+            self.settle(cfg.rank)
+            return False
+        if res < self.best_res:
+            self.best_res = res
+            self.best_at = (stacks, row)
+        elif self.best_at is not None:
+            self.settle(cfg.rank)
         if res < cfg.tol:
-            break
-        if res < prev_res:
-            lam *= cfg.lambda_decay
-        history.append(res)
-        if sweep - guard > STALL_WINDOW:
-            anchor = history[sweep - 1 - STALL_WINDOW]
+            self.outcome = "converged"
+            self.settle(cfg.rank)
+            return False
+        if res < self.prev_res:
+            self.lam *= cfg.lambda_decay
+        if sweep - self.guard > STALL_WINDOW:
+            anchor = self.trace[sweep - 1 - STALL_WINDOW][1]
             if not res < anchor * (1.0 - STALL_DROP):
-                lam = cfg.lambda_init
-                guard = sweep
-        prev_res = res
-    return _Restart(best_res, best, sweeps, tuple(trace))
+                self.lam = cfg.lambda_init
+                self.guard = sweep
+                self.resets += 1
+        self.lam_eff = _effective_lambda(self.lam)
+        self.prev_res = res
+        return True
+
+
+def _batch_width(dims, rank):
+    """Restarts per batch: as many as keep the residual's intermediate
+    within BATCH_BYTES, and at least one."""
+    m, n, p = dims
+    return max(1, BATCH_BYTES // (8 * rank * (m * n) * (n * p) * (p * m)))
+
+
+def _run_batch(cfg, indices, Tdense, T1, T2, T3, grid_floats):
+    """Run the restarts numbered in indices as one batch; returns their
+    _Restart records in the same order."""
+    m, n, p = cfg.dims
+    r = cfg.rank
+    starts = []
+    for i in indices:
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((cfg.seed, i))))
+        # draw order P, Q, S is part of the reproducibility contract
+        starts.append(FactorSet(rng.uniform(-1.0, 1.0, (r, m * n)),
+                                rng.uniform(-1.0, 1.0, (r, n * p)),
+                                rng.uniform(-1.0, 1.0, (r, p * m))))
+    P, Q, S = (np.concatenate(stacks) for stacks in zip(*starts))
+    runs = [_Descent(start, cfg.lambda_init) for start in starts]
+    live = runs
+    for sweep in range(1, cfg.max_sweeps + 1):
+        # one snap over all three stacks, flattened so that each model
+        # comes back as a contiguous block
+        flat = grid_floats[_snap_array(np.concatenate((P, Q, S), axis=None), grid_floats)]
+        a, b = P.size, P.size + Q.size
+        models = (flat[:a].reshape(P.shape), flat[a:b].reshape(Q.shape),
+                  flat[b:].reshape(S.shape))
+        lam = np.array([d.lam_eff for d in live])
+        try:
+            stacks = _sweep(P, Q, S, *models, T1, T2, T3, lam)
+        except np.linalg.LinAlgError:
+            # numpy raises for the whole stack: sweep the restarts one by
+            # one and drop those that raise again, with their state from
+            # before this sweep
+            keep, parts = [], []
+            for j, d in enumerate(live):
+                rows = slice(j * r, j * r + r)
+                try:
+                    parts.append(_sweep(P[rows], Q[rows], S[rows],
+                                        *(model[rows] for model in models),
+                                        T1, T2, T3, lam[j:j + 1]))
+                except np.linalg.LinAlgError:
+                    d.outcome = "singular"
+                    d.settle(r)
+                    continue
+                keep.append(j)
+            if not keep:
+                break
+            live = [live[j] for j in keep]
+            stacks = tuple(np.concatenate(s) for s in zip(*parts))
+        res = kernels.residual(*stacks, Tdense, len(live)).tolist()
+        keep = [j for j, d in enumerate(live) if d.step(cfg, sweep, res[j], stacks, j * r)]
+        P, Q, S = stacks
+        if len(keep) < len(live):
+            if not keep:
+                break
+            live = [live[j] for j in keep]
+            rows = (np.array(keep)[:, None] * r + np.arange(r)).ravel()
+            P, Q, S = P[rows], Q[rows], S[rows]
+    else:
+        for d in live:
+            d.outcome = "exhausted"
+            d.settle(r)
+    return [_Restart(d.best_res, d.best, len(d.trace), tuple(d.trace), d.outcome, d.resets)
+            for d in runs]
+
+
+def _run_restarts(cfg, progress=None):
+    """Every restart's _Restart record, in index order, from batches of
+    consecutive restarts; progress gets each batch's summary lines once
+    the batch ends."""
+    Tdense = classical_dense(cfg.dims)
+    T1, T2, T3 = _matricize(Tdense)
+    _, grid_floats = _grid_arrays(cfg.snap_grid)
+    width = _batch_width(cfg.dims, cfg.rank)
+    results = []
+    for start in range(0, cfg.restarts, width):
+        indices = range(start, min(start + width, cfg.restarts))
+        batch = _run_batch(cfg, indices, Tdense, T1, T2, T3, grid_floats)
+        if progress is not None:
+            for i, out in zip(indices, batch):
+                progress(_summary_line(i, out, cfg))
+        results.extend(batch)
+    return results
 
 
 def search(cfg, progress=None):
@@ -321,9 +442,12 @@ def search(cfg, progress=None):
     best.  Every restart's best factors get a rationalization attempt, in
     ascending residual order with ties broken by restart index; the first
     attempt that verifies exactly is reported.  best_residual, factors,
-    sweeps_used and trace always describe the lowest-residual restart.
-    Fully deterministic for a given config.  progress, when
-    given, is called with one summary line per finished restart."""
+    sweeps_used and trace always describe the lowest-residual restart;
+    restarts holds one RestartRecord per restart.  The restarts run in
+    batches, yet every restart's numbers are those of a serial run, so the
+    result is fully deterministic for a given config.  progress, when
+    given, is called with one summary line per finished restart, in
+    restart order."""
     m, n, p = cfg.dims
     if m * n * p > DESK_LIMIT:
         if not cfg.allow_large:
@@ -336,15 +460,7 @@ def search(cfg, progress=None):
             % (m * n * p, DESK_LIMIT),
             stacklevel=2,
         )
-    Tdense = classical_dense(cfg.dims)
-    T1, T2, T3 = _matricize(Tdense)
-    _, grid_floats = _grid_arrays(cfg.snap_grid)
-
-    results = []
-    for i in range(cfg.restarts):
-        results.append(_run_restart(cfg, i, Tdense, T1, T2, T3, grid_floats))
-        if progress is not None:
-            progress(_summary_line(i, results[i], cfg))
+    results = _run_restarts(cfg, progress)
 
     order = sorted(range(cfg.restarts), key=lambda i: (results[i].best_res, i))
     best_index = order[0]
@@ -361,6 +477,8 @@ def search(cfg, progress=None):
         sweeps_used=chosen.sweeps,
         rationalized=rationalized,
         trace=chosen.trace,
+        restarts=tuple(RestartRecord(out.outcome, out.sweeps, out.resets, out.best_res)
+                       for out in results),
     )
 
 

@@ -1,14 +1,25 @@
 """Hot numeric kernels for the ALS search, vectorized with numpy.
 
-  residual(P, Q, S, T)            squared Frobenius distance between the
-                                  rank-r expansion of the stacks and the
-                                  dense target T of shape (mn, np, pm)
-  block_solve(A, B, Tmat, lam, M) ridge-regularized normal-equation solve
-                                  for one factor stack given the other two;
-                                  Tmat is the target matricized with the
-                                  solved mode first, M the proximal model
+Both kernels take a batch of k restarts in one row-blocked layout: each
+factor stack is a 2-D array of shape (k*r, d) whose rows i*r .. i*r+r-1
+belong to restart i.
 
-Both are deterministic for given inputs.
+  residual(P, Q, S, T, k)         the k squared Frobenius distances, one per
+                                  restart, between its rank-r expansion and
+                                  the dense target T of shape (mn, np, pm)
+  block_solve(A, B, Tmat, lam, M) ridge-regularized normal-equation solve
+                                  for one factor stack given the other two,
+                                  one r x r system per restart; Tmat is the
+                                  target matricized with the solved mode
+                                  first, lam the length-k ridge weights and
+                                  M the proximal models in the same layout
+
+Each step is elementwise, sums within one restart's block in the order a
+lone restart sums, or makes one BLAS or LAPACK call per restart on that
+restart's rows.  So a restart's numbers are the same bit for bit in any
+batch and alone.  A single 2-D gemm over all k*r rows would break this:
+OpenBLAS picks its kernel, and with it the summation order, from the row
+count.  Both kernels are deterministic for given inputs.
 """
 
 import numpy as np
@@ -16,17 +27,36 @@ import numpy as np
 BACKEND = "numpy"
 
 
-def residual(P, Q, S, T):
-    D = (P[:, :, None, None] * Q[:, None, :, None] * S[:, None, None, :]).sum(axis=0)
-    D -= T
-    return float((D * D).sum())
+def residual(P, Q, S, T, k):
+    D = P[:, :, None, None] * Q[:, None, :, None] * S[:, None, None, :]
+    D = np.add.reduce(D.reshape(k, -1, T.size), axis=1)
+    D -= T.reshape(-1)
+    D *= D
+    return np.add.reduce(D, axis=1)
 
 
 def block_solve(A, B, Tmat, lam, model):
+    k = len(lam)
+    if k == 1:
+        return _block_solve_one(A, B, Tmat, lam[0], model)
+    A3 = A.reshape(k, -1, A.shape[1])
+    B3 = B.reshape(k, -1, B.shape[1])
+    r = A3.shape[1]
+    G = A3 @ A3.transpose(0, 2, 1)
+    G *= B3 @ B3.transpose(0, 2, 1)
+    G.reshape(k, -1)[:, :: r + 1] += lam[:, None]
+    RHS = (A[:, :, None] * B[:, None, :]).reshape(k, r, -1) @ Tmat.T
+    RHS += lam[:, None, None] * model.reshape(k, r, -1)
+    return np.linalg.solve(G, RHS).reshape(A.shape[0], -1)
+
+
+def _block_solve_one(A, B, Tmat, lam, model):
+    # the same arithmetic on plain 2-D arrays: numpy's stacked matmul and
+    # solve cost several microseconds more per call at one restart's size
     r = A.shape[0]
-    G = (A @ A.T) * (B @ B.T)
+    G = A @ A.T
+    G *= B @ B.T
     G.flat[:: r + 1] += lam
-    KR = (A[:, :, None] * B[:, None, :]).reshape(r, -1)
-    RHS = KR @ Tmat.T
+    RHS = (A[:, :, None] * B[:, None, :]).reshape(r, -1) @ Tmat.T
     RHS += lam * model
     return np.linalg.solve(G, RHS)

@@ -17,7 +17,6 @@ from fmmkit.algebra import (
     symmetry_apply,
 )
 from fmmkit.matrices import Matrix
-from fmmkit.scalars import Laurent
 from fmmkit.tensor import (
     LAURENT,
     classical_tensor,

@@ -1,3 +1,4 @@
+import math
 import warnings
 from fractions import Fraction
 
@@ -5,9 +6,9 @@ import numpy as np
 import pytest
 
 from fmmkit.search import (
-    DEFAULT_GRID,
     DESK_LIMIT,
     FactorSet,
+    RestartRecord,
     SearchConfig,
     SearchResult,
     als_objective,
@@ -19,7 +20,8 @@ from fmmkit.search import (
     search,
     snap_models,
 )
-from fmmkit.tensor import classical_tensor, verify_exact
+from fmmkit.search import als, kernels
+from fmmkit.tensor import verify_exact
 
 
 def test_classical_dense_layout():
@@ -181,3 +183,192 @@ def test_search_progress_lines():
     search(cfg, progress=seen.append)
     assert len(seen) == 2
     assert all(line.startswith("restart ") for line in seen)
+
+
+# -- batched restarts -----------------------------------------------------------
+
+
+def _serial_restart(cfg, index):
+    """One restart as the search ran it before batching: plain r x d
+    stacks, one snap per stack and scalar bookkeeping.  The reference the
+    batched search must match bit for bit."""
+    m, n, p = cfg.dims
+    Tdense = classical_dense(cfg.dims)
+    T1, T2, T3 = als._matricize(Tdense)
+    _, grid = als._grid_arrays(cfg.snap_grid)
+
+    def snap(x):
+        return grid[np.argmin(np.abs(x[..., None] - grid), axis=-1)]
+
+    def solve(A, B, Tmat, lam, model):
+        r = A.shape[0]
+        G = (A @ A.T) * (B @ B.T)
+        G.flat[:: r + 1] += lam
+        RHS = (A[:, :, None] * B[:, None, :]).reshape(r, -1) @ Tmat.T
+        RHS += lam * model
+        return np.linalg.solve(G, RHS)
+
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((cfg.seed, index))))
+    P = rng.uniform(-1.0, 1.0, (cfg.rank, m * n))
+    Q = rng.uniform(-1.0, 1.0, (cfg.rank, n * p))
+    S = rng.uniform(-1.0, 1.0, (cfg.rank, p * m))
+    lam, trace, history = cfg.lambda_init, [], []
+    best_res, best, prev_res, guard, resets = math.inf, (P, Q, S), math.inf, 0, 0
+    for sweep in range(1, cfg.max_sweeps + 1):
+        mP, mQ, mS = snap(P), snap(Q), snap(S)
+        lam_eff = lam + als.JITTER if lam < als.JITTER else lam
+        P = solve(Q, S, T1, lam_eff, mP)
+        Q = solve(P, S, T2, lam_eff, mQ)
+        S = solve(P, Q, T3, lam_eff, mS)
+        D = (P[:, :, None, None] * Q[:, None, :, None] * S[:, None, None, :]).sum(axis=0)
+        D -= Tdense
+        res = float((D * D).sum())
+        trace.append((sweep, res, lam_eff))
+        if not math.isfinite(res):
+            break
+        if res < best_res:
+            best_res, best = res, (P.copy(), Q.copy(), S.copy())
+        if res < cfg.tol:
+            break
+        if res < prev_res:
+            lam *= cfg.lambda_decay
+        history.append(res)
+        if sweep - guard > als.STALL_WINDOW:
+            if not res < history[sweep - 1 - als.STALL_WINDOW] * (1.0 - als.STALL_DROP):
+                lam, guard, resets = cfg.lambda_init, sweep, resets + 1
+        prev_res = res
+    return best_res, best, len(trace), tuple(trace), resets
+
+
+def _per_restart(cfg, monkeypatch, width):
+    """Every restart's record, run in batches of `width` restarts."""
+    m, n, p = cfg.dims
+    per_restart = 8 * cfg.rank * (m * n) * (n * p) * (p * m)
+    monkeypatch.setattr(als, "BATCH_BYTES", width * per_restart)
+    assert als._batch_width(cfg.dims, cfg.rank) == width
+    return als._run_restarts(cfg)
+
+
+def _same_bits(a, b):
+    return all(x.shape == y.shape and x.tobytes() == y.tobytes() for x, y in zip(a, b))
+
+
+@pytest.mark.parametrize("dims, rank, restarts, max_sweeps", [
+    ((2, 2, 2), 7, 4, 300),
+    ((2, 2, 2), 6, 3, 300),
+    ((1, 2, 3), 6, 4, 300),
+    # every restart converges, each at a different sweep
+    ((1, 2, 2), 4, 5, 1200),
+    # large enough that OpenBLAS would pick another gemm kernel for one
+    # product over all k*r rows than for one restart's r rows
+    ((3, 3, 3), 23, 7, 20),
+])
+def test_restart_is_the_same_alone_or_in_a_batch(dims, rank, restarts, max_sweeps,
+                                                  monkeypatch):
+    cfg = SearchConfig(dims, rank, seed=7, restarts=restarts, max_sweeps=max_sweeps,
+                       snap_grid=(0, 1, -1))
+    alone = _per_restart(cfg, monkeypatch, 1)
+    # one batch of all restarts, then batches of two, the last one short
+    # when restarts is odd
+    for width in (restarts, 2):
+        batched = _per_restart(cfg, monkeypatch, width)
+        for index, (a, b) in enumerate(zip(alone, batched)):
+            assert a.trace == b.trace, (width, index)
+            assert (a.sweeps, a.best_res, a.outcome, a.resets) == \
+                (b.sweeps, b.best_res, b.outcome, b.resets)
+            assert _same_bits(a.factors, b.factors)
+    for index, a in enumerate(alone):
+        best_res, best, sweeps, trace, resets = _serial_restart(cfg, index)
+        assert (a.trace, a.sweeps, a.best_res, a.resets) == (trace, sweeps, best_res, resets)
+        assert _same_bits(a.factors, best)
+
+
+def _recorded_call(kernel_name, cfg, index, call, arg):
+    """The given argument of one call of a kernel (0-based call number) in
+    restart `index` run alone."""
+    seen = []
+    real = getattr(kernels, kernel_name)
+
+    def record(*args):
+        seen.append(args[arg].copy())
+        return real(*args)
+
+    target = als.classical_dense(cfg.dims)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(kernels, kernel_name, record)
+        als._run_batch(cfg, [index], target, *als._matricize(target),
+                       als._grid_arrays(cfg.snap_grid)[1])
+    return seen[call]
+
+
+def _blocks(stack, r):
+    return [stack[j:j + r] for j in range(0, stack.shape[0], r)]
+
+
+def test_singular_and_nonfinite_restarts_leave_the_batch_alone(monkeypatch):
+    cfg = SearchConfig((2, 2, 2), 6, seed=3, restarts=4, max_sweeps=40,
+                       snap_grid=(0, 1, -1))
+    r = cfg.rank
+    alone = _per_restart(cfg, monkeypatch, 1)
+    monkeypatch.undo()
+    # restart 1's P-solve of sweep 20 raises; restart 2's residual of
+    # sweep 30 comes out infinite
+    singular_q = _recorded_call("block_solve", cfg, 1, 3 * 19, 0)
+    nonfinite_p = _recorded_call("residual", cfg, 2, 29, 0)
+    real_solve, real_residual = kernels.block_solve, kernels.residual
+
+    def block_solve(A, B, Tmat, lam, model):
+        if any(np.array_equal(block, singular_q) for block in _blocks(A, r)):
+            raise np.linalg.LinAlgError("Singular matrix")
+        return real_solve(A, B, Tmat, lam, model)
+
+    def residual(P, Q, S, T, k):
+        res = real_residual(P, Q, S, T, k)
+        for j, block in enumerate(_blocks(P, r)):
+            if np.array_equal(block, nonfinite_p):
+                res[j] = np.inf
+        return res
+
+    monkeypatch.setattr(kernels, "block_solve", block_solve)
+    monkeypatch.setattr(kernels, "residual", residual)
+    batched = als._run_restarts(cfg)
+    for index in (0, 3):
+        assert batched[index].trace == alone[index].trace
+        assert batched[index].outcome == alone[index].outcome == "exhausted"
+    singular, nonfinite = batched[1], batched[2]
+    assert singular.outcome == "singular"
+    assert singular.sweeps == 19
+    assert singular.trace == alone[1].trace[:19]
+    assert nonfinite.outcome == "nonfinite"
+    assert nonfinite.sweeps == 30
+    assert nonfinite.trace[:29] == alone[2].trace[:29]
+    assert nonfinite.trace[29][:2] == (30, math.inf)
+    records = search(cfg).restarts
+    assert [rec.outcome for rec in records] == ["exhausted", "singular", "nonfinite", "exhausted"]
+    assert [rec.sweeps for rec in records] == [40, 19, 30, 40]
+
+
+def test_batch_width_bounds_the_residual_intermediate():
+    assert als._batch_width((2, 2, 2), 7) >= 100
+    assert als._batch_width((5, 5, 5), 98) == 1
+    width = als._batch_width((3, 3, 3), 23)
+    per_restart = 8 * 23 * 9 ** 3
+    assert width * per_restart <= als.BATCH_BYTES < (width + 1) * per_restart
+
+
+def test_search_records_every_restart():
+    cfg = SearchConfig((2, 2, 2), 6, seed=5, restarts=3, max_sweeps=400,
+                       snap_grid=(0, 1, -1))
+    out = search(cfg)
+    assert len(out.restarts) == 3
+    assert all(isinstance(rec, RestartRecord) for rec in out.restarts)
+    assert [rec.outcome for rec in out.restarts] == ["exhausted"] * 3
+    assert [rec.sweeps for rec in out.restarts] == [400] * 3
+    assert out.best_residual == min(rec.best_residual for rec in out.restarts)
+    assert any(rec.lambda_resets > 0 for rec in out.restarts)
+    mixed = search(SearchConfig((1, 1, 1), 1, seed=3, restarts=2, snap_grid=(0, 1, -1)))
+    converged, exhausted = mixed.restarts
+    assert converged.outcome == "converged"
+    assert converged.best_residual < 1e-10 and converged.sweeps < 2000
+    assert exhausted.outcome == "exhausted"
+    assert exhausted.best_residual > 1e-10 and exhausted.sweeps == 2000
