@@ -5,13 +5,18 @@ sums, Kronecker products, the cyclic and transpose symmetries, the
 sandwiching isotropy action, detection and recombination of terms that
 share a factor, completion of a masked scheme by an embedded block, and
 the ceil((3mn+max(m,n))/2) rank bound for <m,2,n> products.
+
+Direct sums and completions place a block's factors the same way: a
+BlockEmbedding's index maps scatter them into the host dimensions.
+Entries are combined in their own scalar domain (Fraction and Laurent
+scalars mix freely in arithmetic), and the FmmTensor constructor alone
+brings a result into its tensor's domain.
 """
 
 from collections import namedtuple
 from dataclasses import dataclass
 
 from .matrices import Matrix
-from .scalars import Laurent
 from .tensor import LAURENT, RATIONAL, FmmTensor, Term
 
 AXIS_M = "M"
@@ -66,25 +71,21 @@ def _check_unmasked(t, op):
         raise ValueError("%s does not accept a masked tensor" % op)
 
 
-def _stack_m(t1, t2):
-    """Direct sum along the output-row axis."""
-    m1, n, p = t1.dims
-    m2 = t2.dims.m
-    m = m1 + m2
-    terms = []
-    for term in t1.terms:
-        P = Matrix([[term.P[(r, c)] for c in range(n)] for r in range(m1)]
-                   + [[0] * n for _ in range(m2)])
-        S = Matrix([[term.S[(r, c)] for c in range(m1)] + [0] * m2
-                    for r in range(p)])
-        terms.append(Term(P, term.Q, S))
-    for term in t2.terms:
-        P = Matrix([[0] * n for _ in range(m1)]
-                   + [[term.P[(r, c)] for c in range(n)] for r in range(m2)])
-        S = Matrix([[0] * m1 + [term.S[(r, c)] for c in range(m2)]
-                    for r in range(p)])
-        terms.append(Term(P, term.Q, S))
-    return FmmTensor((m, n, p), t1.field_mode, terms)
+def _scatter(mat, rows, cols, big_rows, big_cols):
+    cells = [[0] * big_cols for _ in range(big_rows)]
+    for i, j, v in mat.nonzero_entries():
+        cells[rows[i]][cols[j]] = v
+    return Matrix(cells)
+
+
+def _placed_terms(t, e, dims):
+    """t's terms with every factor scattered into the host dims by the
+    embedding e."""
+    m, n, p = dims
+    return [Term(_scatter(term.P, e.a_rows, e.a_cols, m, n),
+                 _scatter(term.Q, e.a_cols, e.b_cols, n, p),
+                 _scatter(term.S, e.b_cols, e.a_rows, p, m))
+            for term in t.terms]
 
 
 def _rotate_once(t):
@@ -97,8 +98,8 @@ def direct_sum(t1, t2, axis=AXIS_M):
     """Block sum <..+..> along one axis; ranks add.
 
     The two schemes must agree on the other two dimensions and on the
-    scalar domain.  Sums along N or P reuse the M code path via the
-    cyclic symmetry.
+    scalar domain.  t1 is embedded at offset 0 of the summed axis and t2
+    at offset t1's size there; t1's terms come first.
     """
     if axis not in _AXES:
         raise ValueError("axis must be one of %s" % (_AXES,))
@@ -108,19 +109,23 @@ def direct_sum(t1, t2, axis=AXIS_M):
         raise ValueError("direct_sum needs matching scalar domains "
                          "(lift the exact one first)")
     d1, d2 = t1.dims, t2.dims
-    fixed = {AXIS_M: (1, 2), AXIS_N: (0, 2), AXIS_P: (0, 1)}[axis]
-    for k in fixed:
-        if d1[k] != d2[k]:
+    k = _AXES.index(axis)
+    for j in range(3):
+        if j != k and d1[j] != d2[j]:
             raise ValueError(
                 "direct_sum along %s needs equal %s dimensions (%d vs %d)"
-                % (axis, "mnp"[k], d1[k], d2[k]))
-    if axis == AXIS_M:
-        return _stack_m(t1, t2)
-    if axis == AXIS_N:
-        return _rotate_once(_rotate_once(
-            _stack_m(_rotate_once(t1), _rotate_once(t2))))
-    return _rotate_once(
-        _stack_m(_rotate_once(_rotate_once(t1)), _rotate_once(_rotate_once(t2))))
+                % (axis, "mnp"[j], d1[j], d2[j]))
+    dims = list(d1)
+    dims[k] += d2[k]
+
+    def embedding(offset, d):
+        ranges = [range(size) for size in d]
+        ranges[k] = range(offset, offset + d[k])
+        return BlockEmbedding(*ranges)
+
+    terms = (_placed_terms(t1, embedding(0, d1), dims)
+             + _placed_terms(t2, embedding(d1[k], d2), dims))
+    return FmmTensor(dims, t1.field_mode, terms)
 
 
 def kronecker(t1, t2):
@@ -167,12 +172,6 @@ def symmetry_apply(t, rotation=0, transpose=False):
     return out
 
 
-def _inverse_transpose(mat, mode):
-    if mode == LAURENT:
-        mat = mat.lifted()
-    return mat.inverse().transpose()
-
-
 def isotropy_apply(t, g):
     """Sandwich the factors by an invertible triple (U, V, W).
 
@@ -187,20 +186,15 @@ def isotropy_apply(t, g):
     for name, mat, size in (("U", U, m), ("V", V, n), ("W", W, p)):
         if (mat.rows, mat.cols) != (size, size):
             raise ValueError("%s must be %dx%d" % (name, size, size))
-    mode = t.field_mode
     try:
-        U_it = _inverse_transpose(U, mode)
-        V_it = _inverse_transpose(V, mode)
-        W_it = _inverse_transpose(W, mode)
+        U_it, V_it, W_it = (mat.inverse().transpose() for mat in (U, V, W))
     except ValueError as exc:
         raise ValueError("isotropy element is singular or leaves the scalar "
                          "domain: %s" % exc) from None
-    if mode == LAURENT:
-        U, V, W = U.lifted(), V.lifted(), W.lifted()
     Ut, Vt, Wt = U.transpose(), V.transpose(), W.transpose()
     terms = [Term(U_it @ term.P @ Vt, V_it @ term.Q @ Wt, W_it @ term.S @ Ut)
              for term in t.terms]
-    return FmmTensor(t.dims, mode, terms)
+    return FmmTensor(t.dims, t.field_mode, terms)
 
 
 def _slot_of(term, slot):
@@ -217,34 +211,38 @@ def serendipity_find(t, up_to_scale=False):
     """
     groups = []
     for slot in _SLOTS:
-        seen = {}
+        # factor, or up to scale its nonzero positions -> member lists,
+        # one per class of equal (proportional) factors
+        classes = {}
         for idx, term in enumerate(t.terms):
             factor = _slot_of(term, slot)
             key = factor
             if up_to_scale:
-                anchor = next(v for _, _, v in factor.nonzero_entries())
-                key = factor.map(lambda x: _divide(x, anchor))
-            seen.setdefault(key, []).append(idx)
-        for key in seen:
-            members = seen[key]
-            if len(members) >= 2:
-                shared = _slot_of(t.terms[members[0]], slot)
-                groups.append(SerendipityGroup(slot, shared, tuple(members)))
+                key = tuple((i, j) for i, j, _ in factor.nonzero_entries())
+            bucket = classes.setdefault(key, [])
+            for members in bucket:
+                if not up_to_scale or _proportional(
+                        _slot_of(t.terms[members[0]], slot), factor, key):
+                    members.append(idx)
+                    break
+            else:
+                bucket.append([idx])
+        for bucket in classes.values():
+            for members in bucket:
+                if len(members) >= 2:
+                    shared = _slot_of(t.terms[members[0]], slot)
+                    groups.append(SerendipityGroup(slot, shared, tuple(members)))
     groups.sort(key=lambda g: (_SLOTS.index(g.slot), g.term_indices[0]))
     return groups
 
 
-def _divide(x, y):
-    if isinstance(x, Laurent) or isinstance(y, Laurent):
-        num = x if isinstance(x, Laurent) else Laurent.from_rational(x)
-        den = y if isinstance(y, Laurent) else Laurent.from_rational(y)
-        if not num:
-            return num
-        if den.is_monomial():
-            k, c = next(iter(den.terms.items()))
-            return num.shift(-k) * Laurent.from_rational(1 / c)
-        return num.exact_div(den)
-    return x / y
+def _proportional(F, G, support):
+    """Whether F and G, both nonzero exactly at the positions support,
+    differ by a scalar factor: F[i] G[a] == G[i] F[a] at every position i,
+    with a the first one.  The test divides nothing, so it holds in the
+    Laurent scalars too, where a quotient may not exist."""
+    a = support[0]
+    return all(F[i] * G[a] == G[i] * F[a] for i in support[1:])
 
 
 def serendipity_transform(t, group, M):
@@ -267,8 +265,6 @@ def serendipity_transform(t, group, M):
                              "shared factor" % i)
     if (M.rows, M.cols) != (q, q):
         raise ValueError("mixing matrix must be %dx%d" % (q, q))
-    if t.field_mode == LAURENT:
-        M = M.lifted()
     try:
         M_inv = M.inverse()
     except ValueError as exc:
@@ -334,22 +330,7 @@ def embed_and_add(partial, block, embedding):
                          % (len(covered), len(complement)))
 
     mode = LAURENT if LAURENT in (partial.field_mode, block.field_mode) else RATIONAL
-    host = partial if partial.field_mode == mode else partial.as_laurent()
-    blk = block if block.field_mode == mode else block.as_laurent()
-
-    def scatter(mat, rows, cols, big_rows, big_cols):
-        cells = [[0] * big_cols for _ in range(big_rows)]
-        for i, j, v in mat.nonzero_entries():
-            cells[rows[i]][cols[j]] = v
-        return Matrix(cells)
-
-    terms = list(host.terms)
-    for term in blk.terms:
-        terms.append(Term(
-            scatter(term.P, e.a_rows, e.a_cols, m, n),
-            scatter(term.Q, e.a_cols, e.b_cols, n, p),
-            scatter(term.S, e.b_cols, e.a_rows, p, m),
-        ))
+    terms = list(partial.terms) + _placed_terms(block, e, partial.dims)
     return FmmTensor(partial.dims, mode, terms)
 
 

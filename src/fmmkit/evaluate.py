@@ -104,11 +104,13 @@ def _run_exact(levels, A, B, counter):
 
 
 def _check_mask_zeros(t, A):
+    """A, a Matrix or a 2-D array of t's A shape, must vanish wherever
+    t's support mask excludes an entry."""
     if t.support is None:
         return
-    for r in range(A.rows):
-        for c in range(A.cols):
-            if not t.support[r][c] and A[(r, c)]:
+    for r, row in enumerate(t.support):
+        for c, allowed in enumerate(row):
+            if not allowed and A[r, c]:
                 raise ValueError(
                     "A[%d,%d] must be zero under the support mask" % (r, c))
 
@@ -224,12 +226,7 @@ def epsilon_error_scan(t, A, B, eps_values):
     m, n, p = t.dims
     if A.shape != (m, n) or B.shape != (n, p):
         raise ValueError("expected A %dx%d and B %dx%d" % (m, n, n, p))
-    if t.support is not None:
-        for r in range(m):
-            for c in range(n):
-                if not t.support[r][c] and A[r, c] != 0.0:
-                    raise ValueError(
-                        "A[%d,%d] must be zero under the support mask" % (r, c))
+    _check_mask_zeros(t, A)
     level = _compile(t)
     target = A @ B
     target_norm = float(np.linalg.norm(target))

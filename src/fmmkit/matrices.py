@@ -91,10 +91,6 @@ class Matrix:
     def map(self, fn):
         return Matrix([[fn(x) for x in row] for row in self.data])
 
-    def lifted(self):
-        """Copy with every entry lifted to a Laurent scalar."""
-        return self.map(as_laurent)
-
     # -- arithmetic -----------------------------------------------------------
 
     def __add__(self, other):
@@ -137,15 +133,6 @@ class Matrix:
 
     def transpose(self):
         return Matrix(list(zip(*self.data)))
-
-    def frobenius_inner(self, other):
-        """<M, N> = Trace(M^T N) = entrywise product sum."""
-        self._check_same_shape(other)
-        total = None
-        for ra, rb in zip(self.data, other.data):
-            for a, b in zip(ra, rb):
-                total = a * b if total is None else total + a * b
-        return total
 
     def kron(self, other):
         """Kronecker product; big row index = (outer row)*(inner rows) + inner row."""

@@ -56,7 +56,8 @@ RestartRecord = namedtuple(
     "RestartRecord", ["outcome", "sweeps", "lambda_resets", "best_residual"])
 RestartRecord.__doc__ = """How one restart ended.  outcome is "converged"
 (residual below tol), "exhausted" (ran max_sweeps), "nonfinite" (residual
-inf or nan) or "singular" (a block solve raised LinAlgError)."""
+inf or nan), "singular" (a block solve raised LinAlgError) or "collapsed"
+(every factor stack exactly zero, which every later sweep keeps)."""
 
 
 @dataclass(frozen=True)
@@ -334,6 +335,14 @@ class _Descent:
             self.settle(cfg.rank)
         if res < cfg.tol:
             self.outcome = "converged"
+            self.settle(cfg.rank)
+            return False
+        # all-zero stacks are a fixed point of the sweep (Gram lambda*I,
+        # zero right-hand side, zero snapped models); their residual is
+        # exactly the m*n*p unit coefficients of the classical tensor
+        if res == cfg.dims.m * cfg.dims.n * cfg.dims.p and not any(
+                stack[row:row + cfg.rank].any() for stack in stacks):
+            self.outcome = "collapsed"
             self.settle(cfg.rank)
             return False
         if res < self.prev_res:

@@ -13,7 +13,10 @@ array and compares it to the classical tensor
 entrywise: equality of every coefficient is exactly the Brent system, one
 cubic equation per coordinate, (mnp)^2 in total.  Approximate (laurent)
 schemes pass when the difference vanishes at e -> 0, that is when every
-residual coefficient has e-order >= 1.
+residual coefficient has e-order >= 1.  Both checks subtract the same
+classical target, scaled by e^q in approximate verification (q = 0 for
+exact), from the expansion in the tensor's own scalars: a rational
+tensor's residual stays rational under either check.
 """
 
 import math
@@ -118,20 +121,6 @@ class FmmTensor:
     def with_terms(self, terms):
         return FmmTensor(self.dims, self.field_mode, terms, self.support)
 
-    def as_laurent(self):
-        """The same tensor with every entry lifted to a Laurent scalar."""
-        if self.field_mode == LAURENT:
-            return self
-        return FmmTensor(
-            self.dims, LAURENT,
-            [Term(t.P.lifted(), t.Q.lifted(), t.S.lifted()) for t in self.terms],
-            self.support,
-        )
-
-
-def full_support(dims):
-    return tuple(tuple(True for _ in range(dims.n)) for _ in range(dims.m))
-
 
 def classical_tensor(dims, support=None, field_mode=RATIONAL):
     """The classical scheme: one term per allowed (i, j, k) product.
@@ -187,10 +176,13 @@ def classical_map(dims, support=None):
     return out
 
 
-def residual_map(t):
-    """expand(t) - classical target, as a sparse map of nonzero residuals."""
-    delta = expand(t)
-    for key, one in classical_map(t.dims, t.support).items():
+def residual_map(t, q=0, expansion=None):
+    """expand(t) - e^q * classical target, as a sparse map of nonzero
+    residuals.  expansion, when given, is expand(t) computed once for
+    several q; it is left unchanged."""
+    delta = expand(t) if expansion is None else dict(expansion)
+    one = Fraction(1) if q == 0 else Laurent.monomial(1, q)
+    for key in classical_map(t.dims, t.support):
         cur = delta.get(key)
         val = -one if cur is None else cur - one
         if is_zero(val):
@@ -254,26 +246,16 @@ def verify_approximate(t, mode="strict"):
     files normalized with a global e^q on the target; the reported
     discrepancy_order is then relative to the scaled target (order - q).
 
-    Rational tensors are lifted trivially (their residual is exactly zero
-    or e-free), so an exact scheme is a valid approximate scheme of
-    discrepancy order +inf.
+    The check runs in the tensor's own scalars: a rational tensor's
+    residual is exactly zero or e-free, so an exact scheme is a valid
+    approximate scheme of discrepancy order +inf.
     """
     if mode not in ("strict", "scaled"):
         raise ValueError("mode must be 'strict' or 'scaled'")
-    lifted = t.as_laurent()
-    delta = expand(lifted)
-    classical = classical_map(t.dims, t.support)
+    delta = expand(t)
 
     def report_for(q):
-        res = dict(delta)
-        for key, one in classical.items():
-            scaled = Laurent.monomial(one, q)
-            cur = res.get(key)
-            val = -scaled if cur is None else cur - scaled
-            if is_zero(val):
-                res.pop(key, None)
-            else:
-                res[key] = val
+        res = residual_map(t, q, delta)
         if not res:
             return ApproxReport(True, math.inf, (), q)
         order = min(laurent_order(v) for v in res.values())
@@ -288,7 +270,7 @@ def verify_approximate(t, mode="strict"):
     # a valid scaling q leaves e^q + O(e^(q+1)) at every classical
     # coordinate, so the expansion's order at any one of them is the only
     # candidate
-    key = next(iter(classical))
+    key = next(iter(classical_map(t.dims, t.support)))
     q = laurent_order(delta.get(key, 0))
     if 1 <= q < math.inf:
         candidate = report_for(q)

@@ -7,6 +7,11 @@ from fmmkit.scalars import Laurent
 from fmmkit.tensor import LAURENT, RATIONAL, FmmTensor, Term
 
 
+def laurent_copy(t):
+    """t with every entry a Laurent scalar, mask kept."""
+    return FmmTensor(t.dims, LAURENT, t.terms, t.support)
+
+
 def rand_fraction(rng, zero_ok=True):
     num = rng.randint(-6, 6)
     while not zero_ok and num == 0:

@@ -17,8 +17,11 @@ from fmmkit.algebra import (
     symmetry_apply,
 )
 from fmmkit.matrices import Matrix
+from fmmkit.scalars import Laurent, as_laurent
 from fmmkit.tensor import (
     LAURENT,
+    FmmTensor,
+    Term,
     classical_tensor,
     expand,
     type_polynomial,
@@ -26,7 +29,7 @@ from fmmkit.tensor import (
     verify_exact,
 )
 
-from helpers import rand_invertible
+from helpers import laurent_copy, rand_invertible
 
 
 def test_direct_sum_axis_m(strassen):
@@ -56,7 +59,7 @@ def test_direct_sum_dimension_checks(strassen):
 
 def test_direct_sum_mode_and_mask_checks(strassen, teps):
     with pytest.raises(ValueError):
-        direct_sum(strassen, strassen.as_laurent())
+        direct_sum(strassen, laurent_copy(strassen))
     masked = classical_tensor((2, 2, 2), support=[[True, False], [True, True]])
     with pytest.raises(ValueError):
         direct_sum(masked, classical_tensor((2, 2, 2)))
@@ -65,10 +68,25 @@ def test_direct_sum_mode_and_mask_checks(strassen, teps):
 
 
 def test_direct_sum_laurent_mode(strassen):
-    lifted = strassen.as_laurent()
+    lifted = laurent_copy(strassen)
     t = direct_sum(lifted, lifted, axis="P")
     assert t.field_mode == LAURENT
     assert verify_approximate(t).valid
+
+
+def test_direct_sum_n_and_p_match_the_rotated_m_sum(strassen, t58):
+    # along N: rotate once, sum along M, rotate back; along P the other way
+    lifted = laurent_copy(strassen)
+    pairs = {
+        "N": [(strassen, strassen), (lifted, lifted), (t58, classical_tensor((3, 2, 5))),
+              (classical_tensor((3, 1, 5)), t58)],
+        "P": [(strassen, strassen), (lifted, lifted), (t58, classical_tensor((3, 5, 2))),
+              (classical_tensor((3, 5, 1)), t58)],
+    }
+    for axis, there, back in (("N", 1, 2), ("P", 2, 1)):
+        for t1, t2 in pairs[axis]:
+            rotated = direct_sum(symmetry_apply(t1, there), symmetry_apply(t2, there), "M")
+            assert direct_sum(t1, t2, axis) == symmetry_apply(rotated, back)
 
 
 def test_kronecker_strassen_squared(strassen):
@@ -89,7 +107,7 @@ def test_kronecker_small_rectangular():
 
 def test_kronecker_checks(strassen, teps):
     with pytest.raises(ValueError):
-        kronecker(strassen, strassen.as_laurent())
+        kronecker(strassen, laurent_copy(strassen))
     with pytest.raises(ValueError):
         kronecker(teps, teps)
 
@@ -197,6 +215,20 @@ def test_serendipity_up_to_scale():
     assert verify_exact(t).passed
 
 
+def test_serendipity_up_to_scale_non_monomial_anchor():
+    # the first nonzero entry 1+e does not divide 1 in the Laurent scalars
+    e = Laurent.monomial(1, 1)
+    t = FmmTensor((1, 2, 1), LAURENT, [
+        Term(Matrix([[1 + e, 1]]), Matrix([[1], [0]]), Matrix([[1]])),
+        Term(Matrix([[2 + 2 * e, 2]]), Matrix([[0], [1]]), Matrix([[1]])),
+        Term(Matrix([[1 + e, 2]]), Matrix([[1], [1]]), Matrix([[2]])),
+    ])
+    loose = serendipity_find(t, up_to_scale=True)
+    assert [(g.slot, g.term_indices) for g in loose] == [("P", (0, 1)), ("S", (0, 1, 2))]
+    assert loose[0].shared_factor == t.terms[0].P
+    assert [(g.slot, g.term_indices) for g in serendipity_find(t)] == [("S", (0, 1))]
+
+
 def test_serendipity_transform_preserves_expansion():
     t = classical_tensor((2, 2, 2))
     groups = serendipity_find(t)
@@ -222,6 +254,26 @@ def test_serendipity_transform_random_mixers(t58):
     M = rand_invertible(rng, q)
     out = serendipity_transform(t58, group, M)
     assert verify_exact(out).passed
+
+
+def test_laurent_tensors_take_rational_matrices():
+    # a Laurent tensor with e-dependent factors; rational U, V, W and
+    # mixers give what their Laurent copies give
+    e = Laurent.monomial(1, 1)
+    base = classical_tensor((2, 2, 2))
+    t = FmmTensor(base.dims, LAURENT,
+                  [Term(term.P.scale(e), term.Q, term.S.scale(Laurent.monomial(1, -1)))
+                   for term in base.terms])
+    rng = random.Random(21)
+    g = IsotropyElement(*(rand_invertible(rng, 2) for _ in range(3)))
+    out = isotropy_apply(t, g)
+    assert out == isotropy_apply(t, IsotropyElement(*(m.map(as_laurent) for m in g)))
+    assert expand(out) == expand(isotropy_apply(base, g))
+    group = serendipity_find(t)[0]
+    M = rand_invertible(rng, len(group.term_indices))
+    mixed = serendipity_transform(t, group, M)
+    assert mixed == serendipity_transform(t, group, M.map(as_laurent))
+    assert expand(mixed) == expand(t)
 
 
 def test_serendipity_transform_errors():
@@ -285,6 +337,19 @@ def test_embed_and_add_completes_bundled_scheme(teps):
     assert done.field_mode == LAURENT
     report = verify_approximate(done)
     assert report.valid and report.discrepancy_order == 1
+
+
+def test_embed_and_add_either_block_domain(teps):
+    block = classical_tensor((3, 3, 5))
+    e = mask_embedding(teps)
+    assert embed_and_add(teps, block, e) == embed_and_add(teps, laurent_copy(block), e)
+    masked = classical_tensor((2, 2, 2), support=[[False, True], [True, True]])
+    fill = classical_tensor((1, 1, 2))
+    e = mask_embedding(masked)
+    done = embed_and_add(masked, laurent_copy(fill), e)
+    assert done.field_mode == LAURENT
+    assert done == embed_and_add(laurent_copy(masked), fill, e)
+    assert done == laurent_copy(embed_and_add(masked, fill, e))
 
 
 def test_embed_and_add_errors(strassen, teps):

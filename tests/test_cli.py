@@ -146,6 +146,23 @@ def test_compose_serendipity_list(capsys):
     assert lines[0].startswith("group 1: slot ")
 
 
+def test_compose_serendipity_up_to_scale_laurent(capsys, tmp_path):
+    from fmmkit.scalars import Laurent
+    from fmmkit.tensor import LAURENT, FmmTensor, Term
+
+    e = Laurent.monomial(1, 1)
+    path = tmp_path / "scaled.fmm"
+    save_tensor(FmmTensor((1, 2, 1), LAURENT, [
+        Term(Matrix([[1 + e, 1]]), Matrix([[1], [0]]), Matrix([[1]])),
+        Term(Matrix([[2 + 2 * e, 2]]), Matrix([[0], [1]]), Matrix([[2]])),
+    ]), path)
+    code, out, _ = run(capsys, "compose", "--op", "serendipity", "--inputs", str(path),
+                       "--up-to-scale")
+    assert code == 0
+    assert out.splitlines() == ["group 1: slot P terms 1,2", "group 2: slot S terms 1,2",
+                                "2 groups"]
+
+
 def test_compose_serendipity_apply(capsys, tmp_path):
     mix = tmp_path / "m.mat"
     code, out, _ = run(capsys, "compose", "--op", "serendipity", "--inputs", T58)

@@ -170,6 +170,18 @@ def test_epsilon_error_scan_slope(teps):
     assert "fitted slope" in str(scan)
 
 
+def test_mask_check_is_shared(teps):
+    A = [[1.0] * 5 for _ in range(5)]
+    B = [[1.0] * 5 for _ in range(5)]
+    r, c = next((r, c) for r in range(5) for c in range(5) if not teps.support[r][c])
+    message = "A\\[%d,%d\\] must be zero under the support mask" % (r, c)
+    with pytest.raises(ValueError, match=message):
+        epsilon_error_scan(teps, A, B, [1e-1])
+    masked = classical_tensor((2, 2, 2), support=[[True, False], [True, True]])
+    with pytest.raises(ValueError, match="A\\[0,1\\] must be zero under the support mask"):
+        apply_bilinear(masked, Matrix([[1, 5], [2, 3]]), Matrix.identity(2))
+
+
 def test_epsilon_error_scan_exact_scheme_hits_floor(strassen):
     A = [[1.0, 2.0], [3.0, 4.0]]
     B = [[5.0, 6.0], [7.0, 8.0]]

@@ -21,7 +21,7 @@ from fmmkit.search import (
     snap_models,
 )
 from fmmkit.search import als, kernels
-from fmmkit.tensor import verify_exact
+from fmmkit.tensor import LAURENT, FmmTensor, verify_exact
 
 
 def test_classical_dense_layout():
@@ -52,7 +52,7 @@ def test_factor_set_shapes(strassen):
     assert f.Q.shape == (7, 4)
     assert f.S.shape == (7, 4)
     with pytest.raises(ValueError):
-        factor_set_from_tensor(strassen.as_laurent())
+        factor_set_from_tensor(FmmTensor(strassen.dims, LAURENT, strassen.terms))
 
 
 def test_snap_models_tie_rules():
@@ -367,8 +367,24 @@ def test_search_records_every_restart():
     assert out.best_residual == min(rec.best_residual for rec in out.restarts)
     assert any(rec.lambda_resets > 0 for rec in out.restarts)
     mixed = search(SearchConfig((1, 1, 1), 1, seed=3, restarts=2, snap_grid=(0, 1, -1)))
-    converged, exhausted = mixed.restarts
+    converged, collapsed = mixed.restarts
     assert converged.outcome == "converged"
     assert converged.best_residual < 1e-10 and converged.sweeps < 2000
-    assert exhausted.outcome == "exhausted"
-    assert exhausted.best_residual > 1e-10 and exhausted.sweeps == 2000
+    assert collapsed.outcome == "collapsed"
+    assert collapsed.best_residual > 1e-10 and collapsed.sweeps < 2000
+
+
+def test_all_zero_restart_stops_collapsed():
+    # restart 1 reaches all-zero stacks at sweep 6, a fixed point of the
+    # sweep; until then it runs as in a search capped at 5 sweeps
+    cfg = dict(dims=(1, 1, 1), rank=1, seed=3, restarts=2, snap_grid=(0, 1, -1))
+    first, second = als._run_restarts(SearchConfig(**cfg))
+    assert (first.outcome, first.sweeps) == ("converged", 17)
+    assert first.trace == als._run_restarts(SearchConfig(**dict(cfg, restarts=1)))[0].trace
+    assert (second.outcome, second.sweeps) == ("collapsed", 6)
+    assert second.trace[-1][1] == 1.0
+    capped = als._run_restarts(SearchConfig(**dict(cfg, max_sweeps=5)))[1]
+    assert capped.outcome == "exhausted"
+    assert second.trace[:5] == capped.trace
+    assert second.best_res == capped.best_res == second.trace[0][1]
+    assert all(np.array_equal(a, b) for a, b in zip(second.factors, capped.factors))

@@ -150,11 +150,19 @@ def test_type_polynomial_examples(strassen):
     assert str(classical) == "8*X*Y*Z"
 
 
+def test_verify_approximate_same_for_a_laurent_copy(strassen, t58):
+    broken = t58.with_terms(t58.terms[:-1])
+    for t in (strassen, t58, broken):
+        lifted = FmmTensor(t.dims, LAURENT, t.terms, t.support)
+        for mode in ("strict", "scaled"):
+            assert verify_approximate(t, mode) == verify_approximate(lifted, mode)
+    assert not verify_approximate(broken).valid
+
+
 def test_equality_and_as_laurent(strassen):
     assert strassen == strassen.with_terms(strassen.terms)
-    lifted = strassen.as_laurent()
+    lifted = FmmTensor(strassen.dims, LAURENT, strassen.terms)
     assert lifted.field_mode == LAURENT
     assert lifted != strassen
-    assert lifted.as_laurent() is lifted
     assert verify_approximate(lifted).valid
     assert "FmmTensor(<2,2,2;7>" in repr(strassen)
