@@ -6,8 +6,8 @@ composition algebra, an instrumented evaluator and a regularized ALS
 search for new schemes.
 """
 
-from .scalars import Laurent, ScalarParseError, as_laurent, format_scalar, parse_scalar
-from .matrices import Matrix, matrix_rank
+from .scalars import Laurent, ScalarParseError, format_scalar, parse_scalar
+from .matrices import Matrix
 from .tensor import (
     LAURENT,
     RATIONAL,
@@ -38,11 +38,9 @@ __all__ = [
     "Term",
     "TypePolynomial",
     "VerificationReport",
-    "as_laurent",
     "classical_tensor",
     "expand",
     "format_scalar",
-    "matrix_rank",
     "parse_scalar",
     "type_polynomial",
     "verify_approximate",

@@ -8,9 +8,10 @@ the ceil((3mn+max(m,n))/2) rank bound for <m,2,n> products.
 
 Direct sums and completions place a block's factors the same way: a
 BlockEmbedding's index maps scatter them into the host dimensions.
-Entries are combined in their own scalar domain (Fraction and Laurent
-scalars mix freely in arithmetic), and the FmmTensor constructor alone
-brings a result into its tensor's domain.
+Entries are combined in their own scalar form (Fraction and Laurent
+scalars mix freely in arithmetic).  The three combiners, direct_sum,
+kronecker and embed_and_add, accept a rational and a laurent input
+together, and their result is laurent when any input is.
 """
 
 from collections import namedtuple
@@ -71,6 +72,11 @@ def _check_unmasked(t, op):
         raise ValueError("%s does not accept a masked tensor" % op)
 
 
+def _joint_mode(t1, t2):
+    """The field mode of a combination of t1 and t2: laurent when either is."""
+    return LAURENT if LAURENT in (t1.field_mode, t2.field_mode) else RATIONAL
+
+
 def _scatter(mat, rows, cols, big_rows, big_cols):
     cells = [[0] * big_cols for _ in range(big_rows)]
     for i, j, v in mat.nonzero_entries():
@@ -97,17 +103,14 @@ def _rotate_once(t):
 def direct_sum(t1, t2, axis=AXIS_M):
     """Block sum <..+..> along one axis; ranks add.
 
-    The two schemes must agree on the other two dimensions and on the
-    scalar domain.  t1 is embedded at offset 0 of the summed axis and t2
-    at offset t1's size there; t1's terms come first.
+    The two schemes must agree on the other two dimensions; the sum is
+    laurent when either is.  t1 is embedded at offset 0 of the summed
+    axis and t2 at offset t1's size there; t1's terms come first.
     """
     if axis not in _AXES:
         raise ValueError("axis must be one of %s" % (_AXES,))
     _check_unmasked(t1, "direct_sum")
     _check_unmasked(t2, "direct_sum")
-    if t1.field_mode != t2.field_mode:
-        raise ValueError("direct_sum needs matching scalar domains "
-                         "(lift the exact one first)")
     d1, d2 = t1.dims, t2.dims
     k = _AXES.index(axis)
     for j in range(3):
@@ -125,25 +128,23 @@ def direct_sum(t1, t2, axis=AXIS_M):
 
     terms = (_placed_terms(t1, embedding(0, d1), dims)
              + _placed_terms(t2, embedding(d1[k], d2), dims))
-    return FmmTensor(dims, t1.field_mode, terms)
+    return FmmTensor(dims, _joint_mode(t1, t2), terms)
 
 
 def kronecker(t1, t2):
     """Tensor product: <m,n,p;r> x <u,v,w;s> -> <mu,nv,pw;rs>.
 
     Big matrix index = (outer index) * inner_size + inner index, the
-    same convention the recursive evaluator uses for blocking.
+    same convention the recursive evaluator uses for blocking.  The
+    product is laurent when either factor is.
     """
     _check_unmasked(t1, "kronecker")
     _check_unmasked(t2, "kronecker")
-    if t1.field_mode != t2.field_mode:
-        raise ValueError("kronecker needs matching scalar domains "
-                         "(lift the exact one first)")
     m, n, p = t1.dims
     u, v, w = t2.dims
     terms = [Term(a.P.kron(b.P), a.Q.kron(b.Q), a.S.kron(b.S))
              for a in t1.terms for b in t2.terms]
-    return FmmTensor((m * u, n * v, p * w), t1.field_mode, terms)
+    return FmmTensor((m * u, n * v, p * w), _joint_mode(t1, t2), terms)
 
 
 def symmetry_apply(t, rotation=0, transpose=False):
@@ -290,7 +291,7 @@ def serendipity_transform(t, group, M):
         # alpha_j = sum_k (M^T)_{jk} Y_k ; beta_j = sum_k (M^-1)_{jk} Z_k
         alpha = mix(Mt, j, ys, True)
         beta = mix(M_inv, j, zs, True)
-        if alpha.is_zero() or beta.is_zero():
+        if not (alpha and beta):
             raise ValueError("recombination would zero a factor of term %d "
                              "(dependent factors under this mixing matrix)" % i)
         parts = {group.slot: group.shared_factor,
@@ -329,9 +330,8 @@ def embed_and_add(partial, block, embedding):
                          "A-entries (%d covered, %d masked)"
                          % (len(covered), len(complement)))
 
-    mode = LAURENT if LAURENT in (partial.field_mode, block.field_mode) else RATIONAL
     terms = list(partial.terms) + _placed_terms(block, e, partial.dims)
-    return FmmTensor(partial.dims, mode, terms)
+    return FmmTensor(partial.dims, _joint_mode(partial, block), terms)
 
 
 def mask_embedding(t):

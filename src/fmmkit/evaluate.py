@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .matrices import Matrix
-from .scalars import Laurent
+from .scalars import value_at
 from .tensor import RATIONAL, FmmTensor, UnverifiedSchemeError, verify_exact
 
 
@@ -142,8 +142,11 @@ def _schedule_dims(levels):
 
 
 def _check_schedule(levels):
+    """Each level must be exact, unmasked and pass verify_exact; a level
+    equal to one verified already in this call is not verified again."""
     if not levels:
         raise ValueError("a schedule needs at least one scheme")
+    verified = []
     for idx, t in enumerate(levels, start=1):
         if not isinstance(t, FmmTensor):
             raise ValueError("schedule level %d is not a tensor" % idx)
@@ -151,7 +154,9 @@ def _check_schedule(levels):
             raise ValueError("schedule level %d must be exact" % idx)
         if t.support is not None:
             raise ValueError("schedule level %d is masked" % idx)
-        _require_verified(t, "schedule level %d" % idx)
+        if t not in verified:
+            _require_verified(t, "schedule level %d" % idx)
+            verified.append(t)
 
 
 def multiply_recursive(levels, A, B, counter=None):
@@ -191,14 +196,10 @@ class ErrorScan:
         return "\n".join(lines)
 
 
-def _value_at(v, eps):
-    return v.evaluate(eps) if isinstance(v, Laurent) else float(v)
-
-
 def _level_at(level, eps):
     dims, factors = level
     return dims, tuple(
-        [tuple((i, j, _value_at(v, eps)) for i, j, v in entries) for entries in slot]
+        [tuple((i, j, value_at(v, eps)) for i, j, v in entries) for entries in slot]
         for slot in factors)
 
 
@@ -217,8 +218,8 @@ def epsilon_error_scan(t, A, B, eps_values):
     eps_values = [float(e) for e in eps_values]
     if not eps_values:
         raise ValueError("need at least one epsilon value")
-    if any(e <= 0 for e in eps_values):
-        raise ValueError("epsilon values must be positive")
+    if not all(0 < e < math.inf for e in eps_values):
+        raise ValueError("epsilon values must be positive and finite")
     if any(a <= b for a, b in zip(eps_values, eps_values[1:])):
         raise ValueError("epsilon values must be strictly decreasing")
     A = np.asarray(A, dtype=float)

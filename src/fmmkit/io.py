@@ -110,7 +110,10 @@ def parse_tensor(text):
     parts = body.split()
     if len(parts) != 2 or parts[0] != "rank" or not parts[1].isdigit():
         raise TensorFormatError("expected 'rank <r>'", no)
-    rank = int(parts[1])
+    try:
+        rank = int(parts[1])
+    except ValueError as exc:  # more digits than Python converts
+        raise TensorFormatError("rank: %s" % exc, no) from None
     if rank < 1:
         raise TensorFormatError("rank must be positive", no)
 
@@ -205,7 +208,10 @@ def parse_matrix(text):
     (no_r, rtok), (no_c, ctok) = tokens[0], tokens[1]
     if not rtok.isdigit() or not ctok.isdigit():
         raise TensorFormatError("malformed 'rows cols' header", no_r)
-    rows, cols = int(rtok), int(ctok)
+    try:
+        rows, cols = int(rtok), int(ctok)
+    except ValueError as exc:  # more digits than Python converts
+        raise TensorFormatError("matrix header: %s" % exc, no_r) from None
     if rows < 1 or cols < 1:
         raise TensorFormatError("matrix dimensions must be positive", no_r)
     body = tokens[2:]
@@ -223,7 +229,7 @@ def parse_matrix(text):
 
 
 def write_matrix(mat):
-    if mat.has_laurent():
+    if not mat.is_rational():
         raise ValueError("matrix files hold rational entries only")
     lines = ["%d %d" % (mat.rows, mat.cols)]
     for r in range(mat.rows):

@@ -4,19 +4,20 @@ Everything here is immutable and pure.  Sizes stay at desk scale (at most
 a few tens of rows), so the algorithms favour exactness and clarity.
 
 Rank, determinant and inverse share one fraction-free (Bareiss)
-elimination, exact in any integral domain and so in both scalar domains:
-Fraction entries divide with ``/``, Laurent entries with
-``Laurent.exact_div``, and a matrix mixing the two is lifted to Laurent
-first.  The rank is the number of pivots, the determinant the last pivot
-times the sign of the row swaps, and the inverse a Gauss-Jordan pass on
-[M | I] whose right half is divided by the last pivot; over the Laurent
-scalars that division fails exactly when the inverse leaves the ring.
+elimination, exact in any integral domain and so over the Laurent
+scalars too.  Nothing is lifted: the division is chosen per matrix,
+``/`` when every entry is a Fraction and ``scalars.exact_div`` (either
+form) when any is a Laurent.  The rank is the number of pivots, the
+determinant the last pivot times the sign of the row swaps, and the
+inverse a Gauss-Jordan pass on [M | I] whose right half is divided
+exactly by the last pivot; over the Laurent scalars that division
+fails exactly when the inverse leaves the ring.
 """
 
 import operator
 from fractions import Fraction
 
-from .scalars import Laurent, as_laurent, is_zero
+from .scalars import Laurent, exact_div
 
 
 class Matrix:
@@ -40,18 +41,18 @@ class Matrix:
     # -- constructors ------------------------------------------------------
 
     @staticmethod
-    def zeros(rows, cols, zero=Fraction(0)):
-        return Matrix([[zero] * cols for _ in range(rows)])
+    def zeros(rows, cols):
+        return Matrix([[Fraction(0)] * cols for _ in range(rows)])
 
     @staticmethod
-    def identity(n, one=Fraction(1), zero=Fraction(0)):
-        return Matrix([[one if i == j else zero for j in range(n)] for i in range(n)])
+    def identity(n):
+        return Matrix([[Fraction(int(i == j)) for j in range(n)] for i in range(n)])
 
     @staticmethod
-    def unit(rows, cols, i, j, value=Fraction(1), zero=Fraction(0)):
+    def unit(rows, cols, i, j, value=Fraction(1)):
         """Single nonzero entry at 0-based (i, j)."""
         return Matrix(
-            [[value if (r, c) == (i, j) else zero for c in range(cols)] for r in range(rows)]
+            [[value if (r, c) == (i, j) else Fraction(0) for c in range(cols)] for r in range(rows)]
         )
 
     # -- basic structure ----------------------------------------------------
@@ -75,18 +76,19 @@ class Matrix:
     def __repr__(self):
         return "Matrix(%r)" % (list(map(list, self.data)),)
 
-    def is_zero(self):
-        return all(is_zero(x) for row in self.data for x in row)
+    def __bool__(self):
+        """False for the zero matrix, as for a zero scalar."""
+        return any(x for row in self.data for x in row)
 
     def nonzero_entries(self):
         """Yield (i, j, value) over nonzero entries, row-major."""
         for i, row in enumerate(self.data):
             for j, x in enumerate(row):
-                if not is_zero(x):
+                if x:
                     yield i, j, x
 
-    def has_laurent(self):
-        return any(isinstance(x, Laurent) for row in self.data for x in row)
+    def is_rational(self):
+        return not any(isinstance(x, Laurent) for row in self.data for x in row)
 
     def map(self, fn):
         return Matrix([[fn(x) for x in row] for row in self.data])
@@ -169,10 +171,8 @@ class Matrix:
         rank, pivot, _ = _eliminate(a, n, jordan=True)
         if rank < n:
             raise ValueError("singular matrix")
-        if not isinstance(pivot, Laurent):
-            return Matrix([[x / pivot for x in row[n:]] for row in a])
         try:
-            return Matrix([[x.exact_div(pivot) for x in row[n:]] for row in a])
+            return Matrix([[exact_div(x, pivot) for x in row[n:]] for row in a])
         except ValueError:
             raise ValueError(
                 "inverse exists over Q(e) but leaves the Laurent scalars"
@@ -183,7 +183,7 @@ class Matrix:
             raise ValueError("determinant needs a square matrix")
         rank, pivot, sign = _eliminate(_scalar_rows(self), self.cols)
         if rank < self.rows:
-            return pivot * 0  # the zero of the pivot's domain
+            return Fraction(0)
         return -pivot if sign < 0 else pivot
 
 
@@ -195,11 +195,10 @@ def _dot(row, col):
 
 
 def _scalar_rows(m):
-    """Mutable rows in one scalar domain: all Laurent if any entry is,
-    else all Fraction (existing Fractions are kept; the constructor is slow)."""
-    if m.has_laurent():
-        return [[as_laurent(x) for x in row] for row in m.data]
-    return [[x if type(x) is Fraction else Fraction(x) for x in row] for row in m.data]
+    """Mutable rows of m with int entries made Fractions (so that ``/``
+    stays exact); Fraction and Laurent entries are kept as they are."""
+    return [[x if isinstance(x, (Fraction, Laurent)) else Fraction(x) for x in row]
+            for row in m.data]
 
 
 def _eliminate(a, pivot_cols, jordan=False):
@@ -218,9 +217,9 @@ def _eliminate(a, pivot_cols, jordan=False):
     times the inverse.
     """
     rows, width = len(a), len(a[0])
-    laurent = isinstance(a[0][0], Laurent)
-    div = Laurent.exact_div if laurent else operator.truediv
-    prev = Laurent.monomial(1) if laurent else Fraction(1)
+    laurent = any(isinstance(x, Laurent) for row in a for x in row)
+    div = exact_div if laurent else operator.truediv
+    prev = Fraction(1)
     rank, sign = 0, 1
     for c in range(pivot_cols):
         if rank == rows:
@@ -244,8 +243,3 @@ def _eliminate(a, pivot_cols, jordan=False):
         prev = piv
         rank += 1
     return rank, prev, sign
-
-
-def matrix_rank(m):
-    """Exact rank of a Matrix (over Q, or over Q(e) for Laurent entries)."""
-    return m.rank()

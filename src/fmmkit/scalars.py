@@ -1,13 +1,14 @@
 """Exact scalar arithmetic: rationals and Laurent polynomials in e.
 
-Two scalar domains are used throughout the package:
-
-* plain ``fractions.Fraction`` for exact rational work, and
-* :class:`Laurent`, a finite sum  sum_k  q_k * e^k  with rational
-  coefficients q_k and integer exponents k (negative powers allowed).
-
-The zero Laurent scalar is the empty sum.  Every stored coefficient is
-nonzero and exponents are unique, so equality is structural.
+A scalar is a ``fractions.Fraction`` or a :class:`Laurent`, a finite
+sum  sum_k  q_k * e^k  with nonzero rational coefficients q_k at unique
+integer exponents k (negative powers allowed).  Each value has one form:
+a scalar is a Laurent exactly when it has a nonzero e-power.  The
+Laurent constructor returns a Fraction for any e-free value, so
+``Laurent({0: 3})``, ``e * e^-1`` and every e-free arithmetic result are
+Fractions, and a Fraction never equals a Laurent.
+:func:`laurent_order`, :func:`value_at` and :func:`exact_div` accept
+either form.
 """
 
 import math
@@ -20,7 +21,7 @@ INF = math.inf
 def _as_coeff_map(value):
     """Coerce int/Fraction/Laurent to a {exponent: Fraction} map."""
     if isinstance(value, Laurent):
-        return dict(value.terms)
+        return value.terms
     q = Fraction(value)
     return {0: q} if q else {}
 
@@ -29,53 +30,38 @@ class Laurent:
     """A Laurent polynomial in the parameter e over the rationals.
 
     Immutable.  ``terms`` maps integer exponents to nonzero Fraction
-    coefficients; the empty map is zero.
+    coefficients, one at least at a nonzero exponent.
     """
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms=None):
-        if terms is None:
-            terms = {}
+    def __new__(cls, terms=None):
         clean = {}
-        for k, q in terms.items():
+        for k, q in (terms or {}).items():
             q = Fraction(q)
             if q:
                 clean[int(k)] = q
+        if not clean.keys() - {0}:
+            return clean.get(0, Fraction(0))
+        self = object.__new__(cls)
         object.__setattr__(self, "terms", clean)
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("Laurent scalars are immutable")
 
     @staticmethod
     def monomial(coeff, exponent=0):
-        return Laurent({exponent: Fraction(coeff)})
-
-    @staticmethod
-    def from_rational(q):
-        return Laurent({0: Fraction(q)})
-
-    zero = None  # filled in after the class body
+        return Laurent({exponent: coeff})
 
     # -- ring structure -------------------------------------------------
-
-    def __bool__(self):
-        return bool(self.terms)
 
     def __eq__(self, other):
         if isinstance(other, Laurent):
             return self.terms == other.terms
-        if isinstance(other, (int, Fraction)):
-            return self.terms == _as_coeff_map(other)
         return NotImplemented
 
     def __hash__(self):
-        # Constants hash like their Fraction value so that equal scalars of
-        # either domain collide (matrices of mixed provenance key dicts).
-        if not self.terms:
-            return hash(0)
-        if len(self.terms) == 1 and 0 in self.terms:
-            return hash(self.terms[0])
         return hash(frozenset(self.terms.items()))
 
     def __add__(self, other):
@@ -98,7 +84,7 @@ class Laurent:
     def __sub__(self, other):
         if not isinstance(other, (Laurent, int, Fraction)):
             return NotImplemented
-        return self + (-other if isinstance(other, Laurent) else Laurent({0: -Fraction(other)}))
+        return self + -other
 
     def __rsub__(self, other):
         return (-self) + other
@@ -128,11 +114,11 @@ class Laurent:
     # -- queries ---------------------------------------------------------
 
     def order(self):
-        """Minimum exponent carrying a nonzero coefficient; +inf for zero."""
-        return min(self.terms) if self.terms else INF
+        """Minimum exponent carrying a nonzero coefficient."""
+        return min(self.terms)
 
     def max_exponent(self):
-        return max(self.terms) if self.terms else -INF
+        return max(self.terms)
 
     def constant_part(self):
         """Coefficient of e^0."""
@@ -163,61 +149,50 @@ class Laurent:
             total += float(q) * power
         return total
 
-    def exact_div(self, other):
-        """Exact division by another Laurent scalar.
-
-        Raises ZeroDivisionError on a zero divisor and ValueError when the
-        quotient is not itself a Laurent polynomial.
-        """
-        other = as_laurent(other)
-        if not other:
-            raise ZeroDivisionError("division by zero scalar")
-        if not self:
-            return Laurent.zero
-        # Long division from the top exponent down over the stored terms;
-        # every quotient exponent lies at or above order(self) - order(other).
-        floor = self.order() - other.order()
-        top = other.max_exponent()
-        lead = other.terms[top]
-        rem, quot = dict(self.terms), {}
-        while rem:
-            k = max(rem)
-            if k - top < floor:
-                raise ValueError("inexact Laurent division")
-            c = rem[k] / lead
-            quot[k - top] = c
-            for e, d in other.terms.items():
-                key = k - top + e
-                s = rem.get(key, 0) - c * d
-                if s:
-                    rem[key] = s
-                else:
-                    rem.pop(key, None)
-        return Laurent(quot)
-
-
-Laurent.zero = Laurent({})
-
-
-def as_laurent(value):
-    """Lift int/Fraction to Laurent; pass Laurent through."""
-    if isinstance(value, Laurent):
-        return value
-    return Laurent(_as_coeff_map(value))
-
 
 def laurent_order(value):
-    """Minimum e-exponent with nonzero coefficient; +inf for zero.
-
-    Accepts plain rationals too (order 0 when nonzero).
-    """
-    return as_laurent(value).order()
-
-
-def is_zero(value):
+    """Minimum e-exponent with nonzero coefficient; +inf for zero."""
     if isinstance(value, Laurent):
-        return not value.terms
-    return value == 0
+        return value.order()
+    return 0 if value else INF
+
+
+def value_at(value, eps):
+    """Numerical value of a scalar of either form at a float eps."""
+    return value.evaluate(eps) if isinstance(value, Laurent) else float(value)
+
+
+def exact_div(a, b):
+    """Exact quotient a / b of two scalars of either form.
+
+    Raises ZeroDivisionError on a zero divisor and ValueError when the
+    quotient is not itself a Laurent polynomial.
+    """
+    if not b:
+        raise ZeroDivisionError("division by zero scalar")
+    if not a:
+        return Fraction(0)
+    # Long division from the top exponent down over the stored terms;
+    # every quotient exponent lies at or above order(a) - order(b).
+    num, den = _as_coeff_map(a), _as_coeff_map(b)
+    floor = min(num) - min(den)
+    top = max(den)
+    lead = den[top]
+    rem, quot = dict(num), {}
+    while rem:
+        k = max(rem)
+        if k - top < floor:
+            raise ValueError("inexact Laurent division")
+        c = rem[k] / lead
+        quot[k - top] = c
+        for e, d in den.items():
+            key = k - top + e
+            s = rem.get(key, 0) - c * d
+            if s:
+                rem[key] = s
+            else:
+                rem.pop(key, None)
+    return Laurent(quot)
 
 
 # -- parsing and formatting -----------------------------------------------
@@ -240,11 +215,8 @@ class ScalarParseError(ValueError):
 
 
 def parse_scalar(text, laurent=True):
-    """Parse one scalar token.
-
-    Returns a Laurent scalar when ``laurent`` is true, otherwise a plain
-    Fraction (and rejects any e-dependence).
-    """
+    """Parse one scalar token; with ``laurent`` false any e-dependence
+    is rejected."""
     src = text.strip()
     if not src:
         raise ScalarParseError("empty scalar token")
@@ -261,23 +233,25 @@ def parse_scalar(text, laurent=True):
         m = _MONOMIAL_RE.match(src, pos)
         if not m or m.start() != pos:
             raise ScalarParseError("malformed monomial in %r near %r" % (text, src[pos:]))
-        num = int(m.group("num"))
-        den = int(m.group("den")) if m.group("den") else 1
+        try:
+            num = int(m.group("num"))
+            den = int(m.group("den")) if m.group("den") else 1
+            k = int(m.group("exp")) if m.group("exp") else 0
+        except ValueError as exc:
+            # Python refuses to convert integers of more than 4300 digits
+            raise ScalarParseError("numeral near %r: %s" % (src[pos:pos + 20], exc)) from None
         if den == 0:
             raise ScalarParseError("zero denominator in %r" % text)
         q = Fraction(num, den)
         if m.group("sign") == "-":
             q = -q
-        k = int(m.group("exp")) if m.group("exp") else 0
         terms[k] = terms.get(k, Fraction(0)) + q
         pos = m.end()
         first = False
     value = Laurent(terms)
-    if laurent:
-        return value
-    if any(k != 0 for k in value.terms):
+    if not laurent and isinstance(value, Laurent):
         raise ScalarParseError("e-dependent scalar %r in rational mode" % text)
-    return value.constant_part()
+    return value
 
 
 def format_rational(q):
@@ -291,8 +265,6 @@ def format_scalar(value):
     """Canonical form: monomials in increasing exponent order, ' + ' joined."""
     if not isinstance(value, Laurent):
         return format_rational(value)
-    if not value.terms:
-        return "0"
     parts = []
     for k in sorted(value.terms):
         q = value.terms[k]

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .matrices import Matrix
-from .scalars import Laurent, as_laurent, is_zero, laurent_order
+from .scalars import Laurent, laurent_order
 
 RATIONAL = "rational"
 LAURENT = "laurent"
@@ -36,12 +36,14 @@ Term = namedtuple("Term", ["P", "Q", "S"])
 
 
 def _coerce_entry(x, mode):
-    if mode == LAURENT:
-        return as_laurent(x)
+    """x in its one scalar form; a Laurent (always e-dependent) is
+    rejected in a rational tensor."""
+    if type(x) is Fraction:
+        return x
     if isinstance(x, Laurent):
-        if any(k != 0 for k in x.terms):
+        if mode == RATIONAL:
             raise ValueError("e-dependent entry in a rational-mode tensor")
-        return x.constant_part()
+        return x
     return Fraction(x)
 
 
@@ -75,7 +77,7 @@ class FmmTensor:
             P = _coerce_matrix(P, field_mode)
             Q = _coerce_matrix(Q, field_mode)
             S = _coerce_matrix(S, field_mode)
-            if P.is_zero() or Q.is_zero() or S.is_zero():
+            if not (P and Q and S):
                 raise ValueError("term %d has an all-zero factor" % idx)
             coerced.append(Term(P, Q, S))
         if not coerced:
@@ -156,7 +158,7 @@ def expand(t):
                     key = ((i, j), (j2, k), (k2, i2))
                     cur = acc.get(key)
                     val = pq * sv if cur is None else cur + pq * sv
-                    if is_zero(val):
+                    if not val:
                         acc.pop(key, None)
                     else:
                         acc[key] = val
@@ -181,11 +183,11 @@ def residual_map(t, q=0, expansion=None):
     residuals.  expansion, when given, is expand(t) computed once for
     several q; it is left unchanged."""
     delta = expand(t) if expansion is None else dict(expansion)
-    one = Fraction(1) if q == 0 else Laurent.monomial(1, q)
+    one = Laurent.monomial(1, q)
     for key in classical_map(t.dims, t.support):
         cur = delta.get(key)
         val = -one if cur is None else cur - one
-        if is_zero(val):
+        if not val:
             delta.pop(key, None)
         else:
             delta[key] = val

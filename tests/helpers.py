@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 from fmmkit.matrices import Matrix
-from fmmkit.scalars import Laurent
+from fmmkit.scalars import Laurent, laurent_order
 from fmmkit.tensor import LAURENT, RATIONAL, FmmTensor, Term
 
 
@@ -99,7 +99,7 @@ def mutate_one_entry(t, rng):
         others = [f for name, f in (("P", term.P), ("Q", term.Q), ("S", term.S)) if name != slot]
         floor = 0
         for f in others:
-            orders = [v.order() for _, _, v in f.nonzero_entries()]
+            orders = [laurent_order(v) for _, _, v in f.nonzero_entries()]
             floor += min(orders)
         delta = Laurent.monomial(rand_fraction(rng, zero_ok=False), -floor - rng.randint(0, 2))
     while True:
@@ -112,7 +112,7 @@ def mutate_one_entry(t, rng):
                 for rr in range(factor.rows)
             ]
         )
-        if not new_factor.is_zero():
+        if new_factor:
             break
         delta = delta + delta  # doubling keeps the order, dodges cancellation
     new_term = Term(*(new_factor if name == slot else getattr(term, name) for name in "PQS"))

@@ -64,7 +64,7 @@ def _mutations(t):
                         ]
                         cells[r][c] = cells[r][c] + delta
                         mutated = Matrix(cells)
-                        if mutated.is_zero():
+                        if not mutated:
                             continue
                         parts = {s: getattr(term, s) for s in "PQS"}
                         parts[slot] = mutated

@@ -17,7 +17,7 @@ from fmmkit.algebra import (
     symmetry_apply,
 )
 from fmmkit.matrices import Matrix
-from fmmkit.scalars import Laurent, as_laurent
+from fmmkit.scalars import Laurent
 from fmmkit.tensor import (
     LAURENT,
     FmmTensor,
@@ -58,8 +58,13 @@ def test_direct_sum_dimension_checks(strassen):
 
 
 def test_direct_sum_mode_and_mask_checks(strassen, teps):
-    with pytest.raises(ValueError):
-        direct_sum(strassen, laurent_copy(strassen))
+    # a rational and a laurent input sum to a laurent tensor
+    lifted = laurent_copy(strassen)
+    for t1, t2 in ((strassen, lifted), (lifted, strassen)):
+        mixed = direct_sum(t1, t2)
+        assert mixed.field_mode == LAURENT
+        assert mixed == direct_sum(lifted, lifted)
+        assert verify_approximate(mixed).valid
     masked = classical_tensor((2, 2, 2), support=[[True, False], [True, True]])
     with pytest.raises(ValueError):
         direct_sum(masked, classical_tensor((2, 2, 2)))
@@ -106,8 +111,12 @@ def test_kronecker_small_rectangular():
 
 
 def test_kronecker_checks(strassen, teps):
-    with pytest.raises(ValueError):
-        kronecker(strassen, laurent_copy(strassen))
+    lifted = laurent_copy(strassen)
+    for t1, t2 in ((strassen, lifted), (lifted, strassen)):
+        mixed = kronecker(t1, t2)
+        assert mixed.field_mode == LAURENT
+        assert mixed == kronecker(lifted, lifted)
+        assert verify_approximate(mixed).valid
     with pytest.raises(ValueError):
         kronecker(teps, teps)
 
@@ -267,12 +276,12 @@ def test_laurent_tensors_take_rational_matrices():
     rng = random.Random(21)
     g = IsotropyElement(*(rand_invertible(rng, 2) for _ in range(3)))
     out = isotropy_apply(t, g)
-    assert out == isotropy_apply(t, IsotropyElement(*(m.map(as_laurent) for m in g)))
+    assert out == isotropy_apply(t, IsotropyElement(*(m.map(Laurent.monomial) for m in g)))
     assert expand(out) == expand(isotropy_apply(base, g))
     group = serendipity_find(t)[0]
     M = rand_invertible(rng, len(group.term_indices))
     mixed = serendipity_transform(t, group, M)
-    assert mixed == serendipity_transform(t, group, M.map(as_laurent))
+    assert mixed == serendipity_transform(t, group, M.map(Laurent.monomial))
     assert expand(mixed) == expand(t)
 
 

@@ -85,7 +85,7 @@ def test_type_command(capsys):
     assert out.strip() == "X^2*Y^2*Z^2 + 6*X*Y*Z"
 
 
-def test_compose_dsum(capsys, tmp_path):
+def test_compose_dsum(capsys, tmp_path, strassen):
     out_path = tmp_path / "sum.fmm"
     code, out, err = run(capsys, "compose", "--op", "dsum",
                          "--inputs", "%s,%s" % (STRASSEN, STRASSEN),
@@ -94,6 +94,16 @@ def test_compose_dsum(capsys, tmp_path):
     assert out.strip() == "<2,2,4;14> rational"
     assert "wrote" in err
     assert verify_exact(load_tensor(out_path)).passed
+    # a rational and a laurent input sum to a laurent tensor
+    from fmmkit.tensor import LAURENT, FmmTensor
+
+    lifted = tmp_path / "lifted.fmm"
+    save_tensor(FmmTensor(strassen.dims, LAURENT, strassen.terms), lifted)
+    code, out, _ = run(capsys, "compose", "--op", "dsum",
+                       "--inputs", "%s,%s" % (STRASSEN, lifted), "--out", str(out_path))
+    assert code == 0
+    assert out.strip() == "<4,2,2;14> laurent"
+    assert verify_approximate(load_tensor(out_path)).valid
 
 
 def test_compose_kron(capsys, tmp_path):
@@ -293,9 +303,10 @@ def test_errscan_overflowing_eps_records_inf(capsys):
 
 
 def test_errscan_rejects_bad_eps(capsys):
-    code, _, err = run(capsys, "errscan", TEPS, "--eps", "1e-2,1e-1")
-    assert code == 2
-    assert "error:" in err
+    for eps in ("1e-2,1e-1", "1e-2,nan", "inf"):
+        code, _, err = run(capsys, "errscan", TEPS, "--eps", eps)
+        assert code == 2
+        assert "error:" in err
 
 
 def test_search_quick_success(capsys, tmp_path):
@@ -332,10 +343,14 @@ def test_missing_file_is_usage_error(capsys):
 
 def test_malformed_file_is_usage_error(capsys, tmp_path):
     path = tmp_path / "junk.fmm"
-    path.write_text("fmm 2\n")
-    code, _, err = run(capsys, "verify", str(path))
-    assert code == 2
-    assert "error:" in err
+    header = "fmm 1\ndims 1 1 1\nrank 1\nfield laurent\nterm 1\n"
+    # the last two hold integers too long for Python to convert
+    for text in ("fmm 2\n", header + "1%s\n1\n1\n" % ("0" * 5000),
+                 header + "1*e^%s\n1\n1\n" % ("1" * 5000)):
+        path.write_text(text)
+        code, _, err = run(capsys, "verify", str(path))
+        assert code == 2
+        assert err.startswith("error: line ")
 
 
 def test_unknown_command_exits_two(capsys):

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from fmmkit import evaluate
 from fmmkit.algebra import direct_sum, kronecker
 from fmmkit.evaluate import (
     MultiplicationCounter,
@@ -11,8 +12,9 @@ from fmmkit.evaluate import (
     epsilon_error_scan,
     multiply_recursive,
 )
+from fmmkit.io import parse_tensor, write_tensor
 from fmmkit.matrices import Matrix
-from fmmkit.tensor import UnverifiedSchemeError, classical_tensor
+from fmmkit.tensor import UnverifiedSchemeError, classical_tensor, verify_exact
 
 from helpers import mutate_one_entry, rand_fraction
 
@@ -152,6 +154,26 @@ def test_schedule_validation(strassen, teps):
         apply_bilinear(broken, Matrix.zeros(2, 2), Matrix.zeros(2, 2))
 
 
+def test_schedule_verifies_each_distinct_scheme_once(strassen, monkeypatch):
+    calls = []
+
+    def counting_verify(t):
+        calls.append(t)
+        return verify_exact(t)
+
+    monkeypatch.setattr(evaluate, "verify_exact", counting_verify)
+    copies = [parse_tensor(write_tensor(strassen)) for _ in range(4)]
+    assert count_multiplications(copies) == 7**4
+    assert len(calls) == 1
+    A = Matrix([[Fraction(i - j) for j in range(16)] for i in range(16)])
+    assert multiply_recursive(copies, A, A) == A @ A
+    assert len(calls) == 2
+    # an unverified level is still named by its own position
+    broken = mutate_one_entry(strassen, random.Random(0))
+    with pytest.raises(UnverifiedSchemeError, match="level 2 fails verification"):
+        count_multiplications([strassen, broken, strassen])
+
+
 def test_epsilon_error_scan_slope(teps):
     rng = random.Random(14)
     A = [[rng.uniform(-1, 1) for _ in range(5)] for _ in range(5)]
@@ -197,8 +219,9 @@ def test_epsilon_error_scan_validation(teps):
         epsilon_error_scan(teps, A, B, [])
     with pytest.raises(ValueError):
         epsilon_error_scan(teps, A, B, [1e-2, 1e-1])
-    with pytest.raises(ValueError):
-        epsilon_error_scan(teps, A, B, [-1.0])
+    for eps in ([-1.0], [1e-2, float("nan")], [float("inf")]):
+        with pytest.raises(ValueError, match="positive and finite"):
+            epsilon_error_scan(teps, A, B, eps)
     bad = [[1.0] * 5 for _ in range(5)]
     with pytest.raises(ValueError):
         epsilon_error_scan(teps, bad, B, [1e-1])

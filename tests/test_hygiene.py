@@ -1,6 +1,9 @@
-"""Every name a module under src/fmmkit imports is referenced in it.
+"""Every name a module under src/fmmkit imports is referenced in it, and
+every module-level private (_name) function, class or constant is
+referenced somewhere in the package.
 
-A package __init__.py imports names to re-export them, so it is exempt.
+A package __init__.py imports names to re-export them, so it is exempt
+from the first check.
 """
 
 import ast
@@ -11,7 +14,8 @@ import pytest
 import fmmkit
 
 PACKAGE = Path(fmmkit.__file__).parent
-MODULES = sorted(p for p in PACKAGE.rglob("*.py") if p.name != "__init__.py")
+SOURCES = sorted(PACKAGE.rglob("*.py"))
+MODULES = [p for p in SOURCES if p.name != "__init__.py"]
 
 
 def unused_imports(source):
@@ -41,3 +45,49 @@ def test_modules_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.relative_to(PACKAGE).as_posix())
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def _private_definitions(tree):
+    """(line, name) of each module-level private function, class or constant."""
+    out = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            out.append((node.lineno, node.name))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            out.extend((node.lineno, t.id) for t in targets if isinstance(t, ast.Name))
+    return [(line, name) for line, name in out
+            if name.startswith("_") and not name.startswith("__")]
+
+
+def dead_private_names(sources):
+    """(source index, line, name) of each module-level private definition
+    that no source loads by name, as an attribute or through an import."""
+    trees = [ast.parse(source) for source in sources]
+    used = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                used.update(alias.name for alias in node.names)
+    return [(i, line, name) for i, tree in enumerate(trees)
+            for line, name in _private_definitions(tree) if name not in used]
+
+
+def test_dead_private_names_are_found():
+    sources = ["_A = 1\n_B = 2\n__all__ = []\n"
+               "def _used():\n    return _A\n"
+               "def _dead():\n    return _used()\n"
+               "class _Gone:\n    pass\n",
+               "from m import _B\nimport m\nm._kept\n",
+               "def _kept():\n    pass\n"]
+    assert dead_private_names(sources) == [(0, 6, "_dead"), (0, 8, "_Gone")]
+
+
+def test_no_dead_private_names():
+    dead = dead_private_names([p.read_text() for p in SOURCES])
+    assert [(SOURCES[i].relative_to(PACKAGE).as_posix(), line, name)
+            for i, line, name in dead] == []

@@ -106,6 +106,14 @@ def test_file_round_trip(tmp_path, teps):
         (lambda s: s.replace("term 1\n1\n", "term 1\n1/0\n"), "term 1 P"),
         (lambda s: "\n".join(s.splitlines()[:-1]), "unexpected end"),
         (lambda s: s.replace("term 1\n1\n", "term 1\n0\n"), "all-zero"),
+        # integers too long for Python to convert (over 4300 digits)
+        (lambda s: s.replace("rank 1", "rank 1" + "0" * 5000), "line 3: "),
+        (lambda s: s.replace("term 1\n1\n", "term 1\n%s\n" % ("1" * 5000)),
+         "line 6: term 1 P row 1"),
+        (lambda s: s.replace("term 1\n1\n", "term 1\n1/%s\n" % ("1" * 5000)),
+         "line 6: term 1 P row 1"),
+        (lambda s: s.replace("field rational", "field laurent").replace(
+            "term 1\n1\n", "term 1\n1*e^%s\n" % ("1" * 5000)), "line 6: term 1 P row 1"),
     ],
 )
 def test_malformed_tensor_files(mangle, fragment):
@@ -160,7 +168,9 @@ def test_matrix_parse_accepts_comments():
 
 
 def test_matrix_errors():
-    for bad in ("", "2\n", "a b\n1\n", "0 1\n", "1 2\n1\n", "1 1\n1*e^1\n"):
+    long = "1" * 5000
+    for bad in ("", "2\n", "a b\n1\n", "0 1\n", "1 2\n1\n", "1 1\n1*e^1\n",
+                "%s 1\n1\n" % long, "1 1\n%s\n" % long, "1 1\n1*e^%s\n" % long):
         with pytest.raises(TensorFormatError):
             parse_matrix(bad)
     with pytest.raises(ValueError):

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from fmmkit.algebra import IsotropyElement, isotropy_apply, symmetry_apply
 from fmmkit.io import parse_tensor, write_tensor
-from fmmkit.scalars import Laurent, as_laurent
+from fmmkit.scalars import Laurent, exact_div, laurent_order, value_at
 from fmmkit.search import FactorSet, als_block_solve, als_objective, snap_models
 from fmmkit.tensor import classical_tensor, verify_exact
 
@@ -24,7 +24,7 @@ SEEDS = st.integers(min_value=0, max_value=2**48 - 1)
 
 def _mixed_scalar(rng):
     if rng.random() < 0.25:
-        return as_laurent(Fraction(rng.randint(-6, 6), rng.choice((1, 2, 3))))
+        return Fraction(rng.randint(-6, 6), rng.choice((1, 2, 3)))
     return rand_laurent(rng)
 
 
@@ -39,20 +39,20 @@ def test_kernel_field_axioms(seed):
 
     assert a + b == b + a
     assert (a + b) + c == a + (b + c)
-    assert a + Laurent.zero == a
-    assert a - a == Laurent.zero
+    assert a + Fraction(0) == a
+    assert a - a == Fraction(0)
     assert a * b == b * a
     assert (a * b) * c == a * (b * c)
     assert a * (b + c) == a * b + a * c
     assert a * one == a
-    assert a * Laurent.zero == Laurent.zero
+    assert a * Fraction(0) == Fraction(0)
 
     if a and b:
-        assert (a * b).order() == a.order() + b.order()
-        assert (a * b).exact_div(b) == a
+        assert laurent_order(a * b) == laurent_order(a) + laurent_order(b)
+        assert exact_div(a * b, b) == a
     # numeric evaluation is a ring homomorphism up to rounding
-    lhs = (a * b + c).evaluate(0.5)
-    rhs = a.evaluate(0.5) * b.evaluate(0.5) + c.evaluate(0.5)
+    lhs = value_at(a * b + c, 0.5)
+    rhs = value_at(a, 0.5) * value_at(b, 0.5) + value_at(c, 0.5)
     assert math.isclose(lhs, rhs, rel_tol=1e-9, abs_tol=1e-12)
 
 

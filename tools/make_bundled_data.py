@@ -23,6 +23,7 @@ serialization to src/fmmkit/data/, the one stored copy.
 import pathlib
 import re
 import sys
+from fractions import Fraction
 
 from fmmkit.datasets import expected_info
 from fmmkit.matrices import Matrix
@@ -115,7 +116,7 @@ class _FormParser:
 
 
 def _factor(form, slot, rows, cols):
-    cells = [[Laurent.zero for _ in range(cols)] for _ in range(rows)]
+    cells = [[Fraction(0) for _ in range(cols)] for _ in range(rows)]
     for (who, r, c), val in form.items():
         if who != slot:
             raise ValueError("entry %s%d%d in the %s factor" % (who, r, c, slot))
