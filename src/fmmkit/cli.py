@@ -181,7 +181,10 @@ def _cmd_errscan(args):
 
 
 def _parse_grid(spec):
-    vals = [Fraction(s) for s in spec.split(",") if s]
+    try:
+        vals = [Fraction(s) for s in spec.split(",") if s]
+    except ZeroDivisionError:
+        raise ValueError("--grid value with a zero denominator in %r" % spec) from None
     if not vals:
         raise ValueError("--grid needs at least one rational value")
     return tuple(vals)

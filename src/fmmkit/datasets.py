@@ -4,7 +4,8 @@ Three multiplication schemes ship inside the package: Strassen's
 <2,2,2;7>, the exact <3,5,5;58>, and the order-1 approximate <5,5,5;55>
 partial scheme (masked A block).  Each carries an expected block (verify
 status, rank, type polynomial) that check_dataset re-derives from scratch;
-the tests run every bundled dataset through it as a standing regression.
+the tests run every bundled dataset through it as a standing regression,
+and tools/make_bundled_data.py runs the tensors it rebuilds through it.
 """
 
 from importlib import resources
@@ -92,11 +93,12 @@ def load_dataset(name):
     return parse_tensor(dataset_text(name))
 
 
-def check_dataset(name):
-    """Re-derive the expected block; returns a list of mismatch messages,
-    empty when the dataset passes."""
+def check_dataset(name, t=None):
+    """Re-derive dataset name's expected block from t, the bundled tensor
+    when omitted; returns a list of mismatch messages, empty when t passes."""
     info = expected_info(name)
-    t = load_dataset(name)
+    if t is None:
+        t = load_dataset(name)
     problems = []
     if tuple(t.dims) != info["dims"]:
         problems.append("dims %r != expected %r" % (tuple(t.dims), info["dims"]))

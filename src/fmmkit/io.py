@@ -193,8 +193,9 @@ def load_tensor(path):
 
 
 def save_tensor(t, path):
+    text = write_tensor(t)  # before the open, so a failed write leaves path as it was
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(write_tensor(t))
+        fh.write(text)
 
 
 def parse_matrix(text):
@@ -244,5 +245,6 @@ def load_matrix(path):
 
 
 def save_matrix(mat, path):
+    text = write_matrix(mat)  # before the open, so a failed write leaves path as it was
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(write_matrix(mat))
+        fh.write(text)

@@ -3,6 +3,10 @@
 Everything here is immutable and pure.  Sizes stay at desk scale (at most
 a few tens of rows), so the algorithms favour exactness and clarity.
 
+The constructor is the one place that settles an entry's type: Fraction
+and Laurent entries are kept as they are and any other x becomes
+Fraction(x), so nothing downstream re-coerces a matrix's entries.
+
 Rank, determinant and inverse share one fraction-free (Bareiss)
 elimination, exact in any integral domain and so over the Laurent
 scalars too.  Nothing is lifted: the division is chosen per matrix,
@@ -26,7 +30,8 @@ class Matrix:
     __slots__ = ("rows", "cols", "data")
 
     def __init__(self, data):
-        data = tuple(tuple(row) for row in data)
+        data = tuple(tuple([x if type(x) is Fraction or isinstance(x, Laurent)
+                            else Fraction(x) for x in row]) for row in data)
         if not data or not data[0]:
             raise ValueError("matrix needs at least one row and one column")
         if any(len(row) != len(data[0]) for row in data):
@@ -37,6 +42,9 @@ class Matrix:
 
     def __setattr__(self, name, value):
         raise AttributeError("matrices are immutable")
+
+    def __reduce__(self):
+        return (Matrix, (self.data,))
 
     # -- constructors ------------------------------------------------------
 
@@ -60,11 +68,7 @@ class Matrix:
     def __eq__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            return False
-        return all(
-            a == b for ra, rb in zip(self.data, other.data) for a, b in zip(ra, rb)
-        )
+        return self.data == other.data
 
     def __hash__(self):
         return hash(self.data)
@@ -125,13 +129,9 @@ class Matrix:
                 "shape mismatch for product: %dx%d @ %dx%d"
                 % (self.rows, self.cols, other.rows, other.cols)
             )
-        ot = other.transpose()
-        return Matrix(
-            [
-                [_dot(row, col) for col in ot.data]
-                for row in self.data
-            ]
-        )
+        cols = list(zip(*other.data))
+        return Matrix([[sum(a * b for a, b in zip(row, col)) for col in cols]
+                       for row in self.data])
 
     def transpose(self):
         return Matrix(list(zip(*self.data)))
@@ -155,7 +155,7 @@ class Matrix:
 
     def rank(self):
         """Exact rank over Q (rational entries) or over the field Q(e)."""
-        return _eliminate(_scalar_rows(self), self.cols)[0]
+        return _eliminate([list(row) for row in self.data], self.cols)[0]
 
     def inverse(self):
         """Exact inverse of a square matrix.
@@ -167,7 +167,7 @@ class Matrix:
             raise ValueError("only square matrices invert")
         n = self.rows
         eye = Matrix.identity(n).data
-        a = _scalar_rows(Matrix([row + e for row, e in zip(self.data, eye)]))
+        a = [list(row + e) for row, e in zip(self.data, eye)]
         rank, pivot, _ = _eliminate(a, n, jordan=True)
         if rank < n:
             raise ValueError("singular matrix")
@@ -181,24 +181,10 @@ class Matrix:
     def determinant(self):
         if self.rows != self.cols:
             raise ValueError("determinant needs a square matrix")
-        rank, pivot, sign = _eliminate(_scalar_rows(self), self.cols)
+        rank, pivot, sign = _eliminate([list(row) for row in self.data], self.cols)
         if rank < self.rows:
             return Fraction(0)
         return -pivot if sign < 0 else pivot
-
-
-def _dot(row, col):
-    total = None
-    for a, b in zip(row, col):
-        total = a * b if total is None else total + a * b
-    return total
-
-
-def _scalar_rows(m):
-    """Mutable rows of m with int entries made Fractions (so that ``/``
-    stays exact); Fraction and Laurent entries are kept as they are."""
-    return [[x if isinstance(x, (Fraction, Laurent)) else Fraction(x) for x in row]
-            for row in m.data]
 
 
 def _eliminate(a, pivot_cols, jordan=False):

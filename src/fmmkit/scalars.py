@@ -50,6 +50,9 @@ class Laurent:
     def __setattr__(self, name, value):
         raise AttributeError("Laurent scalars are immutable")
 
+    def __reduce__(self):
+        return (Laurent, (dict(self.terms),))
+
     @staticmethod
     def monomial(coeff, exponent=0):
         return Laurent({exponent: coeff})
@@ -255,7 +258,6 @@ def parse_scalar(text, laurent=True):
 
 
 def format_rational(q):
-    q = Fraction(q)
     if q.denominator == 1:
         return str(q.numerator)
     return "%d/%d" % (q.numerator, q.denominator)

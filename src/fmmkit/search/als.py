@@ -85,7 +85,12 @@ class SearchConfig:
             raise ValueError("lambda_init must be > 0")
         if not 0 < self.lambda_decay < 1:
             raise ValueError("lambda_decay must lie strictly between 0 and 1")
-        grid = tuple(sorted(set(Fraction(g) for g in self.snap_grid)))
+        try:
+            grid = tuple(sorted(set(Fraction(g) for g in self.snap_grid)))
+            for g in grid:
+                float(g)  # the search snaps to the grid's floats
+        except OverflowError:
+            raise ValueError("snap_grid values must be finite floats") from None
         if Fraction(0) not in grid:
             raise ValueError("snap_grid must contain 0")
         object.__setattr__(self, "snap_grid", grid)

@@ -3,7 +3,8 @@
 A tensor here is a sum of rank-one terms P_i (x) Q_i (x) S_i describing a
 bilinear matrix-product scheme for <m,n,p>: P_i is m x n, Q_i is n x p and
 S_i is p x m (the output factor lives in the dual slot, so the scheme
-computes C = sum <P_i,A> <Q_i,B> S_i^T).
+computes C = sum <P_i,A> <Q_i,B> S_i^T).  A tensor keeps the factor
+matrices it is given, whose entries each Matrix settled when it was built.
 
 Verification expands the terms into the full (mn) x (np) x (pm) coefficient
 array and compares it to the classical tensor
@@ -35,22 +36,6 @@ Dims = namedtuple("Dims", ["m", "n", "p"])
 Term = namedtuple("Term", ["P", "Q", "S"])
 
 
-def _coerce_entry(x, mode):
-    """x in its one scalar form; a Laurent (always e-dependent) is
-    rejected in a rational tensor."""
-    if type(x) is Fraction:
-        return x
-    if isinstance(x, Laurent):
-        if mode == RATIONAL:
-            raise ValueError("e-dependent entry in a rational-mode tensor")
-        return x
-    return Fraction(x)
-
-
-def _coerce_matrix(m, mode):
-    return m.map(lambda x: _coerce_entry(x, mode))
-
-
 class FmmTensor:
     """Immutable sum of rank-one terms with optional A-support mask."""
 
@@ -62,7 +47,7 @@ class FmmTensor:
             raise ValueError("dimensions must be positive")
         if field_mode not in (RATIONAL, LAURENT):
             raise ValueError("field_mode must be %r or %r" % (RATIONAL, LAURENT))
-        coerced = []
+        kept = []
         for idx, term in enumerate(terms, start=1):
             P, Q, S = term
             if (P.rows, P.cols) != (dims.m, dims.n):
@@ -74,13 +59,12 @@ class FmmTensor:
             if (S.rows, S.cols) != (dims.p, dims.m):
                 raise ValueError("term %d: S is %dx%d, expected %dx%d"
                                  % (idx, S.rows, S.cols, dims.p, dims.m))
-            P = _coerce_matrix(P, field_mode)
-            Q = _coerce_matrix(Q, field_mode)
-            S = _coerce_matrix(S, field_mode)
+            if field_mode == RATIONAL and not all(f.is_rational() for f in (P, Q, S)):
+                raise ValueError("e-dependent entry in a rational-mode tensor")
             if not (P and Q and S):
                 raise ValueError("term %d has an all-zero factor" % idx)
-            coerced.append(Term(P, Q, S))
-        if not coerced:
+            kept.append(Term(P, Q, S))
+        if not kept:
             raise ValueError("a tensor needs at least one term")
         if support is not None:
             support = tuple(tuple(bool(v) for v in row) for row in support)
@@ -90,11 +74,14 @@ class FmmTensor:
                 raise ValueError("support mask allows no entry")
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "field_mode", field_mode)
-        object.__setattr__(self, "terms", tuple(coerced))
+        object.__setattr__(self, "terms", tuple(kept))
         object.__setattr__(self, "support", support)
 
     def __setattr__(self, name, value):
         raise AttributeError("tensors are immutable")
+
+    def __reduce__(self):
+        return (FmmTensor, (self.dims, self.field_mode, self.terms, self.support))
 
     @property
     def rank(self):
@@ -107,11 +94,7 @@ class FmmTensor:
             self.dims == other.dims
             and self.field_mode == other.field_mode
             and self.support == other.support
-            and len(self.terms) == len(other.terms)
-            and all(
-                ta.P == tb.P and ta.Q == tb.Q and ta.S == tb.S
-                for ta, tb in zip(self.terms, other.terms)
-            )
+            and self.terms == other.terms
         )
 
     def __repr__(self):

@@ -232,6 +232,27 @@ def test_multiply_schedule(capsys, tmp_path):
     assert load_matrix(out_path) == A @ B
 
 
+def test_unwritable_result_leaves_out_file_unchanged(capsys, tmp_path):
+    # 3,000-digit entries whose products have more digits than Python
+    # converts to text (4,300)
+    big = "3" * 3000
+    one = tmp_path / "one.fmm"
+    one.write_text("fmm 1\ndims 1 1 1\nrank 1\nfield rational\nterm 1\n1\n1\n1\n")
+    big_fmm = tmp_path / "big.fmm"
+    big_fmm.write_text(one.read_text().replace("term 1\n1\n", "term 1\n%s\n" % big))
+    big_mat = tmp_path / "big.mat"
+    big_mat.write_text("1 1\n%s\n" % big)
+    out = tmp_path / "out"
+    for argv in (("compose", "--op", "kron", "--inputs", "%s,%s" % (big_fmm, big_fmm)),
+                 ("multiply", "--schedule", str(one), "--a", str(big_mat),
+                  "--b", str(big_mat))):
+        out.write_text("previous contents\n")
+        code, _, err = run(capsys, *argv, "--out", str(out))
+        assert code == 2
+        assert "error: " in err
+        assert out.read_text() == "previous contents\n"
+
+
 def test_multiply_dimension_error(capsys, tmp_path):
     a = tmp_path / "a.mat"
     save_matrix(Matrix([[1, 2], [3, 4]]), a)
@@ -329,10 +350,12 @@ def test_search_failure_exit_code(capsys):
 
 
 def test_search_bad_grid(capsys):
-    code, _, err = run(capsys, "search", "--dims", "1", "1", "1",
-                       "--rank", "1", "--grid", "1,-1")
-    assert code == 2
-    assert "error:" in err
+    # a grid without 0, a zero denominator, a value past the float range
+    for grid in ("1,-1", "0,1/0", "0,1e400"):
+        code, _, err = run(capsys, "search", "--dims", "1", "1", "1",
+                           "--rank", "1", "--grid", grid)
+        assert code == 2
+        assert err.startswith("error: ")
 
 
 def test_missing_file_is_usage_error(capsys):

@@ -1,6 +1,10 @@
+import importlib.util
+from pathlib import Path
+
 import pytest
 
 from fmmkit import datasets
+from fmmkit.io import write_tensor
 from fmmkit.tensor import type_polynomial, verify_approximate, verify_exact
 
 
@@ -11,6 +15,25 @@ def test_dataset_names():
 @pytest.mark.parametrize("name", datasets.dataset_names())
 def test_bundled_datasets_are_clean(name):
     assert datasets.check_dataset(name) == []
+
+
+def test_bundled_files_match_their_generator():
+    # the generator rebuilds every bundled file byte for byte, in memory
+    path = Path(__file__).resolve().parents[1] / "tools" / "make_bundled_data.py"
+    spec = importlib.util.spec_from_file_location("make_bundled_data", path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    built = tool.schemes()
+    assert tuple(built) == datasets.dataset_names()
+    for name, t in built.items():
+        assert write_tensor(t) == datasets.dataset_text(name)
+        assert datasets.check_dataset(name, t) == []
+
+
+def test_check_dataset_checks_the_given_tensor(strassen, t58):
+    assert datasets.check_dataset("strassen", strassen) == []
+    problems = datasets.check_dataset("strassen", t58)
+    assert any(p.startswith("rank 58 != expected 7") for p in problems)
 
 
 def test_expected_info_is_copied():

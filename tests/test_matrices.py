@@ -165,3 +165,12 @@ def test_map_and_immutability():
     assert doubled == Matrix([[2, 4]])
     with pytest.raises(AttributeError):
         m.data = ()
+
+
+def test_constructor_settles_each_entry_once():
+    q = Fraction(1, 2)
+    x = Laurent.monomial(1, 1)
+    one, kept_q, kept_x = Matrix([[1, q, x]]).data[0]
+    assert type(one) is Fraction and one == 1
+    assert kept_q is q
+    assert kept_x is x

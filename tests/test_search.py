@@ -133,6 +133,8 @@ def test_search_config_validation():
         SearchConfig((2, 2, 2), 7, lambda_decay=1.5)
     with pytest.raises(ValueError):
         SearchConfig((2, 2, 2), 7, restarts=0)
+    with pytest.raises(ValueError):
+        SearchConfig((1, 1, 1), 1, snap_grid=(0, 10**400))  # no finite float
     cfg = SearchConfig((2, 2, 2), 7, snap_grid=(0, 1, -1, 1))
     assert cfg.snap_grid == (Fraction(-1), Fraction(0), Fraction(1))
 

@@ -1,5 +1,8 @@
+import copy
 import math
+import pickle
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -166,3 +169,32 @@ def test_equality_and_as_laurent(strassen):
     assert lifted != strassen
     assert verify_approximate(lifted).valid
     assert "FmmTensor(<2,2,2;7>" in repr(strassen)
+
+
+def test_tensor_keeps_the_factors_it_is_given(strassen):
+    t = FmmTensor(strassen.dims, strassen.field_mode, strassen.terms)
+    for kept, given in zip(t.terms, strassen.terms):
+        assert all(a is b for a, b in zip(kept, given))
+
+
+def test_laurent_factor_in_a_rational_tensor_is_refused():
+    one = Matrix([[1]])
+    with pytest.raises(ValueError, match="^e-dependent entry in a rational-mode tensor$"):
+        FmmTensor((1, 1, 1), RATIONAL, [Term(one, Matrix([[Laurent.monomial(1, 1)]]), one)])
+
+
+def test_parsed_entries_are_fractions_or_laurents(strassen, t58, teps):
+    for t in (strassen, t58, teps):
+        for term in t.terms:
+            for factor in term:
+                assert all(type(x) in (Fraction, Laurent) for row in factor.data for x in row)
+
+
+def test_copies_and_pickles_are_equal_and_immutable(strassen, teps):
+    e = Laurent.monomial(1, 1)
+    for obj in (e, Matrix([[e, 1], [0, Fraction(1, 2) * e]]), strassen, teps):
+        for twin in (copy.copy(obj), copy.deepcopy(obj), pickle.loads(pickle.dumps(obj))):
+            assert type(twin) is type(obj)
+            assert twin == obj
+            with pytest.raises(AttributeError):
+                setattr(twin, type(obj).__slots__[0], None)

@@ -14,10 +14,10 @@ printed e-power multiplying a whole factor is likewise folded into Q
 therefore differ from the printed layout of a summand only by where
 the unit scale sits, never in the term's value.
 
-The script rebuilds every file, re-verifies it (full Brent system for
-exact schemes, e -> 0 limit for the approximate one), checks the type
-polynomial that fmmkit.datasets expects, and writes the canonical
-serialization to src/fmmkit/data/, the one stored copy.
+The script rebuilds every file, checks it with fmmkit.datasets.check_dataset
+(verification, rank and the expected type polynomial), prints any
+mismatch, and writes the canonical serialization to src/fmmkit/data/,
+the one stored copy.  It exits 1 when any scheme fails its check.
 """
 
 import pathlib
@@ -25,10 +25,10 @@ import re
 import sys
 from fractions import Fraction
 
-from fmmkit.datasets import expected_info
+from fmmkit.datasets import check_dataset
 from fmmkit.matrices import Matrix
 from fmmkit.scalars import Laurent
-from fmmkit.tensor import FmmTensor, Term, type_polynomial, verify_approximate, verify_exact
+from fmmkit.tensor import FmmTensor, Term
 from fmmkit.io import write_tensor
 
 _TOKEN = re.compile(r"\s*(\()|\s*(\))|\s*(\+)|\s*(-)|\s*([abc][1-9][1-9])|\s*(e\^-?\d+)|\s*(e\b)")
@@ -275,44 +275,31 @@ TEPS_SUPPORT = (
     (True, True, True, True, True),
 )
 
-def main():
-    target = pathlib.Path(__file__).resolve().parent.parent / "src" / "fmmkit" / "data"
-    target.mkdir(parents=True, exist_ok=True)
-
-    schemes = {
+def schemes():
+    """The bundled schemes by dataset name, rebuilt from their tables."""
+    return {
         "strassen": build((2, 2, 2), "rational", STRASSEN),
         "3x5x5_58": build((3, 5, 5), "rational", R58),
         "teps": build((5, 5, 5), "laurent", TEPS, TEPS_SUPPORT),
     }
 
+
+def main():
+    target = pathlib.Path(__file__).resolve().parent.parent / "src" / "fmmkit" / "data"
+    target.mkdir(parents=True, exist_ok=True)
+
+    built = schemes()
     ok = True
-    for name, t in schemes.items():
-        if t.field_mode == "rational":
-            rep = verify_exact(t)
-            status = rep.passed
-            detail = str(rep)
-        else:
-            rep = verify_approximate(t)
-            status = rep.valid
-            detail = str(rep)
-        expected = expected_info(name)["type"]
-        tp = type_polynomial(t)
-        type_ok = tp.as_dict() == expected
-        print("%-10s rank %-3d %-28s type %s" % (
-            name, t.rank, detail, "OK" if type_ok else "MISMATCH"))
-        if not type_ok:
-            got = tp.as_dict()
-            for key in sorted(set(expected) | set(got)):
-                if expected.get(key) != got.get(key):
-                    print("   %s: expected %s, got %s"
-                          % (key, expected.get(key), got.get(key)))
-        ok = ok and status and type_ok
+    for name, t in built.items():
+        problems = check_dataset(name, t)
+        print("%-10s rank %-3d %s" % (name, t.rank, "; ".join(problems) or "OK"))
+        ok = ok and not problems
         (target / (name + ".fmm")).write_text(write_tensor(t), encoding="utf-8")
 
     if not ok:
         print("FAILED: fix the tables before shipping", file=sys.stderr)
         return 1
-    print("wrote %d files to %s" % (len(schemes), target))
+    print("wrote %d files to %s" % (len(built), target))
     return 0
 
 
