@@ -323,8 +323,7 @@ def embed_and_add(partial, block, embedding):
         raise ValueError("embedding indices exceed host dimensions")
 
     covered = {(r, c) for r in e.a_rows for c in e.a_cols}
-    complement = {(r, c) for r in range(m) for c in range(n)
-                  if not partial.support[r][c]}
+    complement = set(partial.masked_out())
     if covered != complement:
         raise ValueError("embedding must cover exactly the masked-out "
                          "A-entries (%d covered, %d masked)"
@@ -342,15 +341,14 @@ def mask_embedding(t):
     """
     if t.support is None:
         raise ValueError("tensor has no support mask")
-    m, n, p = t.dims
-    holes = [(r, c) for r in range(m) for c in range(n) if not t.support[r][c]]
+    holes = t.masked_out()
     if not holes:
         raise ValueError("support mask has an empty complement")
     rows = tuple(sorted({r for r, _ in holes}))
     cols = tuple(sorted({c for _, c in holes}))
     if len(holes) != len(rows) * len(cols):
         raise ValueError("masked-out region is not a full rectangle")
-    return BlockEmbedding(rows, cols, tuple(range(p)))
+    return BlockEmbedding(rows, cols, tuple(range(t.dims.p)))
 
 
 def hopcroft_rank_bound(m, n):

@@ -170,11 +170,8 @@ def _cmd_errscan(args):
     rng = np.random.default_rng(args.seed)
     A = rng.uniform(-1.0, 1.0, (m, n))
     B = rng.uniform(-1.0, 1.0, (n, p))
-    if t.support is not None:
-        for i in range(m):
-            for j in range(n):
-                if not t.support[i][j]:
-                    A[i, j] = 0.0
+    for i, j in t.masked_out():
+        A[i, j] = 0.0
     scan = epsilon_error_scan(t, A, B, eps_values)
     print(scan)
     return 0
@@ -196,13 +193,10 @@ def _cmd_search(args):
     cfg = SearchConfig(
         dims=tuple(args.dims),
         rank=args.rank,
-        lambda_init=args.lambda_init,
-        lambda_decay=args.lambda_decay,
         snap_grid=_parse_grid(args.grid),
         max_sweeps=args.max_sweeps,
         restarts=args.restarts,
         seed=args.seed,
-        tol=args.tol,
         allow_large=args.allow_large,
     )
     res = search(cfg, progress=lambda line: print(line, file=sys.stderr))
@@ -276,9 +270,6 @@ def _build_parser():
     p.add_argument("--rank", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--restarts", type=int, default=1)
-    p.add_argument("--tol", type=float, default=1e-10)
-    p.add_argument("--lambda-init", type=float, default=0.5)
-    p.add_argument("--lambda-decay", type=float, default=0.99)
     p.add_argument("--max-sweeps", type=int, default=2000)
     p.add_argument("--grid", default="0,1,-1", help="comma-separated snap grid rationals")
     p.add_argument("--allow-large", action="store_true", help="lift the desk-size cap")

@@ -121,7 +121,7 @@ def check_dataset(name, t=None):
                 "discrepancy order %d != expected %d"
                 % (report.discrepancy_order, info["discrepancy_order"])
             )
-        masked = sum(row.count(False) for row in t.support) if t.support else 0
+        masked = len(t.masked_out())
         if masked != info.get("masked_entries", 0):
             problems.append(
                 "masked entries %d != expected %d"

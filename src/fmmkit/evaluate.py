@@ -106,13 +106,9 @@ def _run_exact(levels, A, B, counter):
 def _check_mask_zeros(t, A):
     """A, a Matrix or a 2-D array of t's A shape, must vanish wherever
     t's support mask excludes an entry."""
-    if t.support is None:
-        return
-    for r, row in enumerate(t.support):
-        for c, allowed in enumerate(row):
-            if not allowed and A[r, c]:
-                raise ValueError(
-                    "A[%d,%d] must be zero under the support mask" % (r, c))
+    for r, c in t.masked_out():
+        if A[r, c]:
+            raise ValueError("A[%d,%d] must be zero under the support mask" % (r, c))
 
 
 def apply_bilinear(t, A, B, counter=None):

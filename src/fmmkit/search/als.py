@@ -38,12 +38,19 @@ DEFAULT_GRID = (
     Fraction(1),
 )
 
+# ridge schedule: lambda starts at LAMBDA_INIT and shrinks by LAMBDA_DECAY
+# after each sweep that lowers the residual; a restart converges once its
+# residual falls below TOL
+LAMBDA_INIT = 0.5
+LAMBDA_DECAY = 0.99
+TOL = 1e-10
+
 # ridge jitter that stands in for lambda when it underflows the solver;
 # keeps the normal matrix positive definite at lambda = 0
 JITTER = 1e-12
 
 # stagnation rule: if the residual has not dropped by STALL_DROP relative
-# over the last STALL_WINDOW sweeps, reset lambda to lambda_init
+# over the last STALL_WINDOW sweeps, reset lambda to LAMBDA_INIT
 STALL_WINDOW = 25
 STALL_DROP = 1e-3
 
@@ -55,7 +62,7 @@ BATCH_BYTES = 16 * 2**20
 RestartRecord = namedtuple(
     "RestartRecord", ["outcome", "sweeps", "lambda_resets", "best_residual"])
 RestartRecord.__doc__ = """How one restart ended.  outcome is "converged"
-(residual below tol), "exhausted" (ran max_sweeps), "nonfinite" (residual
+(residual below TOL), "exhausted" (ran max_sweeps), "nonfinite" (residual
 inf or nan), "singular" (a block solve raised LinAlgError) or "collapsed"
 (every factor stack exactly zero, which every later sweep keeps)."""
 
@@ -64,13 +71,10 @@ inf or nan), "singular" (a block solve raised LinAlgError) or "collapsed"
 class SearchConfig:
     dims: tuple
     rank: int
-    lambda_init: float = 0.5
-    lambda_decay: float = 0.99
     snap_grid: tuple = DEFAULT_GRID
     max_sweeps: int = 2000
     restarts: int = 1
     seed: int = 0
-    tol: float = 1e-10
     allow_large: bool = False
 
     def __post_init__(self):
@@ -81,10 +85,6 @@ class SearchConfig:
         if int(self.rank) < 1:
             raise ValueError("rank must be positive, got %r" % (self.rank,))
         object.__setattr__(self, "rank", int(self.rank))
-        if not self.lambda_init > 0:
-            raise ValueError("lambda_init must be > 0")
-        if not 0 < self.lambda_decay < 1:
-            raise ValueError("lambda_decay must lie strictly between 0 and 1")
         try:
             grid = tuple(sorted(set(Fraction(g) for g in self.snap_grid)))
             for g in grid:
@@ -101,8 +101,6 @@ class SearchConfig:
             raise ValueError("restarts must be positive")
         object.__setattr__(self, "restarts", int(self.restarts))
         object.__setattr__(self, "seed", int(self.seed))
-        if not self.tol > 0:
-            raise ValueError("tol must be > 0")
 
 
 @dataclass(frozen=True)
@@ -157,19 +155,10 @@ def factor_set_from_tensor(t):
     """Cast an exact tensor's factors to float stacks (rational mode only)."""
     if t.field_mode != RATIONAL:
         raise ValueError("only exact rational tensors cast to float factor stacks")
-    m, n, p = t.dims
-    r = len(t.terms)
-    P = np.zeros((r, m * n))
-    Q = np.zeros((r, n * p))
-    S = np.zeros((r, p * m))
-    for idx, term in enumerate(t.terms):
-        for i, j, v in term.P.nonzero_entries():
-            P[idx, i * n + j] = float(v)
-        for j, k, v in term.Q.nonzero_entries():
-            Q[idx, j * p + k] = float(v)
-        for k, i, v in term.S.nonzero_entries():
-            S[idx, k * m + i] = float(v)
-    return FactorSet(P, Q, S)
+    # a factor's rows, flattened in order, are its row of the stack
+    return FactorSet(*(np.array([[float(v) for row in factor.data for v in row]
+                                 for factor in factors])
+                       for factors in zip(*t.terms)))
 
 
 def brent_residual(f, dims):
@@ -188,22 +177,29 @@ def _grid_arrays(grid):
     return ordered, np.array([float(g) for g in ordered])
 
 
-def _snap_array(arr, grid_floats):
-    # index of the nearest grid point for each entry of the 1-D array arr,
-    # the first one on a tie; the grid axis comes first so that numpy's
-    # inner loops run along arr
-    return np.abs(arr - grid_floats[:, None]).argmin(axis=0)
+def _snap(f, grid_floats):
+    """Index of the nearest grid point for every entry of the stacks f, the
+    first one on a tie: one concatenate and one argmin over P's entries,
+    then Q's, then S's.  The grid axis comes first so that numpy's inner
+    loops run along the entries."""
+    return np.abs(np.concatenate(f, axis=None) - grid_floats[:, None]).argmin(axis=0)
+
+
+def _split(flat, shapes):
+    """flat, laid out as _snap lays out three stacks, cut into arrays of
+    the given shapes."""
+    a = math.prod(shapes[0])
+    b = a + math.prod(shapes[1])
+    return FactorSet(flat[:a].reshape(shapes[0]), flat[a:b].reshape(shapes[1]),
+                     flat[b:].reshape(shapes[2]))
 
 
 def snap_models(f, grid=DEFAULT_GRID):
     """Nearest-grid-point model stacks for the proximal term.  Distance
     ties go to the candidate of smaller magnitude."""
     _, gf = _grid_arrays(grid)
-    out = []
-    for stack in f:
-        arr = np.asarray(stack, dtype=np.float64)
-        out.append(gf[_snap_array(arr.ravel(), gf)].reshape(arr.shape))
-    return FactorSet(*out)
+    f = [np.asarray(stack, dtype=np.float64) for stack in f]
+    return _split(gf[_snap(f, gf)], [stack.shape for stack in f])
 
 
 def _effective_lambda(lam):
@@ -214,7 +210,9 @@ def _effective_lambda(lam):
 
 def als_block_solve(f, models, lam, dims, slot):
     """Solve one factor stack (slot "P", "Q" or "S") against the other two
-    at ridge weight lam, holding the rest of the factor set fixed."""
+    at ridge weight lam, holding the rest of the factor set fixed.  lam
+    below the solver jitter is bumped to JITTER so a lambda of exactly 0
+    stays solvable."""
     dims = Dims(*dims)
     f = _check_factors(f, dims)
     models = _check_factors(models, dims, rank=f.P.shape[0])
@@ -253,16 +251,11 @@ def _sweep(P, Q, S, mP, mQ, mS, T1, T2, T3, lam):
 
 
 def als_sweep(f, models, lam, dims):
-    """One cyclic pass of block solves P, Q then S.  Each solve uses the
-    stacks already updated earlier in the same pass.  lam below the solver
-    jitter is bumped to JITTER so a lambda of exactly 0 stays solvable."""
-    dims = Dims(*dims)
-    f = _check_factors(f, dims)
-    models = _check_factors(models, dims, rank=f.P.shape[0])
-    lam_eff = np.array([_effective_lambda(lam)])
-    T1, T2, T3 = _matricize(classical_dense(dims))
-    P, Q, S = _sweep(f.P, f.Q, f.S, models.P, models.Q, models.S, T1, T2, T3, lam_eff)
-    return FactorSet(P, Q, S)
+    """One cyclic pass of als_block_solve on P, Q then S.  Each solve uses
+    the stacks already updated earlier in the same pass."""
+    for slot in "PQS":
+        f = als_block_solve(f, models, lam, dims, slot)
+    return f
 
 
 def rationalize(f, dims, snap_grid=DEFAULT_GRID):
@@ -273,14 +266,11 @@ def rationalize(f, dims, snap_grid=DEFAULT_GRID):
     f = _check_factors(f, dims)
     gr, gf = _grid_arrays(snap_grid)
     m, n, p = dims
-    terms = []
-    for row in range(f.P.shape[0]):
-        mats = []
-        for stack, rows, cols in ((f.P, m, n), (f.Q, n, p), (f.S, p, m)):
-            idx = _snap_array(stack[row], gf)
-            mats.append(Matrix([[gr[idx[i * cols + j]] for j in range(cols)]
-                                for i in range(rows)]))
-        terms.append(Term(*mats))
+    r = f.P.shape[0]
+    # each stack row, reshaped, is one factor's grid indices
+    stacks = _split(_snap(f, gf), ((r, m, n), (r, n, p), (r, p, m)))
+    terms = [Term(*(Matrix([[gr[i] for i in row] for row in factor]) for factor in term))
+             for term in zip(*(stack.tolist() for stack in stacks))]
     try:
         t = FmmTensor(dims, RATIONAL, terms)
     except ValueError:
@@ -305,9 +295,9 @@ class _Descent:
     __slots__ = ("lam", "lam_eff", "trace", "best_res", "best", "best_at",
                  "prev_res", "guard", "resets", "outcome")
 
-    def __init__(self, start, lam):
-        self.lam = lam
-        self.lam_eff = _effective_lambda(lam)
+    def __init__(self, start):
+        self.lam = LAMBDA_INIT
+        self.lam_eff = _effective_lambda(LAMBDA_INIT)
         self.trace = []
         self.best_res = math.inf
         self.best = start
@@ -338,7 +328,7 @@ class _Descent:
             self.best_at = (stacks, row)
         elif self.best_at is not None:
             self.settle(cfg.rank)
-        if res < cfg.tol:
+        if res < TOL:
             self.outcome = "converged"
             self.settle(cfg.rank)
             return False
@@ -351,11 +341,11 @@ class _Descent:
             self.settle(cfg.rank)
             return False
         if res < self.prev_res:
-            self.lam *= cfg.lambda_decay
+            self.lam *= LAMBDA_DECAY
         if sweep - self.guard > STALL_WINDOW:
             anchor = self.trace[sweep - 1 - STALL_WINDOW][1]
             if not res < anchor * (1.0 - STALL_DROP):
-                self.lam = cfg.lambda_init
+                self.lam = LAMBDA_INIT
                 self.guard = sweep
                 self.resets += 1
         self.lam_eff = _effective_lambda(self.lam)
@@ -383,15 +373,13 @@ def _run_batch(cfg, indices, Tdense, T1, T2, T3, grid_floats):
                                 rng.uniform(-1.0, 1.0, (r, n * p)),
                                 rng.uniform(-1.0, 1.0, (r, p * m))))
     P, Q, S = (np.concatenate(stacks) for stacks in zip(*starts))
-    runs = [_Descent(start, cfg.lambda_init) for start in starts]
+    runs = [_Descent(start) for start in starts]
     live = runs
     for sweep in range(1, cfg.max_sweeps + 1):
         # one snap over all three stacks, flattened so that each model
         # comes back as a contiguous block
-        flat = grid_floats[_snap_array(np.concatenate((P, Q, S), axis=None), grid_floats)]
-        a, b = P.size, P.size + Q.size
-        models = (flat[:a].reshape(P.shape), flat[a:b].reshape(Q.shape),
-                  flat[b:].reshape(S.shape))
+        models = _split(grid_floats[_snap((P, Q, S), grid_floats)],
+                        (P.shape, Q.shape, S.shape))
         lam = np.array([d.lam_eff for d in live])
         try:
             stacks = _sweep(P, Q, S, *models, T1, T2, T3, lam)
@@ -446,7 +434,9 @@ def _run_restarts(cfg, progress=None):
         batch = _run_batch(cfg, indices, Tdense, T1, T2, T3, grid_floats)
         if progress is not None:
             for i, out in zip(indices, batch):
-                progress(_summary_line(i, out, cfg))
+                progress("restart %d %s residual %.6e after %d sweeps" % (
+                    i, "converged" if out.best_res < TOL else "stopped", out.best_res,
+                    out.sweeps))
         results.extend(batch)
     return results
 
@@ -493,14 +483,4 @@ def search(cfg, progress=None):
         trace=chosen.trace,
         restarts=tuple(RestartRecord(out.outcome, out.sweeps, out.resets, out.best_res)
                        for out in results),
-    )
-
-
-def _summary_line(i, out, cfg):
-    state = "converged" if out.best_res < cfg.tol else "stopped"
-    return "restart %d %s residual %.6e after %d sweeps" % (
-        i,
-        state,
-        out.best_res,
-        out.sweeps,
     )

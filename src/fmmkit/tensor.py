@@ -103,6 +103,12 @@ class FmmTensor:
             ", masked" if self.support else "",
         )
 
+    def masked_out(self):
+        """The (row, col) positions of A the support mask excludes, in
+        row-major order; none when the tensor is unmasked."""
+        return tuple((r, c) for r, row in enumerate(self.support or ())
+                     for c, allowed in enumerate(row) if not allowed)
+
     def with_terms(self, terms):
         return FmmTensor(self.dims, self.field_mode, terms, self.support)
 

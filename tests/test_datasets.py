@@ -17,17 +17,38 @@ def test_bundled_datasets_are_clean(name):
     assert datasets.check_dataset(name) == []
 
 
-def test_bundled_files_match_their_generator():
-    # the generator rebuilds every bundled file byte for byte, in memory
+def _load_generator():
     path = Path(__file__).resolve().parents[1] / "tools" / "make_bundled_data.py"
     spec = importlib.util.spec_from_file_location("make_bundled_data", path)
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
+    return tool
+
+
+def test_bundled_files_match_their_generator():
+    # the generator rebuilds every bundled file byte for byte, in memory
+    tool = _load_generator()
     built = tool.schemes()
     assert tuple(built) == datasets.dataset_names()
     for name, t in built.items():
         assert write_tensor(t) == datasets.dataset_text(name)
         assert datasets.check_dataset(name, t) == []
+
+
+def test_generator_writes_nothing_when_a_scheme_fails(tmp_path, monkeypatch, capsys):
+    tool = _load_generator()
+    real = tool.schemes()
+    # Strassen's first term with Q = b12 instead of b12 - b22
+    broken = ["a11 | b12 | c21 + c22"] + tool.STRASSEN[1:]
+    monkeypatch.setattr(tool, "schemes", lambda: dict(
+        real, strassen=tool.build((2, 2, 2), "rational", broken)))
+    # the tool writes under <its directory>/../src/fmmkit/data
+    monkeypatch.setattr(tool, "__file__", str(tmp_path / "tools" / "make_bundled_data.py"))
+    assert tool.main() == 1
+    assert list(tmp_path.rglob("*")) == []
+    out = capsys.readouterr()
+    assert "verification failed" in out.out
+    assert "nothing written" in out.err
 
 
 def test_check_dataset_checks_the_given_tensor(strassen, t58):

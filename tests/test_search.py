@@ -130,8 +130,6 @@ def test_search_config_validation():
     with pytest.raises(ValueError):
         SearchConfig((2, 2, 2), 7, snap_grid=(Fraction(1),))  # misses 0
     with pytest.raises(ValueError):
-        SearchConfig((2, 2, 2), 7, lambda_decay=1.5)
-    with pytest.raises(ValueError):
         SearchConfig((2, 2, 2), 7, restarts=0)
     with pytest.raises(ValueError):
         SearchConfig((1, 1, 1), 1, snap_grid=(0, 10**400))  # no finite float
@@ -214,7 +212,7 @@ def _serial_restart(cfg, index):
     P = rng.uniform(-1.0, 1.0, (cfg.rank, m * n))
     Q = rng.uniform(-1.0, 1.0, (cfg.rank, n * p))
     S = rng.uniform(-1.0, 1.0, (cfg.rank, p * m))
-    lam, trace, history = cfg.lambda_init, [], []
+    lam, trace, history = als.LAMBDA_INIT, [], []
     best_res, best, prev_res, guard, resets = math.inf, (P, Q, S), math.inf, 0, 0
     for sweep in range(1, cfg.max_sweeps + 1):
         mP, mQ, mS = snap(P), snap(Q), snap(S)
@@ -230,14 +228,14 @@ def _serial_restart(cfg, index):
             break
         if res < best_res:
             best_res, best = res, (P.copy(), Q.copy(), S.copy())
-        if res < cfg.tol:
+        if res < als.TOL:
             break
         if res < prev_res:
-            lam *= cfg.lambda_decay
+            lam *= als.LAMBDA_DECAY
         history.append(res)
         if sweep - guard > als.STALL_WINDOW:
             if not res < history[sweep - 1 - als.STALL_WINDOW] * (1.0 - als.STALL_DROP):
-                lam, guard, resets = cfg.lambda_init, sweep, resets + 1
+                lam, guard, resets = als.LAMBDA_INIT, sweep, resets + 1
         prev_res = res
     return best_res, best, len(trace), tuple(trace), resets
 

@@ -14,10 +14,11 @@ printed e-power multiplying a whole factor is likewise folded into Q
 therefore differ from the printed layout of a summand only by where
 the unit scale sits, never in the term's value.
 
-The script rebuilds every file, checks it with fmmkit.datasets.check_dataset
-(verification, rank and the expected type polynomial), prints any
-mismatch, and writes the canonical serialization to src/fmmkit/data/,
-the one stored copy.  It exits 1 when any scheme fails its check.
+The script rebuilds every file and checks it with
+fmmkit.datasets.check_dataset (verification, rank and the expected type
+polynomial), printing any mismatch.  Only when every scheme passes does
+it write the canonical serializations to src/fmmkit/data/, the one
+stored copy; otherwise it writes nothing and exits 1.
 """
 
 import pathlib
@@ -285,20 +286,20 @@ def schemes():
 
 
 def main():
-    target = pathlib.Path(__file__).resolve().parent.parent / "src" / "fmmkit" / "data"
-    target.mkdir(parents=True, exist_ok=True)
-
     built = schemes()
     ok = True
     for name, t in built.items():
         problems = check_dataset(name, t)
         print("%-10s rank %-3d %s" % (name, t.rank, "; ".join(problems) or "OK"))
         ok = ok and not problems
-        (target / (name + ".fmm")).write_text(write_tensor(t), encoding="utf-8")
-
     if not ok:
-        print("FAILED: fix the tables before shipping", file=sys.stderr)
+        print("FAILED: fix the tables before shipping; nothing written", file=sys.stderr)
         return 1
+
+    target = pathlib.Path(__file__).resolve().parent.parent / "src" / "fmmkit" / "data"
+    target.mkdir(parents=True, exist_ok=True)
+    for name, t in built.items():
+        (target / (name + ".fmm")).write_text(write_tensor(t), encoding="utf-8")
     print("wrote %d files to %s" % (len(built), target))
     return 0
 
