@@ -272,7 +272,7 @@ def _build_parser():
     p.add_argument("--restarts", type=int, default=1)
     p.add_argument("--max-sweeps", type=int, default=2000)
     p.add_argument("--grid", default="0,1,-1", help="comma-separated snap grid rationals")
-    p.add_argument("--allow-large", action="store_true", help="lift the desk-size cap")
+    p.add_argument("--allow-large", action="store_true", help="lift the desk-size and sweep-count caps")
     p.add_argument("--out", help="write the rationalized tensor here")
     p.set_defaults(func=_cmd_search)
 

@@ -18,6 +18,10 @@ Row entries are comma-separated in canonical output (one space after the
 comma, ' + ' around monomial sums); whitespace-separated compact tokens
 such as `1/2*e^-3+2` are accepted on input.  Matrix files carry a
 `rows cols` header and then row-major rational entries.
+
+Each distinct cell token is parsed once per file: a scheme file repeats a
+handful of tokens (0, 1, -1, ...) thousands of times, and the parsed
+scalars are immutable, so every cell with the same text shares one value.
 """
 
 from .matrices import Matrix
@@ -64,7 +68,24 @@ def _split_row(body):
     return body.split()
 
 
-def _parse_row(cursor, width, laurent, what):
+def _scalar_reader(laurent):
+    """read(cell) -> parse_scalar(cell), each distinct cell parsed once.
+
+    Only successful parses are kept, so a bad cell raises
+    ScalarParseError wherever it occurs.
+    """
+    table = {}
+
+    def read(cell):
+        value = table.get(cell)
+        if value is None:
+            value = table[cell] = parse_scalar(cell, laurent=laurent)
+        return value
+
+    return read
+
+
+def _parse_row(cursor, width, read, what):
     no, body = cursor.next(what)
     cells = _split_row(body)
     if width == 1 and "," not in body:
@@ -73,17 +94,14 @@ def _parse_row(cursor, width, laurent, what):
     if len(cells) != width:
         raise TensorFormatError(
             "%s: expected %d entries, got %d" % (what, width, len(cells)), no)
-    out = []
-    for cell in cells:
-        try:
-            out.append(parse_scalar(cell, laurent=laurent))
-        except ScalarParseError as exc:
-            raise TensorFormatError("%s: %s" % (what, exc), no) from None
-    return out
+    try:
+        return [read(cell) for cell in cells]
+    except ScalarParseError as exc:
+        raise TensorFormatError("%s: %s" % (what, exc), no) from None
 
 
-def _parse_factor(cursor, rows, cols, laurent, what):
-    data = [_parse_row(cursor, cols, laurent, "%s row %d" % (what, r + 1))
+def _parse_factor(cursor, rows, cols, read, what):
+    data = [_parse_row(cursor, cols, read, "%s row %d" % (what, r + 1))
             for r in range(rows)]
     return Matrix(data)
 
@@ -136,7 +154,7 @@ def parse_tensor(text):
             mask.append(tuple(ch == "1" for ch in body))
         support = tuple(mask)
 
-    laurent = mode == LAURENT
+    read = _scalar_reader(mode == LAURENT)
     terms = []
     for idx in range(1, rank + 1):
         no, body = cursor.next("'term %d'" % idx)
@@ -147,9 +165,9 @@ def parse_tensor(text):
                     % (idx, body), no)
             raise TensorFormatError(
                 "rank mismatch: header says %d terms, found %d" % (rank, idx - 1), no)
-        P = _parse_factor(cursor, m, n, laurent, "term %d P" % idx)
-        Q = _parse_factor(cursor, n, p, laurent, "term %d Q" % idx)
-        S = _parse_factor(cursor, p, m, laurent, "term %d S" % idx)
+        P = _parse_factor(cursor, m, n, read, "term %d P" % idx)
+        Q = _parse_factor(cursor, n, p, read, "term %d Q" % idx)
+        S = _parse_factor(cursor, p, m, read, "term %d S" % idx)
         terms.append(Term(P, Q, S))
 
     if not cursor.done():
@@ -178,9 +196,9 @@ def write_tensor(t):
     for idx, term in enumerate(t.terms, start=1):
         out.append("term %d" % idx)
         for factor in (term.P, term.Q, term.S):
-            for r in range(factor.rows):
+            for row in factor.data:
                 out.append(", ".join(
-                    format_scalar(factor[(r, c)]) for c in range(factor.cols)))
+                    format_scalar(x) if x else "0" for x in row))
             out.append("")
     if out[-1] == "":
         out.pop()
@@ -219,10 +237,11 @@ def parse_matrix(text):
     if len(body) != rows * cols:
         raise TensorFormatError(
             "expected %d entries, got %d" % (rows * cols, len(body)))
+    read = _scalar_reader(False)
     values = []
     for no, tok in body:
         try:
-            values.append(parse_scalar(tok, laurent=False))
+            values.append(read(tok))
         except ScalarParseError as exc:
             raise TensorFormatError(str(exc), no) from None
     data = [values[r * cols:(r + 1) * cols] for r in range(rows)]

@@ -137,11 +137,18 @@ class Matrix:
         return Matrix(list(zip(*self.data)))
 
     def kron(self, other):
-        """Kronecker product; big row index = (outer row)*(inner rows) + inner row."""
-        out = []
-        for ra in self.data:
-            for rb in other.data:
-                out.append([a * b for a in ra for b in rb])
+        """Kronecker product; big row index = (outer row)*(inner rows) + inner row.
+
+        Built from the nonzero entries of both operands: a grid of
+        Fraction(0) gets one product per pair of nonzeros, so no cell
+        pair involving a zero is multiplied.
+        """
+        rows, cols = other.rows, other.cols
+        out = [[Fraction(0)] * (self.cols * cols) for _ in range(self.rows * rows)]
+        inner = list(other.nonzero_entries())
+        for i, j, a in self.nonzero_entries():
+            for k, l, b in inner:
+                out[i * rows + k][j * cols + l] = a * b
         return Matrix(out)
 
     def _check_same_shape(self, other):

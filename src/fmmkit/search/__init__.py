@@ -1,6 +1,7 @@
 from .als import (
     DEFAULT_GRID,
     DESK_LIMIT,
+    SWEEP_LIMIT,
     FactorSet,
     RestartRecord,
     SearchConfig,

@@ -30,6 +30,10 @@ FactorSet = namedtuple("FactorSet", ["P", "Q", "S"])
 # interactive, so larger problems must opt in explicitly
 DESK_LIMIT = 36
 
+# beyond this many sweeps a restart's run time and trace (one entry per
+# sweep) stop being desk-sized, so more must opt in explicitly too
+SWEEP_LIMIT = 100_000
+
 DEFAULT_GRID = (
     Fraction(-1),
     Fraction(-1, 2),
@@ -94,9 +98,13 @@ class SearchConfig:
         if Fraction(0) not in grid:
             raise ValueError("snap_grid must contain 0")
         object.__setattr__(self, "snap_grid", grid)
-        if int(self.max_sweeps) < 1:
-            raise ValueError("max_sweeps must be positive")
         object.__setattr__(self, "max_sweeps", int(self.max_sweeps))
+        if self.max_sweeps < 1:
+            raise ValueError("max_sweeps must be positive")
+        if self.max_sweeps > SWEEP_LIMIT and not self.allow_large:
+            raise ValueError(
+                "max_sweeps %d exceeds the sweep limit %d; set allow_large=True to proceed"
+                % (self.max_sweeps, SWEEP_LIMIT))
         if int(self.restarts) < 1:
             raise ValueError("restarts must be positive")
         object.__setattr__(self, "restarts", int(self.restarts))

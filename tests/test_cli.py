@@ -358,6 +358,16 @@ def test_search_bad_grid(capsys):
         assert err.startswith("error: ")
 
 
+def test_search_huge_max_sweeps_exits_two_at_once(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "search", "--dims", "2", "1", "1", "--rank", "1",
+                         "--max-sweeps", str(10**30))
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: max_sweeps %d exceeds the sweep limit" % 10**30)
+
+
 def test_missing_file_is_usage_error(capsys):
     code, _, err = run(capsys, "verify", "no-such-file.fmm")
     assert code == 2

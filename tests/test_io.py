@@ -1,8 +1,11 @@
+import hashlib
 import random
 from fractions import Fraction
 
 import pytest
 
+from fmmkit import io
+from fmmkit.algebra import direct_sum, embed_and_add, kronecker, mask_embedding
 from fmmkit.io import (
     TensorFormatError,
     load_matrix,
@@ -15,10 +18,10 @@ from fmmkit.io import (
     write_tensor,
 )
 from fmmkit.matrices import Matrix
-from fmmkit.scalars import Laurent
-from fmmkit.tensor import LAURENT, verify_exact
+from fmmkit.scalars import Laurent, format_scalar
+from fmmkit.tensor import LAURENT, classical_tensor, verify_exact
 
-from helpers import rand_tensor
+from helpers import laurent_copy, rand_tensor
 
 TRIVIAL = """\
 fmm 1
@@ -37,6 +40,70 @@ def test_parse_trivial():
     assert t.dims == (1, 1, 1)
     assert t.rank == 1
     assert verify_exact(t).passed
+
+
+def _count_parse_scalar(monkeypatch):
+    """Wrap io.parse_scalar; returns the list of texts it is called with."""
+    real = io.parse_scalar
+    calls = []
+
+    def counted(text, laurent=True):
+        calls.append(text)
+        return real(text, laurent=laurent)
+
+    monkeypatch.setattr(io, "parse_scalar", counted)
+    return calls
+
+
+def test_each_distinct_token_is_parsed_once(monkeypatch, strassen, t58):
+    k = kronecker(t58, strassen)
+    cells = {format_scalar(x) for term in k.terms for f in (term.P, term.Q, term.S)
+             for row in f.data for x in row}
+    assert len(cells) == 3
+    text = write_tensor(k)
+    calls = _count_parse_scalar(monkeypatch)
+    assert parse_tensor(text) == k
+    assert sorted(calls) == sorted(cells)
+
+
+def test_repeated_bad_token_names_its_first_line(monkeypatch):
+    rational_e = TRIVIAL.replace("term 1\n1\n1\n", "term 1\n1\n1*e^1\n1*e^1\n")
+    malformed = TRIVIAL.replace("term 1\n1\n1\n", "term 1\n1\n1/0\n1/0\n")
+    for text, message in (
+            (rational_e, "line 7: term 1 Q row 1: e-dependent scalar '1*e^1' in rational mode"),
+            (malformed, "line 7: term 1 Q row 1: zero denominator in '1/0'")):
+        with pytest.raises(TensorFormatError) as err:
+            parse_tensor(text)
+        assert err.value.line == 7
+        assert str(err.value) == message
+    calls = _count_parse_scalar(monkeypatch)
+    with pytest.raises(TensorFormatError) as err:
+        parse_matrix("2 2\n1 1\n1/0 1/0\n")
+    assert str(err.value) == "line 3: zero denominator in '1/0'"
+    assert calls == ["1", "1/0"]
+
+
+# sha256 of write_tensor's text as the dense row-by-row kron and the
+# format-every-entry writer produced it, so that no change to either can
+# alter a written file
+WRITTEN_SHA256 = {
+    "kron": "5b71b30fe3419702671d458d2d29818aa99f7e487073128ae785b4bf0ea0e292",
+    "dsum": "128768fac36447d950870b0075c82372b6931155ec50acd1338a5da5c996e6f2",
+    "embed": "5432ee010bbb6bd099cfa8b7267116a22e9f0039e134bcae8c8aaf25926171bf",
+    "laurent_strassen": "8b36805157d0daa2f1885d7c3432bfb7bcfb72f3771684ef3ea302d6d7f00e9e",
+}
+
+
+def test_written_text_is_byte_identical(strassen, t58, teps):
+    tensors = {
+        "kron": kronecker(t58, strassen),
+        "dsum": direct_sum(t58, classical_tensor((2, 5, 5)), axis="M"),
+        "embed": embed_and_add(teps, classical_tensor((3, 3, 5)), mask_embedding(teps)),
+        "laurent_strassen": laurent_copy(strassen),
+    }
+    digests = {name: hashlib.sha256(write_tensor(t).encode()).hexdigest()
+               for name, t in tensors.items()}
+    assert digests == WRITTEN_SHA256
 
 
 def test_comments_blank_lines_and_compact_rows():

@@ -3,12 +3,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fmmkit.matrices import Matrix
 from fmmkit.scalars import Laurent
 from fmmkit.tensor import LAURENT, RATIONAL
 
-from helpers import rand_factor, rand_invertible
+from helpers import rand_factor, rand_invertible, rand_scalar
 
 
 def test_constructor_and_shape():
@@ -63,6 +65,37 @@ def test_kron():
     k = a.kron(Matrix([[0, 1]]))
     assert (k.rows, k.cols) == (2, 4)
     assert k == Matrix([[0, 1, 0, 2], [0, 3, 0, 4]])
+
+
+def _dense_kron(a, b):
+    """Reference product: every cell pair multiplied, row by row."""
+    return Matrix([[x * y for x in ra for y in rb] for ra in a.data for rb in b.data])
+
+
+def _sparse_factor(rng):
+    """Rational or Laurent matrix up to 4x4, often with all-zero rows and
+    columns, sometimes all zero."""
+    rows, cols = rng.randint(1, 4), rng.randint(1, 4)
+    mode = rng.choice((RATIONAL, LAURENT))
+    data = [[rand_scalar(rng, mode) if rng.random() < 0.6 else Fraction(0)
+             for _ in range(cols)] for _ in range(rows)]
+    if rng.random() < 0.5:
+        data[rng.randrange(rows)] = [Fraction(0)] * cols
+    if rng.random() < 0.5:
+        j = rng.randrange(cols)
+        for row in data:
+            row[j] = Fraction(0)
+    return Matrix(data)
+
+
+@settings(max_examples=300)
+@given(st.integers(min_value=0, max_value=2**48 - 1))
+def test_sparse_kron_matches_the_dense_product(seed):
+    rng = random.Random(seed)
+    a, b = _sparse_factor(rng), _sparse_factor(rng)
+    k = a.kron(b)
+    assert k == _dense_kron(a, b)
+    assert all(type(x) is Fraction for row in k.data for x in row if not x)
 
 
 def test_rank_and_determinant_rational():

@@ -10,6 +10,7 @@ from fmmkit.search import (
     FactorSet,
     RestartRecord,
     SearchConfig,
+    SWEEP_LIMIT,
     SearchResult,
     als_objective,
     als_sweep,
@@ -147,6 +148,15 @@ def test_search_desk_limit():
         search(SearchConfig(big, 2, max_sweeps=1, allow_large=True))
     assert any("desk" in str(w.message).lower() or "large" in str(w.message).lower()
                for w in caught)
+
+
+def test_search_sweep_limit():
+    assert SearchConfig((2, 1, 1), 1, max_sweeps=SWEEP_LIMIT).max_sweeps == SWEEP_LIMIT
+    for sweeps in (SWEEP_LIMIT + 1, 10**30):
+        with pytest.raises(ValueError, match="sweep limit"):
+            SearchConfig((2, 1, 1), 1, max_sweeps=sweeps)
+        cfg = SearchConfig((2, 1, 1), 1, max_sweeps=sweeps, allow_large=True)
+        assert cfg.max_sweeps == sweeps
 
 
 def test_search_trivial_problem_succeeds():
