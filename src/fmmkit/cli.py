@@ -29,9 +29,11 @@ from .io import (
     save_tensor,
     write_matrix,
 )
+from .scalars import format_scalar
 from .tensor import (
     LAURENT,
     UnverifiedSchemeError,
+    explain,
     type_polynomial,
     verify_approximate,
     verify_exact,
@@ -47,11 +49,28 @@ def _cmd_verify(args):
     t = load_tensor(args.file)
     if args.approx or t.field_mode == LAURENT:
         report = verify_approximate(t, mode=args.mode)
-        print(report)
-        return 0 if report.valid else 1
-    report = verify_exact(t)
+        ok = report.valid
+    else:
+        report = verify_exact(t)
+        ok = report.passed
     print(report)
-    return 0 if report.passed else 1
+    if args.explain:
+        for ((i, j), (j2, k), (k2, i2)), value, terms in explain(t, report, args.explain):
+            print("(%d,%d),(%d,%d),(%d,%d) residual %s terms %s" % (
+                i, j, j2, k, k2, i2, format_scalar(value),
+                ",".join(map(str, terms)) or "none"))
+    return 0 if ok else 1
+
+
+def _nonnegative_int(text):
+    """argparse type of a non-negative integer option."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError("expected a non-negative integer, got %r" % text)
+    return value
 
 
 def _cmd_type(args):
@@ -224,6 +243,9 @@ def _build_parser():
     p.add_argument("file")
     p.add_argument("--approx", action="store_true", help="force approximate verification")
     p.add_argument("--mode", choices=("strict", "scaled"), default="strict")
+    p.add_argument("--explain", type=_nonnegative_int, metavar="K",
+                   help="list the first K failing equations: 0-based coordinates, "
+                        "residual and the 1-based terms touching each")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("type", help="print the type polynomial")

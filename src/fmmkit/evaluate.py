@@ -24,7 +24,7 @@ import numpy as np
 
 from .matrices import Matrix
 from .scalars import value_at
-from .tensor import RATIONAL, FmmTensor, UnverifiedSchemeError, verify_exact
+from .tensor import RATIONAL, FmmTensor, UnverifiedSchemeError, compiled, verify_exact
 
 
 class MultiplicationCounter:
@@ -41,10 +41,9 @@ class MultiplicationCounter:
 
 def _compile(t):
     """dims plus, for each factor slot P, Q, S, every term's nonzero
-    entries as (row, col, value) triples."""
-    return t.dims, tuple(
-        [tuple(getattr(term, slot).nonzero_entries()) for term in t.terms]
-        for slot in "PQS")
+    entries as (row, col, value) triples, read from t's compiled form (the
+    one verify_exact uses)."""
+    return t.dims, compiled(t).entries
 
 
 def _combine(blocks, factors):

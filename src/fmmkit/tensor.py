@@ -16,14 +16,35 @@ cubic equation per coordinate, (mnp)^2 in total.  Approximate (laurent)
 schemes pass when the difference vanishes at e -> 0, that is when every
 residual coefficient has e-order >= 1.  Both checks subtract the same
 classical target, scaled by e^q in approximate verification (q = 0 for
-exact), from the expansion in the tensor's own scalars: a rational
-tensor's residual stays rational under either check.
+exact), from the expansion: a rational tensor's residual stays rational
+under either check.
+
+The expansion runs on integers.  Each tensor is compiled once (see
+:func:`compiled`): for each factor slot P, Q, S every nonzero monomial
+q * e^k of every entry is recorded as its term index, its flat position
+row * cols + col, its exponent k (0 in rational mode) and an integer
+numerator, with each factor's denominators cleared.  Term i then carries
+one integer weight w_i over a common denominator L, so that L times the
+expansion is a sum of integer products w_i * p * q * s.  The products are
+formed as per-term outer products of index arrays, sorted once by
+(coordinate, exponent) key and summed with np.add.reduceat; the classical
+target, L * e^q at each classical coordinate, is subtracted the same way,
+and Python scalars are built only for the nonzero coordinates left.
+
+Nothing rounds.  Sums run in int64 only under a proven bound: every
+partial sum is at most sum_i w_i |P_i|_1 |Q_i|_1 |S_i|_1 + L in magnitude
+(1-norms over the cleared numerators), and that bound must be below 2^63.
+Keys are int64 only when (mn)(np)(pm) times the exponent span is below
+2^63.  Otherwise the same code runs on object arrays of Python ints.
 """
 
 import math
 from collections import namedtuple
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
+
+import numpy as np
 
 from .matrices import Matrix
 from .scalars import Laurent, laurent_order
@@ -39,7 +60,9 @@ Term = namedtuple("Term", ["P", "Q", "S"])
 class FmmTensor:
     """Immutable sum of rank-one terms with optional A-support mask."""
 
-    __slots__ = ("dims", "field_mode", "terms", "support")
+    # _compiled holds the compiled form once built; equality, pickling and
+    # copies ignore it
+    __slots__ = ("dims", "field_mode", "terms", "support", "_compiled")
 
     def __init__(self, dims, field_mode, terms, support=None):
         dims = Dims(*dims)
@@ -76,6 +99,7 @@ class FmmTensor:
         object.__setattr__(self, "field_mode", field_mode)
         object.__setattr__(self, "terms", tuple(kept))
         object.__setattr__(self, "support", support)
+        object.__setattr__(self, "_compiled", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("tensors are immutable")
@@ -128,30 +152,214 @@ def classical_tensor(dims, support=None, field_mode=RATIONAL):
     return FmmTensor(dims, field_mode, terms, support)
 
 
+CompiledTensor = namedtuple("CompiledTensor", ["entries", "slots", "weights", "scale", "bound"])
+CompiledTensor.__doc__ = """A tensor's compiled form, built once by :func:`compiled`.
+
+entries: per factor slot P, Q, S, each term's nonzero entries as
+    (row, col, value) triples, the evaluator's view of the tensor.
+slots: per factor slot, the arrays (term, pos, exp, num) over its nonzero
+    monomials in term order: term index and flat position as int64,
+    exponent and cleared numerator as Python ints.
+weights: per term, the integer w_i = scale / (its three factors'
+    denominators), so scale * P_i (x) Q_i (x) S_i = w_i * p (x) q (x) s.
+scale: the common denominator L.
+bound: sum_i w_i |P_i|_1 |Q_i|_1 |S_i|_1 + L, which no partial sum of an
+    expansion or residual (scaled by L) exceeds in magnitude.
+"""
+
+_INT64_LIMIT = 2**63
+
+
+def compiled(t):
+    """t's compiled form, built on first use and kept on the tensor."""
+    form = t._compiled
+    if form is None:
+        form = _compile(t)
+        object.__setattr__(t, "_compiled", form)
+    return form
+
+
+def _compile(t):
+    """Build t's CompiledTensor."""
+    entries = ([], [], [])
+    slots = tuple(([], [], [], []) for _ in range(3))
+    dens, sizes = [], []
+    for index, term in enumerate(t.terms):
+        den = size = 1
+        for factor, slot_entries, (terms, pos, exp, num) in zip(term, entries, slots):
+            nonzero = tuple(factor.nonzero_entries())
+            slot_entries.append(nonzero)
+            monomials = [(i * factor.cols + j, k, q) for i, j, v in nonzero
+                         for k, q in (v.terms.items() if isinstance(v, Laurent) else ((0, v),))]
+            d = math.lcm(*(q.denominator for _, _, q in monomials))
+            norm = 0
+            for at, k, q in monomials:
+                c = q.numerator * (d // q.denominator)
+                terms.append(index)
+                pos.append(at)
+                exp.append(k)
+                num.append(c)
+                norm += abs(c)
+            den *= d
+            size *= norm
+        dens.append(den)
+        sizes.append(size)
+    scale = math.lcm(*dens)
+    weights = [scale // d for d in dens]
+    return CompiledTensor(
+        tuple(tuple(slot) for slot in entries),
+        tuple((np.array(terms, dtype=np.int64), np.array(pos, dtype=np.int64),
+               np.array(exp, dtype=object), np.array(num, dtype=object))
+              for terms, pos, exp, num in slots),
+        weights, scale, sum(w * s for w, s in zip(weights, sizes)) + scale)
+
+
+def _width(bound):
+    """dtype for values at most `bound` in magnitude: int64 when bound is
+    below 2^63, else object (Python ints)."""
+    return np.int64 if bound < _INT64_LIMIT else object
+
+
+def _key_dtype(dims, span):
+    """dtype of the coordinate * span + exponent sort keys of a <m,n,p>
+    expansion whose exponents span `span` values."""
+    m, n, p = dims
+    return _width(m * n * n * p * p * m * span)
+
+
+def _coordinate(dims, key):
+    """Flat coordinate of a ((i,j), (j',k), (k',i')) triple; KeyError when
+    the triple is malformed or out of range."""
+    m, n, p = dims
+    try:
+        (i, j), (j2, k), (k2, i2) = key
+        inside = (0 <= i < m and 0 <= j < n and 0 <= j2 < n and 0 <= k < p
+                  and 0 <= k2 < p and 0 <= i2 < m)
+    except (TypeError, ValueError):
+        inside = False
+    if not inside:
+        raise KeyError(key)
+    return ((i * n + j) * (n * p) + j2 * p + k) * (p * m) + k2 * m + i2
+
+
+def _triples(dims, coords):
+    """Coordinate triples of flat coordinates, as Python ints."""
+    m, n, p = dims
+    out = []
+    for c in coords.tolist():
+        rest, s = divmod(c, p * m)
+        a, b = divmod(rest, n * p)
+        out.append((divmod(a, n), divmod(b, p), divmod(s, m)))
+    return out
+
+
+class CoefficientMap(Mapping):
+    """Read-only sparse coefficient map: coordinate triple -> nonzero scalar.
+
+    Backed by arrays sorted by (coordinate, exponent) with no zero entry:
+    the coefficient of e^(lo + exp[x]) at flat coordinate coord[x] is
+    num[x] / scale.  Each value is built when it is looked up.
+    """
+
+    __slots__ = ("dims", "coord", "exp", "num", "lo", "span", "scale", "_first")
+
+    def __init__(self, dims, coord, exp, num, lo, span, scale):
+        self.dims = dims
+        self.coord, self.exp, self.num = coord, exp, num
+        self.lo, self.span, self.scale = lo, span, scale
+        self._first = _run_starts(coord)
+
+    def __getitem__(self, key):
+        c = _coordinate(self.dims, key)
+        a, b = np.searchsorted(self.coord, [c, c + 1])
+        if a == b:
+            raise KeyError(key)
+        return Laurent({self.lo + k: Fraction(v, self.scale)
+                        for k, v in zip(self.exp[a:b].tolist(), self.num[a:b].tolist())})
+
+    def __iter__(self):
+        return iter(_triples(self.dims, self.coord[self._first]))
+
+    def __len__(self):
+        return len(self._first)
+
+
+def _run_starts(a):
+    """Indices at which a run of equal values starts in the sorted array a."""
+    return np.flatnonzero(np.concatenate((np.ones(min(len(a), 1), dtype=bool),
+                                          a[1:] != a[:-1])))
+
+
+def _sum_by_key(key, num, span):
+    """Sum the values of equal keys coordinate * span + exponent offset,
+    dropping zero sums; returns the coord, exp and num arrays sorted by
+    key."""
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    first = _run_starts(key)
+    num = np.add.reduceat(num[order], first)
+    key = key[first]
+    nonzero = num != 0
+    key, num = key[nonzero], num[nonzero]
+    return key // span, key % span, num
+
+
+def _products(t):
+    """Every product of t's expansion, as arrays over the products: term
+    index, key (flat coordinate * span + exponent offset from lo) and value
+    times the scale; then lo and the exponent span."""
+    form = compiled(t)
+    m, n, p = t.dims
+    counts = [np.bincount(slot[0], minlength=t.rank) for slot in form.slots]
+    per_term = counts[0] * counts[1] * counts[2]
+    term = np.repeat(np.arange(t.rank), per_term)
+    # a product's index within its term, read as mixed-radix digits: its
+    # P monomial, Q monomial and S monomial
+    rest = np.arange(len(term)) - np.repeat(np.cumsum(per_term) - per_term, per_term)
+    radices = (counts[1] * counts[2], counts[2], np.ones_like(counts[2]))
+    lows = [min(slot[2]) for slot in form.slots]
+    lo = sum(lows)
+    span = sum(max(slot[2]) - low for slot, low in zip(form.slots, lows)) + 1
+    kd, vd = _key_dtype(t.dims, span), _width(form.bound)
+    # key = ((posP * np + posQ) * pm + posS) * span + expP + expQ + expS,
+    # summed one slot at a time from per-monomial parts
+    strides = (n * p * p * m * span, p * m * span, span)
+    key = np.zeros(len(term), dtype=kd)
+    num = np.array(form.weights, dtype=vd)[term]
+    for (_, pos, exps, nums), count, radix, stride, low in zip(
+            form.slots, counts, radices, strides, lows):
+        pick, rest = np.divmod(rest, radix[term])
+        pick += (np.cumsum(count) - count)[term]
+        key += (pos.astype(kd) * stride + (exps - low).astype(kd))[pick]
+        num *= nums.astype(vd)[pick]
+    return term, key, num, lo, span
+
+
 def expand(t):
     """Coefficient array of the tensor as a sparse map.
 
     Keys are ((i,j), (j',k), (k',i')) coordinate triples (0-based); values
-    are the nonzero coefficients.  One pass over the terms costs
-    sum_i nnz(P_i) * nnz(Q_i) * nnz(S_i) exact multiplications.
+    are the nonzero coefficients.  The result is a read-only
+    :class:`CoefficientMap` over arrays: the sum_i nnz(P_i) nnz(Q_i)
+    nnz(S_i) products (counting monomials for laurent entries) are formed
+    from t's compiled form as integers over its common denominator, sorted
+    once by (coordinate, exponent) and summed.  Values and keys are int64
+    under the bounds in the module docstring and Python ints otherwise, so
+    the map is exact either way.
     """
-    acc = {}
-    for term in t.terms:
-        p_entries = list(term.P.nonzero_entries())
-        q_entries = list(term.Q.nonzero_entries())
-        s_entries = list(term.S.nonzero_entries())
-        for i, j, pv in p_entries:
-            for j2, k, qv in q_entries:
-                pq = pv * qv
-                for k2, i2, sv in s_entries:
-                    key = ((i, j), (j2, k), (k2, i2))
-                    cur = acc.get(key)
-                    val = pq * sv if cur is None else cur + pq * sv
-                    if not val:
-                        acc.pop(key, None)
-                    else:
-                        acc[key] = val
-    return acc
+    key, num, lo, span = _products(t)[1:]
+    return CoefficientMap(t.dims, *_sum_by_key(key, num, span), lo, span, compiled(t).scale)
+
+
+def _classical_coords(dims, support, dtype):
+    """Flat coordinates of the classical tensor's nonzero coefficients."""
+    m, n, p = dims
+    i, j, k = (x.ravel() for x in np.indices((m, n, p)))
+    if support is not None:
+        allowed = np.array(support)[i, j]
+        i, j, k = i[allowed], j[allowed], k[allowed]
+    i, j, k = (x.astype(dtype) for x in (i, j, k))
+    return ((i * n + j) * (n * p) + j * p + k) * (p * m) + k * m + i
 
 
 def classical_map(dims, support=None):
@@ -167,20 +375,18 @@ def classical_map(dims, support=None):
     return out
 
 
-def residual_map(t, q=0, expansion=None):
-    """expand(t) - e^q * classical target, as a sparse map of nonzero
-    residuals.  expansion, when given, is expand(t) computed once for
-    several q; it is left unchanged."""
-    delta = expand(t) if expansion is None else dict(expansion)
-    one = Laurent.monomial(1, q)
-    for key in classical_map(t.dims, t.support):
-        cur = delta.get(key)
-        val = -one if cur is None else cur - one
-        if not val:
-            delta.pop(key, None)
-        else:
-            delta[key] = val
-    return delta
+def _residual(t, expansion, q):
+    """expansion - e^q * classical target of t, as a CoefficientMap; the
+    target is scaled into the expansion's integers."""
+    lo = min(expansion.lo, q)
+    span = max(expansion.lo + expansion.span, q + 1) - lo
+    kd = _key_dtype(t.dims, span)
+    target = _classical_coords(t.dims, t.support, kd)
+    key = np.concatenate((expansion.coord.astype(kd) * span + expansion.exp.astype(kd)
+                          + (expansion.lo - lo), target * span + (q - lo)))
+    num = np.concatenate((expansion.num,
+                          np.full(len(target), -expansion.scale, dtype=expansion.num.dtype)))
+    return CoefficientMap(t.dims, *_sum_by_key(key, num, span), lo, span, expansion.scale)
 
 
 @dataclass(frozen=True)
@@ -221,8 +427,9 @@ def verify_exact(t):
     """
     if t.field_mode != RATIONAL:
         raise ValueError("verify_exact needs a rational-mode tensor")
-    delta = residual_map(t)
-    failing = tuple(sorted((key, value) for key, value in delta.items()))
+    delta = _residual(t, expand(t), 0)
+    failing = tuple(zip(_triples(t.dims, delta.coord),
+                        [Fraction(v, delta.scale) for v in delta.num.tolist()]))
     total = (t.dims.m * t.dims.n * t.dims.p) ** 2
     return VerificationReport(not failing, failing, total)
 
@@ -237,8 +444,8 @@ def verify_approximate(t, mode="strict"):
     files normalized with a global e^q on the target; the reported
     discrepancy_order is then relative to the scaled target (order - q).
 
-    The check runs in the tensor's own scalars: a rational tensor's
-    residual is exactly zero or e-free, so an exact scheme is a valid
+    The check is exact: a rational tensor's residual is exactly zero or
+    e-free, so an exact scheme is a valid
     approximate scheme of discrepancy order +inf.
     """
     if mode not in ("strict", "scaled"):
@@ -246,13 +453,14 @@ def verify_approximate(t, mode="strict"):
     delta = expand(t)
 
     def report_for(q):
-        res = residual_map(t, q, delta)
-        if not res:
+        res = _residual(t, delta, q)
+        if not len(res):
             return ApproxReport(True, math.inf, (), q)
-        order = min(laurent_order(v) for v in res.values())
-        blockers = tuple(sorted(
-            key for key, v in res.items() if laurent_order(v) <= q
-        ))
+        # entries are sorted by coordinate, so the blockers' coordinates
+        # come out sorted
+        order = res.lo + int(res.exp.min())
+        low = res.coord[res.exp <= q - res.lo]
+        blockers = tuple(_triples(t.dims, low[_run_starts(low)]))
         return ApproxReport(order - q >= 1, order - q, blockers, q)
 
     strict = report_for(0)
@@ -268,6 +476,32 @@ def verify_approximate(t, mode="strict"):
         if candidate.valid:
             return candidate
     return strict
+
+
+def explain(t, report, k):
+    """The first k failing equations of a report on t, in report order.
+
+    report is verify_exact(t) or verify_approximate(t, ...); for the latter
+    the failing equations are its worst_negative_terms.  Each record is
+    (coordinate triple, residual value, 1-based indices of the terms with
+    a product at that coordinate, ascending).
+    """
+    if isinstance(report, VerificationReport):
+        failing = report.failing_equations[:k]
+    else:
+        residual = _residual(t, expand(t), report.scaling)
+        failing = [(key, residual[key]) for key in report.worst_negative_terms[:k]]
+    if not failing:
+        return ()
+    wanted = [_coordinate(t.dims, key) for key, _ in failing]
+    term, keys, _, _, span = _products(t)
+    coord = keys // span
+    hit = np.isin(coord, wanted)
+    touching = {}
+    for c, i in zip(coord[hit].tolist(), term[hit].tolist()):
+        touching.setdefault(c, set()).add(i + 1)
+    return tuple((key, value, tuple(sorted(touching.get(c, ()))))
+                 for (key, value), c in zip(failing, wanted))
 
 
 @dataclass(frozen=True)

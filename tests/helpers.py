@@ -1,10 +1,19 @@
 """Shared randomized generators and mutation operators for the tests."""
 
+import math
 from fractions import Fraction
 
 from fmmkit.matrices import Matrix
 from fmmkit.scalars import Laurent, laurent_order
-from fmmkit.tensor import LAURENT, RATIONAL, FmmTensor, Term
+from fmmkit.tensor import (
+    LAURENT,
+    RATIONAL,
+    ApproxReport,
+    FmmTensor,
+    Term,
+    VerificationReport,
+    classical_map,
+)
 
 
 def laurent_copy(t):
@@ -83,6 +92,13 @@ def rand_invertible(rng, n):
     return Matrix(pmat) @ Matrix(low) @ Matrix(up)
 
 
+def third_of_one_term(t, index):
+    """t with term `index` (0-based) having its P factor scaled by 1/3."""
+    terms = list(t.terms)
+    terms[index] = terms[index]._replace(P=terms[index].P.scale(Fraction(1, 3)))
+    return t.with_terms(terms)
+
+
 def mutate_one_entry(t, rng):
     """Add a nonzero delta to a single factor entry.  For laurent tensors
     the delta's order is pushed low enough that the damage must show at
@@ -119,3 +135,72 @@ def mutate_one_entry(t, rng):
     terms = list(t.terms)
     terms[i] = new_term
     return t.with_terms(terms)
+
+
+# -- reference verification --------------------------------------------------
+#
+# The dict walk that expand and the two verifiers once ran, one exact
+# product at a time in the tensor's own scalars.  Tests compare the array
+# expansion and the reports against it.
+
+def reference_expand(t):
+    """Coefficient map of t as a dict of nonzero coefficients."""
+    acc = {}
+    for term in t.terms:
+        p_entries = list(term.P.nonzero_entries())
+        q_entries = list(term.Q.nonzero_entries())
+        s_entries = list(term.S.nonzero_entries())
+        for i, j, pv in p_entries:
+            for j2, k, qv in q_entries:
+                pq = pv * qv
+                for k2, i2, sv in s_entries:
+                    key = ((i, j), (j2, k), (k2, i2))
+                    cur = acc.get(key)
+                    val = pq * sv if cur is None else cur + pq * sv
+                    if not val:
+                        acc.pop(key, None)
+                    else:
+                        acc[key] = val
+    return acc
+
+
+def reference_residual_map(t, q=0, expansion=None):
+    """reference_expand(t) - e^q * classical target, nonzero entries only."""
+    delta = reference_expand(t) if expansion is None else dict(expansion)
+    one = Laurent.monomial(1, q)
+    for key in classical_map(t.dims, t.support):
+        cur = delta.get(key)
+        val = -one if cur is None else cur - one
+        if not val:
+            delta.pop(key, None)
+        else:
+            delta[key] = val
+    return delta
+
+
+def reference_verify_exact(t):
+    failing = tuple(sorted(reference_residual_map(t).items()))
+    return VerificationReport(not failing, failing, (t.dims.m * t.dims.n * t.dims.p) ** 2)
+
+
+def reference_verify_approximate(t, mode="strict"):
+    delta = reference_expand(t)
+
+    def report_for(q):
+        res = reference_residual_map(t, q, delta)
+        if not res:
+            return ApproxReport(True, math.inf, (), q)
+        order = min(laurent_order(v) for v in res.values())
+        blockers = tuple(sorted(key for key, v in res.items() if laurent_order(v) <= q))
+        return ApproxReport(order - q >= 1, order - q, blockers, q)
+
+    strict = report_for(0)
+    if mode == "strict" or strict.valid:
+        return strict
+    key = next(iter(classical_map(t.dims, t.support)))
+    q = laurent_order(delta.get(key, 0))
+    if 1 <= q < math.inf:
+        candidate = report_for(q)
+        if candidate.valid:
+            return candidate
+    return strict

@@ -4,10 +4,14 @@ from importlib import resources
 import pytest
 
 from fmmkit import cli
+from fmmkit.algebra import direct_sum
 from fmmkit.cli import main
 from fmmkit.io import load_matrix, load_tensor, save_matrix, save_tensor, write_matrix
 from fmmkit.matrices import Matrix
-from fmmkit.tensor import verify_approximate, verify_exact
+from fmmkit.scalars import Laurent
+from fmmkit.tensor import Term, classical_tensor, verify_approximate, verify_exact
+
+from helpers import third_of_one_term
 
 DATA = resources.files("fmmkit") / "data"
 STRASSEN = str(DATA / "strassen.fmm")
@@ -55,6 +59,47 @@ def test_verify_failure_exits_one(capsys, tmp_path, strassen):
     code, out, _ = run(capsys, "verify", str(path))
     assert code == 1
     assert out.startswith("FAIL ")
+
+
+def test_verify_explain_names_the_scaled_term(capsys, tmp_path, t58):
+    # t108 with term 5's P scaled by 1/3: every failing equation is one
+    # that term 5 touches
+    t108 = direct_sum(t58, classical_tensor((2, 5, 5)), axis="M")
+    path = str(tmp_path / "third.fmm")
+    save_tensor(third_of_one_term(t108, 4), path)
+    code, plain, _ = run(capsys, "verify", path)
+    assert (code, plain) == (1, "FAIL 15601/15625 equations\n")
+    assert run(capsys, "verify", path, "--explain", "0")[:2] == (1, plain)
+    code, out, _ = run(capsys, "verify", path, "--explain", "2")
+    assert code == 1
+    assert out == plain + ("(0,1),(1,1),(0,0) residual -2/3 terms 5,40\n"
+                           "(0,1),(1,1),(0,1) residual -2/3 terms 3,5,40,51\n")
+    code, out, _ = run(capsys, "verify", path, "--explain", str(10**30))
+    lines = out.splitlines()[1:]
+    assert len(lines) == 24
+    assert all("5" in line.split(" terms ")[1].split(",") for line in lines)
+
+
+def test_verify_explain_on_an_approximate_report(capsys, tmp_path, teps):
+    e = Laurent.monomial(1, 1)
+    path = str(tmp_path / "teps_e.fmm")
+    save_tensor(teps.with_terms([Term(t.P.map(lambda x: x * e), t.Q, t.S)
+                                 for t in teps.terms]), path)
+    code, out, _ = run(capsys, "verify", path, "--explain", "2")
+    assert code == 1
+    assert out == ("INVALID discrepancy_order 0\n"
+                   "(0,0),(0,0),(0,0) residual -1 + 1*e^1 terms 52\n"
+                   "(0,0),(0,1),(1,0) residual -1 + 1*e^1 terms 1\n")
+    code, out, _ = run(capsys, "verify", path, "--mode", "scaled", "--explain", "2")
+    assert (code, out) == (0, "VALID discrepancy_order 1 scaling e^1\n")
+
+
+@pytest.mark.parametrize("value", ["-1", "x", "1.5", "nan", ""])
+def test_verify_explain_needs_a_count(capsys, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", STRASSEN, "--explain", value])
+    assert exc.value.code == 2
+    assert "--explain: expected a non-negative integer" in capsys.readouterr().err
 
 
 def test_verify_scaled_huge_exponent_is_bounded(capsys, tmp_path):

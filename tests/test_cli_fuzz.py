@@ -68,6 +68,7 @@ COMMANDS = {
     "verify": ([TENSOR], {}, {
         "--approx": FLAG,
         "--mode": one(st.sampled_from(("strict", "scaled", "loose", ""))),
+        "--explain": odd("3", str(10**30)),
     }),
     "type": ([TENSOR], {}, {}),
     "compose": ([], {

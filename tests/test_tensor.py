@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import math
 import pickle
 import random
@@ -6,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from fmmkit.algebra import direct_sum, embed_and_add, mask_embedding
 from fmmkit.matrices import Matrix
 from fmmkit.scalars import Laurent
 from fmmkit.tensor import (
@@ -16,13 +18,12 @@ from fmmkit.tensor import (
     classical_map,
     classical_tensor,
     expand,
-    residual_map,
     type_polynomial,
     verify_approximate,
     verify_exact,
 )
 
-from helpers import mutate_one_entry
+from helpers import laurent_copy, mutate_one_entry, third_of_one_term
 
 
 def unit_term(dims, i, j, k):
@@ -85,7 +86,7 @@ def test_classical_tensor_verifies_exactly(strassen):
 def test_expand_matches_classical_map():
     t = classical_tensor((2, 3, 2))
     assert expand(t) == classical_map(t.dims)
-    assert residual_map(t) == {}
+    assert verify_exact(t).failing_equations == ()
 
 
 def test_masked_classical_tensor():
@@ -198,3 +199,82 @@ def test_copies_and_pickles_are_equal_and_immutable(strassen, teps):
             assert twin == obj
             with pytest.raises(AttributeError):
                 setattr(twin, type(obj).__slots__[0], None)
+
+
+def pinned_tensors(strassen, t58, teps):
+    t108 = direct_sum(t58, classical_tensor((2, 5, 5)), axis="M")
+    rng = random.Random(11)
+    shuffled = list(t58.terms)
+    rng.shuffle(shuffled)
+    flipped = []
+    for term in shuffled:
+        kind = rng.randrange(3)  # keep, negate P and Q (still exact), negate S
+        if kind == 1:
+            term = Term(-term.P, -term.Q, term.S)
+        elif kind == 2:
+            term = Term(term.P, term.Q, -term.S)
+        flipped.append(term)
+    e = Laurent.monomial(1, 1)
+    return {
+        "strassen": strassen,
+        "3x5x5_58": t58,
+        "t108": t108,
+        "t108_third": third_of_one_term(t108, 4),
+        "3x5x5_58_flipped": t58.with_terms(flipped),
+        "teps": teps,
+        "t100": embed_and_add(teps, classical_tensor((3, 3, 5)), mask_embedding(teps)),
+        "teps_times_e": teps.with_terms([Term(t.P.map(lambda x: x * e), t.Q, t.S)
+                                          for t in teps.terms]),
+        "laurent_strassen": laurent_copy(strassen),
+    }
+
+
+def report_digests(tensors):
+    """sha256 of str, repr and the failing coordinates of every report."""
+    out = {}
+    for name, t in tensors.items():
+        checks = {"strict": lambda t: verify_approximate(t, "strict"),
+                  "scaled": lambda t: verify_approximate(t, "scaled")}
+        if t.field_mode == RATIONAL:
+            checks["exact"] = verify_exact
+        for check, fn in checks.items():
+            report = fn(t)
+            failing = (report.failing_equations if check == "exact"
+                       else report.worst_negative_terms)
+            text = "%s\n%r\n%r" % (report, report, failing)
+            out["%s/%s" % (name, check)] = hashlib.sha256(text.encode()).hexdigest()
+    return out
+
+
+# report digests as the dict-walk expansion in Fraction and Laurent
+# arithmetic produced them, so that the integer expansion cannot alter a
+# report
+REPORT_SHA256 = {
+    "strassen/strict": "50099249b94203e1a5ac0ef13dc5b51a9808beb052bf05a98b5868bb523b878f",
+    "strassen/scaled": "50099249b94203e1a5ac0ef13dc5b51a9808beb052bf05a98b5868bb523b878f",
+    "strassen/exact": "42a55acf3e73720d58cfc2eb5ddc8c9a3e3040c98def161ca924d21ad76bb648",
+    "3x5x5_58/strict": "50099249b94203e1a5ac0ef13dc5b51a9808beb052bf05a98b5868bb523b878f",
+    "3x5x5_58/scaled": "50099249b94203e1a5ac0ef13dc5b51a9808beb052bf05a98b5868bb523b878f",
+    "3x5x5_58/exact": "8ae664b85f49d23936032349a94429b0df49778fcccfe8dd120908501e04943a",
+    "t108/strict": "50099249b94203e1a5ac0ef13dc5b51a9808beb052bf05a98b5868bb523b878f",
+    "t108/scaled": "50099249b94203e1a5ac0ef13dc5b51a9808beb052bf05a98b5868bb523b878f",
+    "t108/exact": "0bb2e1e9d01301cc143b91bc35c0df798c2d0f48e942cece86809214db4262fb",
+    "t108_third/strict": "40686ce12d1b912a5ab729f8e3286d97efe389a8e5e889627fc254966a05098a",
+    "t108_third/scaled": "40686ce12d1b912a5ab729f8e3286d97efe389a8e5e889627fc254966a05098a",
+    "t108_third/exact": "b347b13c1c233b76f5ab9f760b2e0e0e3782c636dc48741592fd97154f2fc673",
+    "3x5x5_58_flipped/strict": "3615f68ad5b80f3c960b9e9c5b762a18f7da8d2f38b40a50239da9ca272e8227",
+    "3x5x5_58_flipped/scaled": "3615f68ad5b80f3c960b9e9c5b762a18f7da8d2f38b40a50239da9ca272e8227",
+    "3x5x5_58_flipped/exact": "3f98f8e6fa0e34451b1d8b10aeb603d6ad117d797625d5523b7b377f33a7349d",
+    "teps/strict": "4e288f0e0f66564a1691e55da619b20e3bf9888df2b135be8a28df1b907094f5",
+    "teps/scaled": "4e288f0e0f66564a1691e55da619b20e3bf9888df2b135be8a28df1b907094f5",
+    "t100/strict": "4e288f0e0f66564a1691e55da619b20e3bf9888df2b135be8a28df1b907094f5",
+    "t100/scaled": "4e288f0e0f66564a1691e55da619b20e3bf9888df2b135be8a28df1b907094f5",
+    "teps_times_e/strict": "a94238b8556c8dba7b99017da1279a00985e1001d9018ad701df1abfa4589197",
+    "teps_times_e/scaled": "ab11c3aa4188186fe2b6cce7f6fd69fd860dd0a76e4eeea8bc23b6e9577772f9",
+    "laurent_strassen/strict": "50099249b94203e1a5ac0ef13dc5b51a9808beb052bf05a98b5868bb523b878f",
+    "laurent_strassen/scaled": "50099249b94203e1a5ac0ef13dc5b51a9808beb052bf05a98b5868bb523b878f",
+}
+
+
+def test_reports_are_byte_identical(strassen, t58, teps):
+    assert report_digests(pinned_tensors(strassen, t58, teps)) == REPORT_SHA256
