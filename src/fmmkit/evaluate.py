@@ -24,7 +24,7 @@ import numpy as np
 
 from .matrices import Matrix
 from .scalars import value_at
-from .tensor import RATIONAL, FmmTensor, UnverifiedSchemeError, compiled, verify_exact
+from .tensor import RATIONAL, FmmTensor, UnverifiedSchemeError, verify_exact
 
 
 class MultiplicationCounter:
@@ -41,9 +41,8 @@ class MultiplicationCounter:
 
 def _compile(t):
     """dims plus, for each factor slot P, Q, S, every term's nonzero
-    entries as (row, col, value) triples, read from t's compiled form (the
-    one verify_exact uses)."""
-    return t.dims, compiled(t).entries
+    entries as (row, col, value) triples: each factor's Matrix.nonzeros."""
+    return t.dims, tuple(tuple(factor.nonzeros for factor in slot) for slot in zip(*t.terms))
 
 
 def _combine(blocks, factors):

@@ -19,12 +19,19 @@ comma, ' + ' around monomial sums); whitespace-separated compact tokens
 such as `1/2*e^-3+2` are accepted on input.  Matrix files carry a
 `rows cols` header and then row-major rational entries.
 
-Each distinct cell token is parsed once per file: a scheme file repeats a
-handful of tokens (0, 1, -1, ...) thousands of times, and the parsed
-scalars are immutable, so every cell with the same text shares one value.
+Each distinct row text is parsed once per file, and each distinct cell
+token once: a scheme file repeats a few hundred row texts and a handful
+of tokens (0, 1, -1, ...) thousands of times, and the parsed scalars are
+immutable, so every row with the same text shares one tuple of values and
+every cell with the same text one value.  A parsed zero is the shared
+``matrices.ZERO``, which lets a Matrix skip its zero cells by identity.
+A row's width is checked at every occurrence, and only successful parses
+are kept, so an error names the line of the first bad occurrence.
 """
 
-from .matrices import Matrix
+from operator import itemgetter
+
+from .matrices import ZERO, Matrix
 from .scalars import ScalarParseError, format_rational, format_scalar, parse_scalar
 from .tensor import LAURENT, RATIONAL, FmmTensor, Term
 
@@ -37,15 +44,19 @@ class TensorFormatError(ValueError):
         self.line = line
 
 
+def _end_of_file(what):
+    return TensorFormatError("unexpected end of file, expected %s" % what)
+
+
 class _Cursor:
     """Significant-line reader over comment-stripped text."""
 
     def __init__(self, text):
-        self.lines = []
-        for no, raw in enumerate(text.splitlines(), start=1):
-            body = raw.split("#", 1)[0].strip()
-            if body:
-                self.lines.append((no, body))
+        lines = text.splitlines()
+        if "#" in text:
+            lines = [raw.split("#", 1)[0] for raw in lines]
+        # (line number, stripped body) of every line with a nonempty body
+        self.lines = list(filter(itemgetter(1), enumerate(map(str.strip, lines), start=1)))
         self.pos = 0
 
     def peek(self):
@@ -53,10 +64,16 @@ class _Cursor:
 
     def next(self, what):
         if self.pos >= len(self.lines):
-            raise TensorFormatError("unexpected end of file, expected %s" % what)
+            raise _end_of_file(what)
         item = self.lines[self.pos]
         self.pos += 1
         return item
+
+    def take(self, count):
+        """The next count lines, or all that are left if fewer."""
+        items = self.lines[self.pos:self.pos + count]
+        self.pos += len(items)
+        return items
 
     def done(self):
         return self.pos >= len(self.lines)
@@ -69,7 +86,8 @@ def _split_row(body):
 
 
 def _scalar_reader(laurent):
-    """read(cell) -> parse_scalar(cell), each distinct cell parsed once.
+    """read(cell) -> parse_scalar(cell), each distinct cell parsed once;
+    a zero is returned as ZERO.
 
     Only successful parses are kept, so a bad cell raises
     ScalarParseError wherever it occurs.
@@ -79,30 +97,45 @@ def _scalar_reader(laurent):
     def read(cell):
         value = table.get(cell)
         if value is None:
-            value = table[cell] = parse_scalar(cell, laurent=laurent)
+            value = table[cell] = parse_scalar(cell, laurent=laurent) or ZERO
         return value
 
     return read
 
 
-def _parse_row(cursor, width, read, what):
-    no, body = cursor.next(what)
-    cells = _split_row(body)
-    if width == 1 and "," not in body:
-        # a single scalar may contain spaces (' + ' joined monomials)
-        cells = [body]
+def _parse_row(no, body, width, read, what):
+    """The scalars of row text `body` at line `no`, as a tuple."""
+    # a single scalar may contain spaces (' + ' joined monomials)
+    cells = [body] if width == 1 and "," not in body else _split_row(body)
     if len(cells) != width:
         raise TensorFormatError(
             "%s: expected %d entries, got %d" % (what, width, len(cells)), no)
     try:
-        return [read(cell) for cell in cells]
+        return tuple([read(cell) for cell in cells])
     except ScalarParseError as exc:
         raise TensorFormatError("%s: %s" % (what, exc), no) from None
 
 
-def _parse_factor(cursor, rows, cols, read, what):
-    data = [_parse_row(cursor, cols, read, "%s row %d" % (what, r + 1))
-            for r in range(rows)]
+def _parse_factor(cursor, rows, cols, read, tables, what):
+    """The next rows x cols factor.
+
+    tables[cols == 1] maps each row text already parsed at such a width to
+    its scalars.  A comma-free text is one scalar at width 1 and
+    whitespace-separated cells at any other width, so the two kinds of
+    width keep separate tables.  A text found there is parsed again only
+    when its width is wrong, which raises the width error; so every error
+    is the one parsing that row alone would give.
+    """
+    table = tables[cols == 1]
+    data = []
+    for no, body in cursor.take(rows):
+        row = table.get(body)
+        if row is None or len(row) != cols:
+            row = table[body] = _parse_row(
+                no, body, cols, read, "%s row %d" % (what, len(data) + 1))
+        data.append(row)
+    if len(data) < rows:
+        raise _end_of_file("%s row %d" % (what, len(data) + 1))
     return Matrix(data)
 
 
@@ -155,6 +188,7 @@ def parse_tensor(text):
         support = tuple(mask)
 
     read = _scalar_reader(mode == LAURENT)
+    tables = ({}, {})  # row text -> scalars, at widths other than 1 and at width 1
     terms = []
     for idx in range(1, rank + 1):
         no, body = cursor.next("'term %d'" % idx)
@@ -165,9 +199,9 @@ def parse_tensor(text):
                     % (idx, body), no)
             raise TensorFormatError(
                 "rank mismatch: header says %d terms, found %d" % (rank, idx - 1), no)
-        P = _parse_factor(cursor, m, n, read, "term %d P" % idx)
-        Q = _parse_factor(cursor, n, p, read, "term %d Q" % idx)
-        S = _parse_factor(cursor, p, m, read, "term %d S" % idx)
+        P = _parse_factor(cursor, m, n, read, tables, "term %d P" % idx)
+        Q = _parse_factor(cursor, n, p, read, tables, "term %d Q" % idx)
+        S = _parse_factor(cursor, p, m, read, tables, "term %d S" % idx)
         terms.append(Term(P, Q, S))
 
     if not cursor.done():
@@ -196,9 +230,10 @@ def write_tensor(t):
     for idx, term in enumerate(t.terms, start=1):
         out.append("term %d" % idx)
         for factor in (term.P, term.Q, term.S):
-            for row in factor.data:
-                out.append(", ".join(
-                    format_scalar(x) if x else "0" for x in row))
+            cells = [["0"] * factor.cols for _ in range(factor.rows)]
+            for i, j, x in factor.nonzeros:
+                cells[i][j] = format_scalar(x)
+            out.extend(", ".join(row) for row in cells)
             out.append("")
     if out[-1] == "":
         out.pop()

@@ -5,7 +5,13 @@ a few tens of rows), so the algorithms favour exactness and clarity.
 
 The constructor is the one place that settles an entry's type: Fraction
 and Laurent entries are kept as they are and any other x becomes
-Fraction(x), so nothing downstream re-coerces a matrix's entries.
+Fraction(x), so nothing downstream re-coerces a matrix's entries.  It is
+also the one place that finds the nonzero entries: ``nonzeros`` keeps
+them row-major, and truth, ``nonzero_entries``, ``kron`` and
+``is_rational`` read that instead of scanning every cell again.  Cells
+that are the shared ``ZERO`` object (what the parser and ``kron`` fill
+grids with) are skipped by identity, so an all-``ZERO`` row costs no
+scalar call at all.
 
 Rank, determinant and inverse share one fraction-free (Bareiss)
 elimination, exact in any integral domain and so over the Laurent
@@ -23,22 +29,41 @@ from fractions import Fraction
 
 from .scalars import Laurent, exact_div
 
+ZERO = Fraction(0)
+
+# entry types kept as they are; a row of only these is not rebuilt
+_SETTLED = frozenset((Fraction, Laurent))
+
 
 class Matrix:
     """Immutable dense matrix; entries are Fraction or Laurent scalars."""
 
-    __slots__ = ("rows", "cols", "data")
+    # nonzeros: the (i, j, value) triples of the nonzero entries, row-major
+    __slots__ = ("rows", "cols", "data", "nonzeros")
 
     def __init__(self, data):
-        data = tuple(tuple([x if type(x) is Fraction or isinstance(x, Laurent)
-                            else Fraction(x) for x in row]) for row in data)
+        data = [tuple(row) for row in data]
         if not data or not data[0]:
             raise ValueError("matrix needs at least one row and one column")
-        if any(len(row) != len(data[0]) for row in data):
+        cols = len(data[0])
+        if len(set(map(len, data))) != 1:
             raise ValueError("ragged rows")
-        object.__setattr__(self, "data", data)
+        zero = (ZERO,) * cols
+        nonzeros = []
+        for i, row in enumerate(data):
+            # count compares by identity before ==, so a row of ZERO costs
+            # no scalar call; a row of entries equal to zero becomes `zero`
+            if row.count(ZERO) == cols:
+                data[i] = zero
+                continue
+            if not _SETTLED.issuperset(map(type, row)):
+                row = data[i] = tuple([x if type(x) is Fraction or isinstance(x, Laurent)
+                                       else Fraction(x) for x in row])
+            nonzeros += [(i, j, x) for j, x in enumerate(row) if x is not ZERO and x]
+        object.__setattr__(self, "data", tuple(data))
         object.__setattr__(self, "rows", len(data))
-        object.__setattr__(self, "cols", len(data[0]))
+        object.__setattr__(self, "cols", cols)
+        object.__setattr__(self, "nonzeros", tuple(nonzeros))
 
     def __setattr__(self, name, value):
         raise AttributeError("matrices are immutable")
@@ -50,7 +75,7 @@ class Matrix:
 
     @staticmethod
     def zeros(rows, cols):
-        return Matrix([[Fraction(0)] * cols for _ in range(rows)])
+        return Matrix([[ZERO] * cols for _ in range(rows)])
 
     @staticmethod
     def identity(n):
@@ -60,7 +85,7 @@ class Matrix:
     def unit(rows, cols, i, j, value=Fraction(1)):
         """Single nonzero entry at 0-based (i, j)."""
         return Matrix(
-            [[value if (r, c) == (i, j) else Fraction(0) for c in range(cols)] for r in range(rows)]
+            [[value if (r, c) == (i, j) else ZERO for c in range(cols)] for r in range(rows)]
         )
 
     # -- basic structure ----------------------------------------------------
@@ -82,17 +107,15 @@ class Matrix:
 
     def __bool__(self):
         """False for the zero matrix, as for a zero scalar."""
-        return any(x for row in self.data for x in row)
+        return bool(self.nonzeros)
 
     def nonzero_entries(self):
-        """Yield (i, j, value) over nonzero entries, row-major."""
-        for i, row in enumerate(self.data):
-            for j, x in enumerate(row):
-                if x:
-                    yield i, j, x
+        """Iterate (i, j, value) over nonzero entries, row-major."""
+        return iter(self.nonzeros)
 
     def is_rational(self):
-        return not any(isinstance(x, Laurent) for row in self.data for x in row)
+        # a Laurent is never zero, so the nonzeros hold every one there is
+        return not any(isinstance(x, Laurent) for _, _, x in self.nonzeros)
 
     def map(self, fn):
         return Matrix([[fn(x) for x in row] for row in self.data])
@@ -139,15 +162,14 @@ class Matrix:
     def kron(self, other):
         """Kronecker product; big row index = (outer row)*(inner rows) + inner row.
 
-        Built from the nonzero entries of both operands: a grid of
-        Fraction(0) gets one product per pair of nonzeros, so no cell
-        pair involving a zero is multiplied.
+        Built from the nonzero entries of both operands: a grid of the
+        shared ZERO gets one product per pair of nonzeros, so no cell pair
+        involving a zero is multiplied.
         """
         rows, cols = other.rows, other.cols
-        out = [[Fraction(0)] * (self.cols * cols) for _ in range(self.rows * rows)]
-        inner = list(other.nonzero_entries())
-        for i, j, a in self.nonzero_entries():
-            for k, l, b in inner:
+        out = [[ZERO] * (self.cols * cols) for _ in range(self.rows * rows)]
+        for i, j, a in self.nonzeros:
+            for k, l, b in other.nonzeros:
                 out[i * rows + k][j * cols + l] = a * b
         return Matrix(out)
 

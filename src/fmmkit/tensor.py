@@ -20,16 +20,19 @@ exact), from the expansion: a rational tensor's residual stays rational
 under either check.
 
 The expansion runs on integers.  Each tensor is compiled once (see
-:func:`compiled`): for each factor slot P, Q, S every nonzero monomial
-q * e^k of every entry is recorded as its term index, its flat position
-row * cols + col, its exponent k (0 in rational mode) and an integer
-numerator, with each factor's denominators cleared.  Term i then carries
-one integer weight w_i over a common denominator L, so that L times the
-expansion is a sum of integer products w_i * p * q * s.  The products are
-formed as per-term outer products of index arrays, sorted once by
-(coordinate, exponent) key and summed with np.add.reduceat; the classical
-target, L * e^q at each classical coordinate, is subtracted the same way,
-and Python scalars are built only for the nonzero coordinates left.
+:func:`compiled`) from the nonzero entries its factors found when they
+were built (``Matrix.nonzeros``), so no zero cell is read again: for
+each factor slot P, Q, S every nonzero monomial q * e^k is recorded as
+its term index, its flat position row * cols + col, its exponent k (0 in
+rational mode) and an integer numerator, with each factor's denominators
+cleared.  Term i then carries one integer weight w_i over a common
+denominator L, so that L times the expansion is a sum of integer products
+w_i * p * q * s.  The products are formed as per-term outer products of
+index arrays, sorted once by (coordinate, exponent) key and summed with
+np.add.reduceat; the classical target, L * e^q at each classical
+coordinate, is subtracted the same way, and Python scalars are built only
+for the nonzero coordinates left.  The compiled form holds only these
+integer arrays; the evaluator reads each factor's ``nonzeros`` itself.
 
 Nothing rounds.  Sums run in int64 only under a proven bound: every
 partial sum is at most sum_i w_i |P_i|_1 |Q_i|_1 |S_i|_1 + L in magnitude
@@ -152,13 +155,12 @@ def classical_tensor(dims, support=None, field_mode=RATIONAL):
     return FmmTensor(dims, field_mode, terms, support)
 
 
-CompiledTensor = namedtuple("CompiledTensor", ["entries", "slots", "weights", "scale", "bound"])
-CompiledTensor.__doc__ = """A tensor's compiled form, built once by :func:`compiled`.
+CompiledTensor = namedtuple("CompiledTensor", ["slots", "weights", "scale", "bound"])
+CompiledTensor.__doc__ = """A tensor's compiled form, built once by :func:`compiled`
+from each factor's ``Matrix.nonzeros``.
 
-entries: per factor slot P, Q, S, each term's nonzero entries as
-    (row, col, value) triples, the evaluator's view of the tensor.
-slots: per factor slot, the arrays (term, pos, exp, num) over its nonzero
-    monomials in term order: term index and flat position as int64,
+slots: per factor slot P, Q, S, the arrays (term, pos, exp, num) over its
+    nonzero monomials in term order: term index and flat position as int64,
     exponent and cleared numerator as Python ints.
 weights: per term, the integer w_i = scale / (its three factors'
     denominators), so scale * P_i (x) Q_i (x) S_i = w_i * p (x) q (x) s.
@@ -181,15 +183,12 @@ def compiled(t):
 
 def _compile(t):
     """Build t's CompiledTensor."""
-    entries = ([], [], [])
     slots = tuple(([], [], [], []) for _ in range(3))
     dens, sizes = [], []
     for index, term in enumerate(t.terms):
         den = size = 1
-        for factor, slot_entries, (terms, pos, exp, num) in zip(term, entries, slots):
-            nonzero = tuple(factor.nonzero_entries())
-            slot_entries.append(nonzero)
-            monomials = [(i * factor.cols + j, k, q) for i, j, v in nonzero
+        for factor, (terms, pos, exp, num) in zip(term, slots):
+            monomials = [(i * factor.cols + j, k, q) for i, j, v in factor.nonzeros
                          for k, q in (v.terms.items() if isinstance(v, Laurent) else ((0, v),))]
             d = math.lcm(*(q.denominator for _, _, q in monomials))
             norm = 0
@@ -207,7 +206,6 @@ def _compile(t):
     scale = math.lcm(*dens)
     weights = [scale // d for d in dens]
     return CompiledTensor(
-        tuple(tuple(slot) for slot in entries),
         tuple((np.array(terms, dtype=np.int64), np.array(pos, dtype=np.int64),
                np.array(exp, dtype=object), np.array(num, dtype=object))
               for terms, pos, exp, num in slots),

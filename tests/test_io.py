@@ -83,6 +83,66 @@ def test_repeated_bad_token_names_its_first_line(monkeypatch):
     assert calls == ["1", "1/0"]
 
 
+def _tensor_text(dims, field, *terms):
+    """A tensor file: each term is the list of its P, Q and S row texts."""
+    lines = ["fmm 1", "dims %d %d %d" % dims, "rank %d" % len(terms), "field " + field]
+    for idx, rows in enumerate(terms, start=1):
+        lines += ["term %d" % idx, *rows]
+    return "\n".join(lines) + "\n"
+
+
+def _parse_error(text):
+    with pytest.raises(TensorFormatError) as err:
+        parse_tensor(text)
+    return err.value.line, str(err.value)
+
+
+def test_bad_cell_in_a_repeated_row_names_its_first_line():
+    # <1,2,1>: P is one row of 2, Q two rows of 1, S one row of 1
+    term = ["1, 1/0", "1", "1", "1"]
+    text = _tensor_text((1, 2, 1), "rational", term, term)
+    assert _parse_error(text) == (6, "line 6: term 1 P row 1: zero denominator in '1/0'")
+
+
+def test_row_seen_at_a_valid_width_then_a_wrong_one_reports_the_later_line():
+    # <1,2,3>: P is 1x2, Q 2x3, S 3x1; "1, 0" is valid in P and too narrow in Q
+    text = _tensor_text((1, 2, 3), "rational", ["1, 0", "1, 0", "1, 0, 0", "1", "1", "1"])
+    assert _parse_error(text) == (7, "line 7: term 1 Q row 1: expected 3 entries, got 2")
+    # a row of width 2 read at width 1 goes through the width-1 split
+    text = _tensor_text((1, 2, 1), "rational", ["1, 0", "1", "1", "1"],
+                        ["1, 0", "1, 0", "1", "1"])
+    assert _parse_error(text) == (12, "line 12: term 2 Q row 1: expected 1 entries, got 2")
+
+
+def test_width_one_laurent_row_with_spaces_parses_alike_when_repeated():
+    row = "1 + 2*e^-1"
+    value = Laurent({0: Fraction(1), -1: Fraction(2)})
+    # <1,1,2>: P is 1x1, Q 1x2, S 2x1
+    once = parse_tensor(_tensor_text((1, 1, 2), "laurent", [row, "1, 0", "1", "0"]))
+    twice = parse_tensor(_tensor_text((1, 1, 2), "laurent", [row, "1, 0", row, "0"],
+                                      [row, "0, 1", "0", row]))
+    assert once.terms[0].P[(0, 0)] == value
+    assert [(t.P[(0, 0)], t.S[(0, 0)], t.S[(1, 0)]) for t in twice.terms] == [
+        (value, value, 0), (value, 0, value)]
+    # at width 2 the same text splits at whitespace, before or after its
+    # width-1 reading
+    for terms in (([row, row, "1", "1"],), ([row, "1, 0", row, "1"], [row, row, "1", "1"])):
+        line = 7 if len(terms) == 1 else 12
+        assert _parse_error(_tensor_text((1, 1, 2), "laurent", *terms)) == (
+            line, "line %d: term %d Q row 1: expected 2 entries, got 3" % (line, len(terms)))
+
+
+def test_comments_and_blank_lines_between_repeated_rows():
+    term = ["1, 0", "0, 1", "1, 0", "0, 1", "1, 0", "0, 1"]
+    plain = _tensor_text((2, 2, 2), "rational", term, term)
+    noisy = plain.replace("0, 1\n", "0, 1   # a comment\n\n# a comment line\n   \n")
+    assert parse_tensor(noisy) == parse_tensor(plain)
+    # the repeated row's line number counts the comment and blank lines
+    wrong = noisy.replace("term 2\n1, 0\n", "term 2\n1, 0\n1, 0, 1\n", 1)
+    assert _parse_error(wrong) == (
+        23, "line 23: term 2 P row 2: expected 2 entries, got 3")
+
+
 # sha256 of write_tensor's text as the dense row-by-row kron and the
 # format-every-entry writer produced it, so that no change to either can
 # alter a written file

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fmmkit.matrices import Matrix
+from fmmkit.matrices import ZERO, Matrix
 from fmmkit.scalars import Laurent
 from fmmkit.tensor import LAURENT, RATIONAL
 
@@ -43,6 +43,40 @@ def test_equality_and_hash():
 def test_nonzero_entries_row_major():
     m = Matrix([[0, 2], [3, 0]])
     assert list(m.nonzero_entries()) == [(0, 1, 2), (1, 0, 3)]
+
+
+def _cell(rng, mode):
+    """A nonzero scalar or int, or a zero in one of its forms: ZERO, a new
+    Fraction(0), a zero left by rational or Laurent arithmetic, or int 0."""
+    x = Laurent.monomial(Fraction(1, 3), 1)
+    zeros = (ZERO, Fraction(0), Fraction(1, 3) - Fraction(1, 3), x - x, 0)
+    kind = rng.random()
+    if kind < 0.5:
+        return rng.choice(zeros)
+    if kind < 0.6:
+        return rng.choice((1, -2))
+    return rand_scalar(rng, mode)
+
+
+@settings(max_examples=300)
+@given(st.integers(min_value=0, max_value=2**48 - 1))
+def test_nonzeros_match_a_dense_scan(seed):
+    rng = random.Random(seed)
+    rows, cols = rng.randint(1, 4), rng.randint(1, 4)
+    mode = rng.choice((RATIONAL, LAURENT))
+    data = [[_cell(rng, mode) for _ in range(cols)] for _ in range(rows)]
+    if rng.random() < 0.5:
+        data[rng.randrange(rows)] = [_cell(rng, mode) * 0 for _ in range(cols)]
+    if rng.random() < 0.1:
+        data = [[Fraction(0)] * cols for _ in range(rows)]
+    m = Matrix(data)
+    dense = tuple((i, j, x) for i, row in enumerate(data) for j, x in enumerate(row) if x)
+    assert m.nonzeros == dense
+    assert all(type(x) in (Fraction, Laurent) for _, _, x in m.nonzeros)
+    assert tuple(m.nonzero_entries()) == dense
+    assert bool(m) == bool(dense)
+    assert m.is_rational() == (not any(isinstance(x, Laurent) for row in data for x in row))
+    assert m == Matrix([[Fraction(x) if type(x) is int else x for x in row] for row in data])
 
 
 def test_arithmetic():
