@@ -116,17 +116,16 @@ def _parse_row(no, body, width, read, what):
         raise TensorFormatError("%s: %s" % (what, exc), no) from None
 
 
-def _parse_factor(cursor, rows, cols, read, tables, what):
+def _parse_factor(cursor, rows, cols, read, table, what):
     """The next rows x cols factor.
 
-    tables[cols == 1] maps each row text already parsed at such a width to
-    its scalars.  A comma-free text is one scalar at width 1 and
-    whitespace-separated cells at any other width, so the two kinds of
-    width keep separate tables.  A text found there is parsed again only
-    when its width is wrong, which raises the width error; so every error
-    is the one parsing that row alone would give.
+    table maps each row text already parsed in the file to its scalars.  A
+    text found there is parsed again only when its width is wrong, which
+    raises the width error, so every error is the one parsing that row
+    alone would give.  The width also names the split: a comma-free text is
+    one scalar at width 1 and whitespace-separated cells at any other
+    width, and only a parse of exactly `width` cells is stored.
     """
-    table = tables[cols == 1]
     data = []
     for no, body in cursor.take(rows):
         row = table.get(body)
@@ -188,7 +187,7 @@ def parse_tensor(text):
         support = tuple(mask)
 
     read = _scalar_reader(mode == LAURENT)
-    tables = ({}, {})  # row text -> scalars, at widths other than 1 and at width 1
+    table = {}  # row text -> its scalars
     terms = []
     for idx in range(1, rank + 1):
         no, body = cursor.next("'term %d'" % idx)
@@ -199,9 +198,9 @@ def parse_tensor(text):
                     % (idx, body), no)
             raise TensorFormatError(
                 "rank mismatch: header says %d terms, found %d" % (rank, idx - 1), no)
-        P = _parse_factor(cursor, m, n, read, tables, "term %d P" % idx)
-        Q = _parse_factor(cursor, n, p, read, tables, "term %d Q" % idx)
-        S = _parse_factor(cursor, p, m, read, tables, "term %d S" % idx)
+        P = _parse_factor(cursor, m, n, read, table, "term %d P" % idx)
+        Q = _parse_factor(cursor, n, p, read, table, "term %d Q" % idx)
+        S = _parse_factor(cursor, p, m, read, table, "term %d S" % idx)
         terms.append(Term(P, Q, S))
 
     if not cursor.done():

@@ -5,11 +5,12 @@ a few tens of rows), so the algorithms favour exactness and clarity.
 
 The constructor is the one place that settles an entry's type: Fraction
 and Laurent entries are kept as they are and any other x becomes
-Fraction(x), so nothing downstream re-coerces a matrix's entries.  It is
-also the one place that finds the nonzero entries: ``nonzeros`` keeps
-them row-major, and truth, ``nonzero_entries``, ``kron`` and
-``is_rational`` read that instead of scanning every cell again.  Cells
-that are the shared ``ZERO`` object (what the parser and ``kron`` fill
+Fraction(x), so nothing downstream re-coerces a matrix's entries; a row
+whose entries all equal zero is stored as a row of the shared ``ZERO``.
+The constructor is also the one place that finds the nonzero entries:
+``nonzeros`` keeps them row-major, and truth, ``nonzero_entries``,
+``kron`` and ``is_rational`` read that instead of scanning every cell
+again.  Cells that are ``ZERO`` itself (what the parser and ``kron`` fill
 grids with) are skipped by identity, so an all-``ZERO`` row costs no
 scalar call at all.
 

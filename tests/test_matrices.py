@@ -72,7 +72,7 @@ def test_nonzeros_match_a_dense_scan(seed):
     m = Matrix(data)
     dense = tuple((i, j, x) for i, row in enumerate(data) for j, x in enumerate(row) if x)
     assert m.nonzeros == dense
-    assert all(type(x) in (Fraction, Laurent) for _, _, x in m.nonzeros)
+    assert all(type(x) in (Fraction, Laurent) for row in m.data for x in row)
     assert tuple(m.nonzero_entries()) == dense
     assert bool(m) == bool(dense)
     assert m.is_rational() == (not any(isinstance(x, Laurent) for row in data for x in row))
