@@ -232,7 +232,7 @@ def write_tensor(t):
             cells = [["0"] * factor.cols for _ in range(factor.rows)]
             for i, j, x in factor.nonzeros:
                 cells[i][j] = format_scalar(x)
-            out.extend(", ".join(row) for row in cells)
+            out.extend(map(", ".join, cells))
             out.append("")
     if out[-1] == "":
         out.pop()

@@ -52,9 +52,11 @@ class Matrix:
         zero = (ZERO,) * cols
         nonzeros = []
         for i, row in enumerate(data):
-            # count compares by identity before ==, so a row of ZERO costs
-            # no scalar call; a row of entries equal to zero becomes `zero`
-            if row.count(ZERO) == cols:
+            # tuple == compares cells by identity before ==, and stops at the
+            # first cell that differs, so a row of ZERO costs no scalar call
+            # and any other row one; a row of entries equal to zero becomes
+            # `zero`
+            if row == zero:
                 data[i] = zero
                 continue
             if not _SETTLED.issuperset(map(type, row)):
