@@ -119,12 +119,13 @@ def _parse_row(no, body, width, read, what):
 def _parse_factor(cursor, rows, cols, read, table, what):
     """The next rows x cols factor.
 
-    table maps each row text already parsed in the file to its scalars.  A
-    text found there is parsed again only when its width is wrong, which
-    raises the width error, so every error is the one parsing that row
-    alone would give.  The width also names the split: a comma-free text is
-    one scalar at width 1 and whitespace-separated cells at any other
-    width, and only a parse of exactly `width` cells is stored.
+    table maps each row text already parsed in the file to its scalars.
+    The split depends on the width (a comma-free text is one scalar at
+    width 1 and whitespace-separated cells at any other width), and a
+    parse is stored only when it gave exactly `cols` scalars; so a stored
+    tuple of `cols` scalars is this row's parse, and a text met at another
+    width is parsed again.  Only successful parses are stored, so every
+    error is the one parsing that row alone would give.
     """
     data = []
     for no, body in cursor.take(rows):
