@@ -17,7 +17,7 @@ together, and their result is laurent when any input is.
 from collections import namedtuple
 from dataclasses import dataclass
 
-from .matrices import Matrix
+from .matrices import ZERO, Matrix
 from .tensor import LAURENT, RATIONAL, FmmTensor, Term
 
 AXIS_M = "M"
@@ -78,8 +78,9 @@ def _joint_mode(t1, t2):
 
 
 def _scatter(mat, rows, cols, big_rows, big_cols):
-    cells = [[0] * big_cols for _ in range(big_rows)]
-    for i, j, v in mat.nonzero_entries():
+    # Matrix skips the shared ZERO by identity
+    cells = [[ZERO] * big_cols for _ in range(big_rows)]
+    for i, j, v in mat.nonzeros:
         cells[rows[i]][cols[j]] = v
     return Matrix(cells)
 

@@ -207,12 +207,12 @@ def _parse_grid(spec):
 
 
 def _cmd_search(args):
-    from .search import SearchConfig, search
+    from .search import DEFAULT_GRID, SearchConfig, search
 
     cfg = SearchConfig(
         dims=tuple(args.dims),
         rank=args.rank,
-        snap_grid=_parse_grid(args.grid),
+        snap_grid=DEFAULT_GRID if args.grid is None else _parse_grid(args.grid),
         max_sweeps=args.max_sweeps,
         restarts=args.restarts,
         seed=args.seed,
@@ -293,7 +293,7 @@ def _build_parser():
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--restarts", type=int, default=1)
     p.add_argument("--max-sweeps", type=int, default=2000)
-    p.add_argument("--grid", default="0,1,-1", help="comma-separated snap grid rationals")
+    p.add_argument("--grid", help="comma-separated snap grid rationals")
     p.add_argument("--allow-large", action="store_true", help="lift the desk-size and sweep-count caps")
     p.add_argument("--out", help="write the rationalized tensor here")
     p.set_defaults(func=_cmd_search)

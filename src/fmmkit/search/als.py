@@ -10,8 +10,14 @@ S is r x (p*m), each row the row-major vectorization of one factor.  The
 restarts of a search run as batches that stack their restarts' factor
 stacks row block by row block (see kernels); a restart's trace is the same
 bit for bit in any batch, and alone.
+
+The search and the public helpers (als_block_solve, als_sweep,
+als_objective, brent_residual) share one target per dims (_target) and
+one sweep; the helpers run as a batch of one restart, so they give the
+search's numbers bit for bit.
 """
 
+import functools
 import math
 import warnings
 from collections import namedtuple
@@ -21,7 +27,7 @@ from fractions import Fraction
 import numpy as np
 
 from ..matrices import Matrix
-from ..tensor import RATIONAL, Dims, FmmTensor, Term, classical_map, verify_exact
+from ..tensor import RATIONAL, Dims, FmmTensor, Term, _classical_coords, verify_exact
 from . import kernels
 
 FactorSet = namedtuple("FactorSet", ["P", "Q", "S"])
@@ -34,13 +40,7 @@ DESK_LIMIT = 36
 # sweep) stop being desk-sized, so more must opt in explicitly too
 SWEEP_LIMIT = 100_000
 
-DEFAULT_GRID = (
-    Fraction(-1),
-    Fraction(-1, 2),
-    Fraction(0),
-    Fraction(1, 2),
-    Fraction(1),
-)
+DEFAULT_GRID = (Fraction(-1), Fraction(0), Fraction(1))
 
 # ridge schedule: lambda starts at LAMBDA_INIT and shrinks by LAMBDA_DECAY
 # after each sweep that lowers the residual; a restart converges once its
@@ -125,38 +125,37 @@ def classical_dense(dims):
     """Dense float classical tensor, axes ordered (m*n, n*p, p*m)."""
     m, n, p = dims
     T = np.zeros((m * n, n * p, p * m))
-    for (i, j), (_, k), _ in classical_map(dims):
-        T[i * n + j, j * p + k, k * m + i] = 1.0
+    T.flat[_classical_coords(dims, None, np.intp)] = 1.0
     return T
 
 
-def _matricize(T):
-    mn, np_, pm = T.shape
-    T1 = np.ascontiguousarray(T.reshape(mn, np_ * pm))
-    T2 = np.ascontiguousarray(T.transpose(1, 0, 2).reshape(np_, mn * pm))
-    T3 = np.ascontiguousarray(T.transpose(2, 0, 1).reshape(pm, mn * np_))
-    return T1, T2, T3
+@functools.lru_cache(maxsize=8)
+def _target(dims):
+    """The classical tensor of dims matricized with the P, Q and S mode
+    first in turn, as three read-only arrays built once per dims.  The
+    first flattens to classical_dense(dims), so it is also the residual's
+    target."""
+    T = classical_dense(dims)
+    target = tuple(T.transpose(axes).reshape(T.shape[axes[0]], -1)
+                   for axes in ((0, 1, 2), (1, 0, 2), (2, 0, 1)))
+    for Tmat in target:
+        Tmat.flags.writeable = False
+    return target
 
 
-def _as_stack(x, rows, cols, name):
-    arr = np.ascontiguousarray(np.asarray(x, dtype=np.float64))
-    if arr.shape != (rows, cols):
-        raise ValueError(
-            "%s stack must have shape (%d, %d), got %r" % (name, rows, cols, arr.shape)
-        )
-    return arr
-
-
-def _check_factors(f, dims, rank=None):
+def _stacks(dims, *sets):
+    """Each factor set as float64 stacks P, Q and S of shapes (r, m*n),
+    (r, n*p) and (r, p*m), where r is the row count of the first set's P;
+    ValueError on any other shape."""
     m, n, p = dims
-    P = np.asarray(f.P, dtype=np.float64)
-    r = P.shape[0] if P.ndim == 2 else -1
-    if rank is not None:
-        r = rank
-    P = _as_stack(f.P, r, m * n, "P")
-    Q = _as_stack(f.Q, r, n * p, "Q")
-    S = _as_stack(f.S, r, p * m, "S")
-    return FactorSet(P, Q, S)
+    out = [FactorSet(*(np.ascontiguousarray(x, dtype=np.float64) for x in f)) for f in sets]
+    r = out[0].P.shape[0] if out[0].P.ndim == 2 else -1
+    for f in out:
+        for name, stack, cols in zip("PQS", f, (m * n, n * p, p * m)):
+            if stack.shape != (r, cols):
+                raise ValueError("%s stack must have shape (%d, %d), got %r"
+                                 % (name, r, cols, stack.shape))
+    return out
 
 
 def factor_set_from_tensor(t):
@@ -173,9 +172,8 @@ def brent_residual(f, dims):
     """Squared Frobenius distance from the stacks' expansion to the
     classical tensor of the given dimensions."""
     dims = Dims(*dims)
-    f = _check_factors(f, dims)
-    T = classical_dense(dims)
-    return float(kernels.residual(f.P, f.Q, f.S, T, 1)[0])
+    f, = _stacks(dims, f)
+    return float(kernels.residual(*f, _target(dims)[0], 1)[0])
 
 
 def _grid_arrays(grid):
@@ -221,49 +219,45 @@ def als_block_solve(f, models, lam, dims, slot):
     at ridge weight lam, holding the rest of the factor set fixed.  lam
     below the solver jitter is bumped to JITTER so a lambda of exactly 0
     stays solvable."""
-    dims = Dims(*dims)
-    f = _check_factors(f, dims)
-    models = _check_factors(models, dims, rank=f.P.shape[0])
-    lam_eff = np.array([_effective_lambda(lam)])
-    T1, T2, T3 = _matricize(classical_dense(dims))
-    P, Q, S = f
-    if slot == "P":
-        P = kernels.block_solve(Q, S, T1, lam_eff, models.P)
-    elif slot == "Q":
-        Q = kernels.block_solve(P, S, T2, lam_eff, models.Q)
-    elif slot == "S":
-        S = kernels.block_solve(P, Q, T3, lam_eff, models.S)
-    else:
+    if slot not in FactorSet._fields:
         raise ValueError("slot must be P, Q or S, got %r" % (slot,))
-    return FactorSet(P, Q, S)
+    dims = Dims(*dims)
+    f, models = _stacks(dims, f, models)
+    i = FactorSet._fields.index(slot)
+    solved = kernels.block_solve(*(f[:i] + f[i + 1:]), _target(dims)[i],
+                                 np.array([_effective_lambda(lam)]), models[i])
+    return f._replace(**{slot: solved})
 
 
 def als_objective(f, models, lam, dims):
     """Ridge objective the sweep minimizes block by block: brent residual
     plus lam times the squared distance of each stack from its model."""
     dims = Dims(*dims)
-    f = _check_factors(f, dims)
-    models = _check_factors(models, dims, rank=f.P.shape[0])
+    f, models = _stacks(dims, f, models)
     prox = 0.0
     for stack, model in zip(f, models):
         d = stack - model
         prox += float((d * d).sum())
-    return brent_residual(f, dims) + lam * prox
+    return float(kernels.residual(*f, _target(dims)[0], 1)[0]) + lam * prox
 
 
-def _sweep(P, Q, S, mP, mQ, mS, T1, T2, T3, lam):
-    P = kernels.block_solve(Q, S, T1, lam, mP)
-    Q = kernels.block_solve(P, S, T2, lam, mQ)
-    S = kernels.block_solve(P, Q, T3, lam, mS)
-    return P, Q, S
+def _sweep(stacks, models, target, lam):
+    """One cyclic pass of block solves on P, Q then S at the ridge weights
+    lam, one per restart; each solve uses the stacks already updated
+    earlier in the same pass."""
+    P, Q, S = stacks
+    P = kernels.block_solve(Q, S, target[0], lam, models[0])
+    Q = kernels.block_solve(P, S, target[1], lam, models[1])
+    S = kernels.block_solve(P, Q, target[2], lam, models[2])
+    return FactorSet(P, Q, S)
 
 
 def als_sweep(f, models, lam, dims):
-    """One cyclic pass of als_block_solve on P, Q then S.  Each solve uses
-    the stacks already updated earlier in the same pass."""
-    for slot in "PQS":
-        f = als_block_solve(f, models, lam, dims, slot)
-    return f
+    """One cyclic pass of block solves on P, Q then S, as als_block_solve
+    makes them: the search's own sweep, run as a batch of one."""
+    dims = Dims(*dims)
+    f, models = _stacks(dims, f, models)
+    return _sweep(f, models, _target(dims), np.array([_effective_lambda(lam)]))
 
 
 def rationalize(f, dims, snap_grid=DEFAULT_GRID):
@@ -271,7 +265,7 @@ def rationalize(f, dims, snap_grid=DEFAULT_GRID):
     tensor and verify it.  Returns the tensor on success, None when the
     snapped factors fail verification or degenerate to a zero factor."""
     dims = Dims(*dims)
-    f = _check_factors(f, dims)
+    f, = _stacks(dims, f)
     gr, gf = _grid_arrays(snap_grid)
     m, n, p = dims
     r = f.P.shape[0]
@@ -368,7 +362,7 @@ def _batch_width(dims, rank):
     return max(1, BATCH_BYTES // (8 * rank * (m * n) * (n * p) * (p * m)))
 
 
-def _run_batch(cfg, indices, Tdense, T1, T2, T3, grid_floats):
+def _run_batch(cfg, indices, target, grid_floats):
     """Run the restarts numbered in indices as one batch; returns their
     _Restart records in the same order."""
     m, n, p = cfg.dims
@@ -380,17 +374,16 @@ def _run_batch(cfg, indices, Tdense, T1, T2, T3, grid_floats):
         starts.append(FactorSet(rng.uniform(-1.0, 1.0, (r, m * n)),
                                 rng.uniform(-1.0, 1.0, (r, n * p)),
                                 rng.uniform(-1.0, 1.0, (r, p * m))))
-    P, Q, S = (np.concatenate(stacks) for stacks in zip(*starts))
+    f = [np.concatenate(stacks) for stacks in zip(*starts)]
     runs = [_Descent(start) for start in starts]
     live = runs
     for sweep in range(1, cfg.max_sweeps + 1):
         # one snap over all three stacks, flattened so that each model
         # comes back as a contiguous block
-        models = _split(grid_floats[_snap((P, Q, S), grid_floats)],
-                        (P.shape, Q.shape, S.shape))
+        models = _split(grid_floats[_snap(f, grid_floats)], [s.shape for s in f])
         lam = np.array([d.lam_eff for d in live])
         try:
-            stacks = _sweep(P, Q, S, *models, T1, T2, T3, lam)
+            stacks = _sweep(f, models, target, lam)
         except np.linalg.LinAlgError:
             # numpy raises for the whole stack: sweep the restarts one by
             # one and drop those that raise again, with their state from
@@ -399,9 +392,8 @@ def _run_batch(cfg, indices, Tdense, T1, T2, T3, grid_floats):
             for j, d in enumerate(live):
                 rows = slice(j * r, j * r + r)
                 try:
-                    parts.append(_sweep(P[rows], Q[rows], S[rows],
-                                        *(model[rows] for model in models),
-                                        T1, T2, T3, lam[j:j + 1]))
+                    parts.append(_sweep([s[rows] for s in f], [s[rows] for s in models],
+                                        target, lam[j:j + 1]))
                 except np.linalg.LinAlgError:
                     d.outcome = "singular"
                     d.settle(r)
@@ -411,15 +403,15 @@ def _run_batch(cfg, indices, Tdense, T1, T2, T3, grid_floats):
                 break
             live = [live[j] for j in keep]
             stacks = tuple(np.concatenate(s) for s in zip(*parts))
-        res = kernels.residual(*stacks, Tdense, len(live)).tolist()
+        res = kernels.residual(*stacks, target[0], len(live)).tolist()
         keep = [j for j, d in enumerate(live) if d.step(cfg, sweep, res[j], stacks, j * r)]
-        P, Q, S = stacks
+        f = stacks
         if len(keep) < len(live):
             if not keep:
                 break
             live = [live[j] for j in keep]
             rows = (np.array(keep)[:, None] * r + np.arange(r)).ravel()
-            P, Q, S = P[rows], Q[rows], S[rows]
+            f = [s[rows] for s in f]
     else:
         for d in live:
             d.outcome = "exhausted"
@@ -432,14 +424,13 @@ def _run_restarts(cfg, progress=None):
     """Every restart's _Restart record, in index order, from batches of
     consecutive restarts; progress gets each batch's summary lines once
     the batch ends."""
-    Tdense = classical_dense(cfg.dims)
-    T1, T2, T3 = _matricize(Tdense)
+    target = _target(cfg.dims)
     _, grid_floats = _grid_arrays(cfg.snap_grid)
     width = _batch_width(cfg.dims, cfg.rank)
     results = []
     for start in range(0, cfg.restarts, width):
         indices = range(start, min(start + width, cfg.restarts))
-        batch = _run_batch(cfg, indices, Tdense, T1, T2, T3, grid_floats)
+        batch = _run_batch(cfg, indices, target, grid_floats)
         if progress is not None:
             for i, out in zip(indices, batch):
                 progress("restart %d %s residual %.6e after %d sweeps" % (

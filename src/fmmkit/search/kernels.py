@@ -6,7 +6,8 @@ belong to restart i.
 
   residual(P, Q, S, T, k)         the k squared Frobenius distances, one per
                                   restart, between its rank-r expansion and
-                                  the dense target T of shape (mn, np, pm)
+                                  the dense target T, any C-contiguous array
+                                  that flattens to the (mn, np, pm) tensor
   block_solve(A, B, Tmat, lam, M) ridge-regularized normal-equation solve
                                   for one factor stack given the other two,
                                   one r x r system per restart; Tmat is the

@@ -17,7 +17,8 @@ schemes pass when the difference vanishes at e -> 0, that is when every
 residual coefficient has e-order >= 1.  Both checks subtract the same
 classical target, scaled by e^q in approximate verification (q = 0 for
 exact), from the expansion: a rational tensor's residual stays rational
-under either check.
+under either check.  Every form of the classical tensor, here and in the
+search, comes from one builder of its coordinates, _classical_coords.
 
 The expansion runs on integers.  Each tensor is compiled once (see
 :func:`compiled`) from the nonzero entries its factors found when they
@@ -350,27 +351,25 @@ def expand(t):
 
 
 def _classical_coords(dims, support, dtype):
-    """Flat coordinates of the classical tensor's nonzero coefficients."""
+    """Flat coordinates of the classical tensor's nonzero coefficients, in
+    (i, j, k) order, which is ascending, skipping the (i, j) the support
+    mask excludes: each is the C-order index into the dense (mn, np, pm)
+    array."""
     m, n, p = dims
     i, j, k = (x.ravel() for x in np.indices((m, n, p)))
     if support is not None:
-        allowed = np.array(support)[i, j]
+        allowed = np.array(support, dtype=bool)[i, j]
         i, j, k = i[allowed], j[allowed], k[allowed]
     i, j, k = (x.astype(dtype) for x in (i, j, k))
     return ((i * n + j) * (n * p) + j * p + k) * (p * m) + k * m + i
 
 
 def classical_map(dims, support=None):
-    """Sparse coefficient map of the classical tensor (all coefficients 1)."""
+    """Sparse coefficient map of the classical tensor (all coefficients 1),
+    keyed in (i, j, k) order."""
     dims = Dims(*dims)
-    out = {}
-    for i in range(dims.m):
-        for j in range(dims.n):
-            if support is not None and not support[i][j]:
-                continue
-            for k in range(dims.p):
-                out[((i, j), (j, k), (k, i))] = Fraction(1)
-    return out
+    return dict.fromkeys(_triples(dims, _classical_coords(dims, support, _key_dtype(dims, 1))),
+                         Fraction(1))
 
 
 def _residual(t, expansion, q):
@@ -467,8 +466,8 @@ def verify_approximate(t, mode="strict"):
     # a valid scaling q leaves e^q + O(e^(q+1)) at every classical
     # coordinate, so the expansion's order at any one of them is the only
     # candidate
-    key = next(iter(classical_map(t.dims, t.support)))
-    q = laurent_order(delta.get(key, 0))
+    first = _classical_coords(t.dims, t.support, _key_dtype(t.dims, 1))[:1]
+    q = laurent_order(delta.get(_triples(t.dims, first)[0], 0))
     if 1 <= q < math.inf:
         candidate = report_for(q)
         if candidate.valid:

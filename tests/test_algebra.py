@@ -16,7 +16,7 @@ from fmmkit.algebra import (
     serendipity_transform,
     symmetry_apply,
 )
-from fmmkit.matrices import Matrix
+from fmmkit.matrices import ZERO, Matrix
 from fmmkit.scalars import Laurent
 from fmmkit.tensor import (
     LAURENT,
@@ -359,6 +359,15 @@ def test_embed_and_add_either_block_domain(teps):
     assert done.field_mode == LAURENT
     assert done == embed_and_add(laurent_copy(masked), fill, e)
     assert done == laurent_copy(embed_and_add(masked, fill, e))
+
+
+def test_placed_factors_fill_with_the_shared_zero(t58, teps):
+    placed = (direct_sum(t58, classical_tensor((2, 5, 5))),
+              embed_and_add(teps, classical_tensor((3, 3, 5)), mask_embedding(teps)))
+    for t in placed:
+        for term in t.terms:
+            for factor in term:
+                assert all(x is ZERO for row in factor.data for x in row if not x)
 
 
 def test_embed_and_add_errors(strassen, teps):

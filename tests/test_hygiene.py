@@ -1,6 +1,6 @@
-"""Every name a module under src/fmmkit imports is referenced in it, and
-every module-level private (_name) function, class or constant is
-referenced somewhere in the package.
+"""Every name a module under src/fmmkit, tests or tools imports is
+referenced in it, and every module-level private (_name) function, class
+or constant is referenced somewhere in the package.
 
 A package __init__.py imports names to re-export them, so it is exempt
 from the first check.
@@ -16,6 +16,8 @@ import fmmkit
 PACKAGE = Path(fmmkit.__file__).parent
 SOURCES = sorted(PACKAGE.rglob("*.py"))
 MODULES = [p for p in SOURCES if p.name != "__init__.py"]
+ROOT = Path(__file__).parent.parent
+SCRIPTS = sorted(ROOT.glob("tests/*.py")) + sorted(ROOT.glob("tools/*.py"))
 
 
 def unused_imports(source):
@@ -40,10 +42,17 @@ def test_unused_imports_are_found():
 def test_modules_found():
     names = {p.relative_to(PACKAGE).as_posix() for p in MODULES}
     assert {"algebra.py", "tensor.py", "search/als.py"} <= names
+    scripts = {p.relative_to(ROOT).as_posix() for p in SCRIPTS}
+    assert {"tests/helpers.py", "tests/test_hygiene.py", "tools/make_bundled_data.py"} <= scripts
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.relative_to(PACKAGE).as_posix())
 def test_no_unused_imports(path):
+    assert unused_imports(path.read_text()) == []
+
+
+@pytest.mark.parametrize("path", SCRIPTS, ids=lambda p: p.relative_to(ROOT).as_posix())
+def test_no_unused_imports_in_tests_and_tools(path):
     assert unused_imports(path.read_text()) == []
 
 

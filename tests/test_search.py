@@ -12,6 +12,7 @@ from fmmkit.search import (
     SearchConfig,
     SWEEP_LIMIT,
     SearchResult,
+    als_block_solve,
     als_objective,
     als_sweep,
     brent_residual,
@@ -32,6 +33,41 @@ def test_classical_dense_layout():
     # entry for A[0,1]*B[1,0] landing in C[0,0]
     assert T[0 * 2 + 1, 1 * 2 + 0, 0 * 2 + 0] == 1.0
     assert T[0 * 2 + 1, 0 * 2 + 0, 0 * 2 + 0] == 0.0
+
+
+def test_target_is_built_once_and_read_only():
+    for dims in ((2, 2, 2), (1, 2, 3), (3, 1, 2)):
+        target = als._target(als.Dims(*dims))
+        assert als._target(als.Dims(*dims)) is target
+        m, n, p = dims
+        assert [T.shape for T in target] == [(m * n, n * p * p * m), (n * p, m * n * p * m),
+                                             (p * m, m * n * n * p)]
+        assert np.array_equal(target[0].reshape(-1), classical_dense(dims).reshape(-1))
+        for T in target:
+            assert not T.flags.writeable
+            with pytest.raises(ValueError):
+                T[0, 0] = 2.0
+
+
+def test_helpers_reproduce_a_one_restart_search():
+    grid = (0, 1, -1)
+    for dims, rank, seed in (((2, 2, 2), 7, 1), ((2, 2, 2), 6, 4), ((1, 2, 3), 5, 2),
+                             ((2, 3, 2), 9, 8)):
+        out = search(SearchConfig(dims, rank, seed=seed, restarts=1, max_sweeps=1,
+                                  snap_grid=grid))
+        m, n, p = dims
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, 0))))
+        start = FactorSet(rng.uniform(-1.0, 1.0, (rank, m * n)),
+                          rng.uniform(-1.0, 1.0, (rank, n * p)),
+                          rng.uniform(-1.0, 1.0, (rank, p * m)))
+        models = snap_models(start, grid)
+        swept = als_sweep(start, models, als.LAMBDA_INIT, dims)
+        assert brent_residual(swept, dims) == out.trace[0][1]
+        assert _same_bits(swept, out.factors)
+        solved = start
+        for slot in "PQS":
+            solved = als_block_solve(solved, models, als.LAMBDA_INIT, dims, slot)
+        assert _same_bits(solved, swept)
 
 
 def test_brent_residual_zero_stack_counts_targets():
@@ -62,7 +98,8 @@ def test_snap_models_tie_rules():
         np.array([[0.9, 0.1, -0.1, 0.0]]),
         np.array([[2.0, -2.0, 0.49, 0.51]]),
     )
-    snapped = snap_models(f)
+    halves = (Fraction(-1), Fraction(-1, 2), Fraction(0), Fraction(1, 2), Fraction(1))
+    snapped = snap_models(f, grid=halves)
     assert snapped.P.tolist() == [[0.0, -0.5, 0.5, 0.0]]
     assert snapped.Q.tolist() == [[1.0, 0.0, 0.0, 0.0]]
     assert snapped.S.tolist() == [[1.0, -1.0, 0.5, 0.5]]
@@ -204,7 +241,9 @@ def _serial_restart(cfg, index):
     batched search must match bit for bit."""
     m, n, p = cfg.dims
     Tdense = classical_dense(cfg.dims)
-    T1, T2, T3 = als._matricize(Tdense)
+    T1 = Tdense.reshape(m * n, -1)
+    T2 = Tdense.transpose(1, 0, 2).reshape(n * p, -1)
+    T3 = Tdense.transpose(2, 0, 1).reshape(p * m, -1)
     _, grid = als._grid_arrays(cfg.snap_grid)
 
     def snap(x):
@@ -303,11 +342,9 @@ def _recorded_call(kernel_name, cfg, index, call, arg):
         seen.append(args[arg].copy())
         return real(*args)
 
-    target = als.classical_dense(cfg.dims)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(kernels, kernel_name, record)
-        als._run_batch(cfg, [index], target, *als._matricize(target),
-                       als._grid_arrays(cfg.snap_grid)[1])
+        als._run_batch(cfg, [index], als._target(cfg.dims), als._grid_arrays(cfg.snap_grid)[1])
     return seen[call]
 
 

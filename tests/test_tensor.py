@@ -1,15 +1,18 @@
 import copy
 import hashlib
+import itertools
 import math
 import pickle
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from fmmkit.algebra import direct_sum, embed_and_add, mask_embedding
 from fmmkit.matrices import Matrix
 from fmmkit.scalars import Laurent
+from fmmkit.search import classical_dense
 from fmmkit.tensor import (
     LAURENT,
     RATIONAL,
@@ -87,6 +90,27 @@ def test_expand_matches_classical_map():
     t = classical_tensor((2, 3, 2))
     assert expand(t) == classical_map(t.dims)
     assert verify_exact(t).failing_equations == ()
+
+
+def test_every_classical_form_comes_from_one_builder():
+    rng = random.Random(29)
+    for dims in [*itertools.product((1, 2, 3), repeat=3), (2, 3, 4), (3, 5, 5), (4, 3, 2)]:
+        m, n, p = dims
+        masks = [None]
+        while len(masks) < 4:
+            mask = [[rng.random() < 0.6 for _ in range(n)] for _ in range(m)]
+            if any(map(any, mask)):
+                masks.append(mask)
+        for mask in masks:
+            keys = list(classical_map(dims, mask))
+            assert keys == [((i, j), (j, k), (k, i)) for i in range(m) for j in range(n)
+                            if mask is None or mask[i][j] for k in range(p)]
+            assert keys == list(expand(classical_tensor(dims, mask)))
+            assert set(classical_map(dims, mask).values()) == {Fraction(1)}
+        dense = classical_dense(dims)
+        assert set(dense.ravel().tolist()) <= {0.0, 1.0}
+        assert [(i * n + j, j * p + k, k * m + i) for (i, j), (_, k), _
+                in classical_map(dims)] == list(map(tuple, np.argwhere(dense).tolist()))
 
 
 def test_masked_classical_tensor():
