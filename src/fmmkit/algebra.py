@@ -25,6 +25,7 @@ AXIS_N = "N"
 AXIS_P = "P"
 _AXES = (AXIS_M, AXIS_N, AXIS_P)
 
+# a slot's name is its Term field's, so getattr(term, slot) reads it
 SLOT_P = "P"
 SLOT_Q = "Q"
 SLOT_S = "S"
@@ -199,10 +200,6 @@ def isotropy_apply(t, g):
     return FmmTensor(t.dims, t.field_mode, terms)
 
 
-def _slot_of(term, slot):
-    return {SLOT_P: term.P, SLOT_Q: term.Q, SLOT_S: term.S}[slot]
-
-
 def serendipity_find(t, up_to_scale=False):
     """All maximal groups of terms sharing a factor in one slot.
 
@@ -217,14 +214,14 @@ def serendipity_find(t, up_to_scale=False):
         # one per class of equal (proportional) factors
         classes = {}
         for idx, term in enumerate(t.terms):
-            factor = _slot_of(term, slot)
+            factor = getattr(term, slot)
             key = factor
             if up_to_scale:
                 key = tuple((i, j) for i, j, _ in factor.nonzero_entries())
             bucket = classes.setdefault(key, [])
             for members in bucket:
                 if not up_to_scale or _proportional(
-                        _slot_of(t.terms[members[0]], slot), factor, key):
+                        getattr(t.terms[members[0]], slot), factor, key):
                     members.append(idx)
                     break
             else:
@@ -232,7 +229,7 @@ def serendipity_find(t, up_to_scale=False):
         for bucket in classes.values():
             for members in bucket:
                 if len(members) >= 2:
-                    shared = _slot_of(t.terms[members[0]], slot)
+                    shared = getattr(t.terms[members[0]], slot)
                     groups.append(SerendipityGroup(slot, shared, tuple(members)))
     groups.sort(key=lambda g: (_SLOTS.index(g.slot), g.term_indices[0]))
     return groups
@@ -262,7 +259,7 @@ def serendipity_transform(t, group, M):
     if len(set(idxs)) != q or not all(0 <= i < t.rank for i in idxs):
         raise ValueError("group indices out of range")
     for i in idxs:
-        if _slot_of(t.terms[i], group.slot) != group.shared_factor:
+        if getattr(t.terms[i], group.slot) != group.shared_factor:
             raise ValueError("stale group: term %d no longer carries the "
                              "shared factor" % i)
     if (M.rows, M.cols) != (q, q):
@@ -276,22 +273,21 @@ def serendipity_transform(t, group, M):
     partner = {SLOT_P: (SLOT_Q, SLOT_S),
                SLOT_Q: (SLOT_S, SLOT_P),
                SLOT_S: (SLOT_P, SLOT_Q)}[group.slot]
-    ys = [_slot_of(t.terms[i], partner[0]) for i in idxs]
-    zs = [_slot_of(t.terms[i], partner[1]) for i in idxs]
+    ys = [getattr(t.terms[i], partner[0]) for i in idxs]
+    zs = [getattr(t.terms[i], partner[1]) for i in idxs]
 
-    def mix(mixer, j, mats, by_row):
+    def mix(mixer, j, mats):
         acc = None
         for k, mat in enumerate(mats):
-            coeff = mixer[(j, k)] if by_row else mixer[(k, j)]
-            piece = mat.scale(coeff)
+            piece = mat.scale(mixer[(j, k)])
             acc = piece if acc is None else acc + piece
         return acc
 
     new_terms = list(t.terms)
     for j, i in enumerate(idxs):
         # alpha_j = sum_k (M^T)_{jk} Y_k ; beta_j = sum_k (M^-1)_{jk} Z_k
-        alpha = mix(Mt, j, ys, True)
-        beta = mix(M_inv, j, zs, True)
+        alpha = mix(Mt, j, ys)
+        beta = mix(M_inv, j, zs)
         if not (alpha and beta):
             raise ValueError("recombination would zero a factor of term %d "
                              "(dependent factors under this mixing matrix)" % i)

@@ -7,9 +7,9 @@ so that a converged solution usually rounds to exact rational factors.
 
 Factor stacks are plain float arrays: P is r x (m*n), Q is r x (n*p),
 S is r x (p*m), each row the row-major vectorization of one factor.  The
-restarts of a search run as batches that stack their restarts' factor
-stacks row block by row block (see kernels); a restart's trace is the same
-bit for bit in any batch, and alone.
+restarts of a search run as one batch that stacks their factor stacks row
+block by row block (see kernels); a restart's trace is the same bit for
+bit in any batch, and alone.
 
 The search and the public helpers (als_block_solve, als_sweep,
 als_objective, brent_residual) share one target per dims (_target) and
@@ -57,11 +57,6 @@ JITTER = 1e-12
 # over the last STALL_WINDOW sweeps, reset lambda to LAMBDA_INIT
 STALL_WINDOW = 25
 STALL_DROP = 1e-3
-
-# largest float64 intermediate of kernels.residual, k*r*(mn)(np)(pm)*8 bytes,
-# that one batch of k restarts may build; a restart bigger than this runs
-# alone
-BATCH_BYTES = 16 * 2**20
 
 RestartRecord = namedtuple(
     "RestartRecord", ["outcome", "sweeps", "lambda_resets", "best_residual"])
@@ -355,13 +350,6 @@ class _Descent:
         return True
 
 
-def _batch_width(dims, rank):
-    """Restarts per batch: as many as keep the residual's intermediate
-    within BATCH_BYTES, and at least one."""
-    m, n, p = dims
-    return max(1, BATCH_BYTES // (8 * rank * (m * n) * (n * p) * (p * m)))
-
-
 def _run_batch(cfg, indices, target, grid_floats):
     """Run the restarts numbered in indices as one batch; returns their
     _Restart records in the same order."""
@@ -421,22 +409,15 @@ def _run_batch(cfg, indices, target, grid_floats):
 
 
 def _run_restarts(cfg, progress=None):
-    """Every restart's _Restart record, in index order, from batches of
-    consecutive restarts; progress gets each batch's summary lines once
-    the batch ends."""
-    target = _target(cfg.dims)
-    _, grid_floats = _grid_arrays(cfg.snap_grid)
-    width = _batch_width(cfg.dims, cfg.rank)
-    results = []
-    for start in range(0, cfg.restarts, width):
-        indices = range(start, min(start + width, cfg.restarts))
-        batch = _run_batch(cfg, indices, target, grid_floats)
-        if progress is not None:
-            for i, out in zip(indices, batch):
-                progress("restart %d %s residual %.6e after %d sweeps" % (
-                    i, "converged" if out.best_res < TOL else "stopped", out.best_res,
-                    out.sweeps))
-        results.extend(batch)
+    """Every restart's _Restart record, in index order, from one batch of
+    all the restarts; progress gets their summary lines once it ends."""
+    results = _run_batch(cfg, range(cfg.restarts), _target(cfg.dims),
+                         _grid_arrays(cfg.snap_grid)[1])
+    if progress is not None:
+        for i, out in enumerate(results):
+            progress("restart %d %s residual %.6e after %d sweeps" % (
+                i, "converged" if out.best_res < TOL else "stopped", out.best_res,
+                out.sweeps))
     return results
 
 
@@ -446,9 +427,9 @@ def search(cfg, progress=None):
     ascending residual order with ties broken by restart index; the first
     attempt that verifies exactly is reported.  best_residual, factors,
     sweeps_used and trace always describe the lowest-residual restart;
-    restarts holds one RestartRecord per restart.  The restarts run in
-    batches, yet every restart's numbers are those of a serial run, so the
-    result is fully deterministic for a given config.  progress, when
+    restarts holds one RestartRecord per restart.  The restarts run as
+    one batch, yet every restart's numbers are those of a serial run, so
+    the result is fully deterministic for a given config.  progress, when
     given, is called with one summary line per finished restart, in
     restart order."""
     m, n, p = cfg.dims

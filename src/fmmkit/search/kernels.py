@@ -7,7 +7,11 @@ belong to restart i.
   residual(P, Q, S, T, k)         the k squared Frobenius distances, one per
                                   restart, between its rank-r expansion and
                                   the dense target T, any C-contiguous array
-                                  that flattens to the (mn, np, pm) tensor
+                                  that flattens to the (mn, np, pm) tensor;
+                                  the expansion is the tensor matricized as
+                                  (P (.) Q)^T S, one Khatri-Rao product and
+                                  one gemm per restart, so no array holds
+                                  more than r*(mn)(np) floats per restart
   block_solve(A, B, Tmat, lam, M) ridge-regularized normal-equation solve
                                   for one factor stack given the other two,
                                   one r x r system per restart; Tmat is the
@@ -29,11 +33,12 @@ BACKEND = "numpy"
 
 
 def residual(P, Q, S, T, k):
-    D = P[:, :, None, None] * Q[:, None, :, None] * S[:, None, None, :]
-    D = np.add.reduce(D.reshape(k, -1, T.size), axis=1)
-    D -= T.reshape(-1)
+    r = P.shape[0] // k
+    KR = (P[:, :, None] * Q[:, None, :]).reshape(k, r, -1)
+    D = KR.transpose(0, 2, 1) @ S.reshape(k, r, -1)
+    D -= T.reshape(D.shape[1:])
     D *= D
-    return np.add.reduce(D, axis=1)
+    return np.add.reduce(D.reshape(k, -1), axis=1)
 
 
 def block_solve(A, B, Tmat, lam, model):

@@ -1,12 +1,14 @@
 """Every name a module under src/fmmkit, tests or tools imports is
-referenced in it, and every module-level private (_name) function, class
-or constant is referenced somewhere in the package.
+referenced in it, every module-level private (_name) function, class
+or constant is referenced somewhere in the package, and every name the
+benchmark's tracer wraps exists.
 
 A package __init__.py imports names to re-export them, so it is exempt
 from the first check.
 """
 
 import ast
+import importlib.util
 from pathlib import Path
 
 import pytest
@@ -100,3 +102,15 @@ def test_no_dead_private_names():
     dead = dead_private_names([p.read_text() for p in SOURCES])
     assert [(SOURCES[i].relative_to(PACKAGE).as_posix(), line, name)
             for i, line, name in dead] == []
+
+
+def test_every_traced_name_resolves():
+    # the tracer patches these names only in the traced benchmark run, so a
+    # renamed one would break that run and nothing else
+    spec = importlib.util.spec_from_file_location("tracing", ROOT / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    names = tracing.SPANNED + tracing.AGGREGATED
+    assert names
+    assert [(module, attr) for module, attr, _ in names
+            if not hasattr(importlib.import_module(module), attr)] == []

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -269,8 +270,9 @@ def _serial_restart(cfg, index):
         P = solve(Q, S, T1, lam_eff, mP)
         Q = solve(P, S, T2, lam_eff, mQ)
         S = solve(P, Q, T3, lam_eff, mS)
-        D = (P[:, :, None, None] * Q[:, None, :, None] * S[:, None, None, :]).sum(axis=0)
-        D -= Tdense
+        KR = (P[:, :, None] * Q[:, None, :]).reshape(cfg.rank, -1)
+        D = KR.T @ S
+        D -= Tdense.reshape(D.shape)
         res = float((D * D).sum())
         trace.append((sweep, res, lam_eff))
         if not math.isfinite(res):
@@ -289,13 +291,13 @@ def _serial_restart(cfg, index):
     return best_res, best, len(trace), tuple(trace), resets
 
 
-def _per_restart(cfg, monkeypatch, width):
-    """Every restart's record, run in batches of `width` restarts."""
-    m, n, p = cfg.dims
-    per_restart = 8 * cfg.rank * (m * n) * (n * p) * (p * m)
-    monkeypatch.setattr(als, "BATCH_BYTES", width * per_restart)
-    assert als._batch_width(cfg.dims, cfg.rank) == width
-    return als._run_restarts(cfg)
+def _per_restart(cfg, width):
+    """Every restart's record, run in batches of `width` consecutive
+    restarts."""
+    target, grid_floats = als._target(cfg.dims), als._grid_arrays(cfg.snap_grid)[1]
+    return [out for start in range(0, cfg.restarts, width)
+            for out in als._run_batch(cfg, range(start, min(start + width, cfg.restarts)),
+                                      target, grid_floats)]
 
 
 def _same_bits(a, b):
@@ -312,15 +314,14 @@ def _same_bits(a, b):
     # product over all k*r rows than for one restart's r rows
     ((3, 3, 3), 23, 7, 20),
 ])
-def test_restart_is_the_same_alone_or_in_a_batch(dims, rank, restarts, max_sweeps,
-                                                  monkeypatch):
+def test_restart_is_the_same_alone_or_in_a_batch(dims, rank, restarts, max_sweeps):
     cfg = SearchConfig(dims, rank, seed=7, restarts=restarts, max_sweeps=max_sweeps,
                        snap_grid=(0, 1, -1))
-    alone = _per_restart(cfg, monkeypatch, 1)
+    alone = _per_restart(cfg, 1)
     # one batch of all restarts, then batches of two, the last one short
     # when restarts is odd
     for width in (restarts, 2):
-        batched = _per_restart(cfg, monkeypatch, width)
+        batched = _per_restart(cfg, width)
         for index, (a, b) in enumerate(zip(alone, batched)):
             assert a.trace == b.trace, (width, index)
             assert (a.sweeps, a.best_res, a.outcome, a.resets) == \
@@ -356,8 +357,7 @@ def test_singular_and_nonfinite_restarts_leave_the_batch_alone(monkeypatch):
     cfg = SearchConfig((2, 2, 2), 6, seed=3, restarts=4, max_sweeps=40,
                        snap_grid=(0, 1, -1))
     r = cfg.rank
-    alone = _per_restart(cfg, monkeypatch, 1)
-    monkeypatch.undo()
+    alone = _per_restart(cfg, 1)
     # restart 1's P-solve of sweep 20 raises; restart 2's residual of
     # sweep 30 comes out infinite
     singular_q = _recorded_call("block_solve", cfg, 1, 3 * 19, 0)
@@ -395,12 +395,54 @@ def test_singular_and_nonfinite_restarts_leave_the_batch_alone(monkeypatch):
     assert [rec.sweeps for rec in records] == [40, 19, 30, 40]
 
 
-def test_batch_width_bounds_the_residual_intermediate():
-    assert als._batch_width((2, 2, 2), 7) >= 100
-    assert als._batch_width((5, 5, 5), 98) == 1
-    width = als._batch_width((3, 3, 3), 23)
-    per_restart = 8 * 23 * 9 ** 3
-    assert width * per_restart <= als.BATCH_BYTES < (width + 1) * per_restart
+# -- residual kernel ------------------------------------------------------------
+
+
+def _random_stacks(dims, rows, seed):
+    m, n, p = dims
+    rng = np.random.default_rng(seed)
+    return tuple(rng.uniform(-1.0, 1.0, (rows, d)) for d in (m * n, n * p, p * m))
+
+
+@pytest.mark.parametrize("dims, rank", [((1, 2, 3), 5), ((2, 2, 2), 7), ((3, 3, 3), 23)])
+@pytest.mark.parametrize("k", [1, 3])
+def test_residual_is_the_dense_definition(dims, rank, k):
+    P, Q, S = _random_stacks(dims, k * rank, 11)
+    T = classical_dense(dims)
+    res = kernels.residual(P, Q, S, als._target(als.Dims(*dims))[0], k)
+    assert res.shape == (k,)
+    for j in range(k):
+        rows = slice(j * rank, j * rank + rank)
+        D = np.einsum("ta,tb,tc->abc", P[rows], Q[rows], S[rows]) - T
+        want = float((D * D).sum())
+        assert abs(res[j] - want) <= 1e-12 * want
+
+
+@pytest.mark.parametrize("dims, rank, k", [((2, 2, 2), 7, 20), ((1, 2, 3), 6, 4),
+                                           ((3, 3, 3), 23, 7), ((4, 4, 4), 49, 4)])
+def test_residual_is_the_same_alone_or_in_a_batch(dims, rank, k):
+    P, Q, S = _random_stacks(dims, k * rank, 12)
+    T = als._target(als.Dims(*dims))[0]
+    batched = kernels.residual(P, Q, S, T, k)
+    for j in range(k):
+        rows = slice(j * rank, j * rank + rank)
+        alone = kernels.residual(P[rows], Q[rows], S[rows], T, 1)
+        assert alone.tobytes() == batched[j:j + 1].tobytes()
+
+
+def test_residual_builds_no_r_by_dense_tensor_intermediate():
+    dims, rank, k = (4, 4, 4), 49, 4
+    P, Q, S = _random_stacks(dims, k * rank, 13)
+    T = als._target(als.Dims(*dims))[0]
+    # the r x (mn) x (np) x (pm) float64 product of every restart at once
+    dense_bytes = 8 * k * rank * 16 ** 3
+    tracemalloc.start()
+    try:
+        kernels.residual(P, Q, S, T, k)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < dense_bytes / 4
 
 
 def test_search_records_every_restart():
