@@ -10,11 +10,14 @@ multiply; the products are then folded back up through the S factors.
 An r1-term scheme over an r2-term scheme so forms r1*r2 leaf products,
 and the counter advances by the number actually formed.
 
-The evaluator works on numpy arrays of any dtype.  Exact runs
-(apply_bilinear, multiply_recursive) use object arrays of Fraction, and
-only schemes that pass verify_exact are run.  epsilon_error_scan
-substitutes each epsilon into the nonzero Laurent entries and runs the
-same evaluator on float64 arrays, then fits the error decay slope.
+The evaluator works on numpy arrays of any dtype.  Exact runs have one
+entry point, multiply_recursive: it runs object arrays of Fraction, and
+only schedules whose every level passes verify_exact.  Only the first
+level may carry a support mask, and A must then be zero in the blocks
+the mask excludes (single entries for a one-level schedule).
+epsilon_error_scan substitutes each epsilon into the nonzero Laurent
+entries and runs the same evaluator on float64 arrays, then fits the
+error decay slope.
 """
 
 import math
@@ -93,37 +96,17 @@ def _require_verified(t, what):
         raise UnverifiedSchemeError("%s fails verification: %s" % (what, report))
 
 
-def _run_exact(levels, A, B, counter):
-    C, leaves = _evaluate([_compile(t) for t in levels],
-                          np.array(A.data, dtype=object), np.array(B.data, dtype=object))
-    if counter is not None:
-        counter.tick(leaves)
-    return Matrix(C.tolist())
-
-
 def _check_mask_zeros(t, A):
-    """A, a Matrix or a 2-D array of t's A shape, must vanish wherever
-    t's support mask excludes an entry."""
+    """A, a 2-D array split into t's m x n grid of equal blocks, must
+    vanish in every block t's support mask excludes (single entries when
+    A has t's own A shape)."""
+    bm, bn = A.shape[0] // t.dims.m, A.shape[1] // t.dims.n
     for r, c in t.masked_out():
-        if A[r, c]:
-            raise ValueError("A[%d,%d] must be zero under the support mask" % (r, c))
-
-
-def apply_bilinear(t, A, B, counter=None):
-    """C = sum_i <P_i,A> <Q_i,B> S_i^T, equal to A*B for a verified scheme.
-
-    The scheme must pass verify_exact.  Exactly rank(t) products of
-    linear-form values are taken; when a counter is supplied it advances
-    by that amount.
-    """
-    if t.field_mode != RATIONAL:
-        raise ValueError("apply_bilinear evaluates exact schemes only")
-    m, n, p = t.dims
-    if (A.rows, A.cols) != (m, n) or (B.rows, B.cols) != (n, p):
-        raise ValueError("expected A %dx%d and B %dx%d" % (m, n, n, p))
-    _check_mask_zeros(t, A)
-    _require_verified(t, "scheme")
-    return _run_exact([t], A, B, counter)
+        hits = np.argwhere(A[r * bm:(r + 1) * bm, c * bn:(c + 1) * bn])
+        if len(hits):
+            i, j = hits[0]
+            raise ValueError("A[%d,%d] must be zero under the support mask"
+                             % (r * bm + i, c * bn + j))
 
 
 def _schedule_dims(levels):
@@ -136,8 +119,11 @@ def _schedule_dims(levels):
 
 
 def _check_schedule(levels):
-    """Each level must be exact, unmasked and pass verify_exact; a level
+    """The levels as a list.  Each must be exact and pass verify_exact,
+    and only the first may carry a support mask: inner levels multiply
+    linear combinations of blocks, which no mask constrains.  A level
     equal to one verified already in this call is not verified again."""
+    levels = list(levels)
     if not levels:
         raise ValueError("a schedule needs at least one scheme")
     verified = []
@@ -146,33 +132,41 @@ def _check_schedule(levels):
             raise ValueError("schedule level %d is not a tensor" % idx)
         if t.field_mode != RATIONAL:
             raise ValueError("schedule level %d must be exact" % idx)
-        if t.support is not None:
-            raise ValueError("schedule level %d is masked" % idx)
+        if idx > 1 and t.support is not None:
+            raise ValueError("schedule level %d is masked; only level 1 may be" % idx)
         if t not in verified:
             _require_verified(t, "schedule level %d" % idx)
             verified.append(t)
+    return levels
 
 
 def multiply_recursive(levels, A, B, counter=None):
     """Blockwise product through a schedule of exact schemes.
 
-    Every level must pass verify_exact.  A and B must have exactly the
-    composite dimensions (componentwise products over the levels); the
-    result equals A*B.
+    levels is any iterable of schemes, outer level first; every level
+    must pass verify_exact.  A and B must have exactly the composite
+    dimensions (componentwise products over the levels), and A must be
+    zero in the blocks the first level's support mask excludes; the
+    result equals A*B.  When a counter is supplied it advances by the
+    leaf products formed, the product of the ranks.
     """
-    _check_schedule(levels)
+    levels = _check_schedule(levels)
     M, N, P = _schedule_dims(levels)
     if (A.rows, A.cols) != (M, N) or (B.rows, B.cols) != (N, P):
         raise ValueError("schedule computes <%d,%d,%d>; got A %dx%d, B %dx%d"
                          % (M, N, P, A.rows, A.cols, B.rows, B.cols))
-    return _run_exact(list(levels), A, B, counter)
+    A = np.array(A.data, dtype=object)
+    _check_mask_zeros(levels[0], A)
+    C, leaves = _evaluate([_compile(t) for t in levels], A, np.array(B.data, dtype=object))
+    if counter is not None:
+        counter.tick(leaves)
+    return Matrix(C.tolist())
 
 
 def count_multiplications(levels):
     """Base scalar multiplications of the schedule: the product of ranks."""
-    _check_schedule(levels)
     total = 1
-    for t in levels:
+    for t in _check_schedule(levels):
         total *= t.rank
     return total
 

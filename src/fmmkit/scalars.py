@@ -120,22 +120,8 @@ class Laurent:
         """Minimum exponent carrying a nonzero coefficient."""
         return min(self.terms)
 
-    def max_exponent(self):
-        return max(self.terms)
-
-    def constant_part(self):
-        """Coefficient of e^0."""
-        return self.terms.get(0, Fraction(0))
-
-    def coefficient(self, k):
-        return self.terms.get(k, Fraction(0))
-
     def is_monomial(self):
         return len(self.terms) == 1
-
-    def shift(self, k):
-        """Multiply by e^k."""
-        return Laurent({e + k: q for e, q in self.terms.items()})
 
     def evaluate(self, eps):
         """Numerical value at a concrete float eps (for error scans).

@@ -40,6 +40,11 @@ DESK_LIMIT = 36
 # sweep) stop being desk-sized, so more must opt in explicitly too
 SWEEP_LIMIT = 100_000
 
+# a search holds each restart's factor stacks and trace until it returns,
+# so beyond this many restarts, or this many times 2000 sweeps (the
+# default max_sweeps) over all restarts, its memory stops being desk-sized
+RESTART_LIMIT = 1000
+
 DEFAULT_GRID = (Fraction(-1), Fraction(0), Fraction(1))
 
 # ridge schedule: lambda starts at LAMBDA_INIT and shrinks by LAMBDA_DECAY
@@ -103,6 +108,16 @@ class SearchConfig:
         if int(self.restarts) < 1:
             raise ValueError("restarts must be positive")
         object.__setattr__(self, "restarts", int(self.restarts))
+        if not self.allow_large:
+            if self.restarts > RESTART_LIMIT:
+                raise ValueError(
+                    "restarts %d exceeds the restart limit %d; set allow_large=True to proceed"
+                    % (self.restarts, RESTART_LIMIT))
+            if self.restarts * self.max_sweeps > RESTART_LIMIT * 2000:
+                raise ValueError(
+                    "restarts * max_sweeps %d exceeds the restart limit's %d sweeps; "
+                    "set allow_large=True to proceed"
+                    % (self.restarts * self.max_sweeps, RESTART_LIMIT * 2000))
         object.__setattr__(self, "seed", int(self.seed))
 
 

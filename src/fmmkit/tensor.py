@@ -20,20 +20,21 @@ exact), from the expansion: a rational tensor's residual stays rational
 under either check.  Every form of the classical tensor, here and in the
 search, comes from one builder of its coordinates, _classical_coords.
 
-The expansion runs on integers.  Each tensor is compiled once (see
-:func:`compiled`) from the nonzero entries its factors found when they
-were built (``Matrix.nonzeros``), so no zero cell is read again: for
-each factor slot P, Q, S every nonzero monomial q * e^k is recorded as
-its term index, its flat position row * cols + col, its exponent k (0 in
-rational mode) and an integer numerator, with each factor's denominators
-cleared.  Term i then carries one integer weight w_i over a common
-denominator L, so that L times the expansion is a sum of integer products
-w_i * p * q * s.  The products are formed as per-term outer products of
-index arrays, sorted once by (coordinate, exponent) key and summed with
-np.add.reduceat; the classical target, L * e^q at each classical
-coordinate, is subtracted the same way, and Python scalars are built only
-for the nonzero coordinates left.  The compiled form holds only these
-integer arrays; the evaluator reads each factor's ``nonzeros`` itself.
+The expansion runs on integers.  Each check compiles the tensor from the
+nonzero entries its factors found when they were built
+(``Matrix.nonzeros``), so no zero cell is read again, and the tensor
+keeps no compiled form between checks: for each factor slot P, Q, S
+every nonzero monomial q * e^k is recorded as its term index, its flat
+position row * cols + col, its exponent k (0 in rational mode) and an
+integer numerator, with each factor's denominators cleared.  Term i
+then carries one integer weight w_i over a common denominator L, so that
+L times the expansion is a sum of integer products w_i * p * q * s.  The
+products are formed as per-term outer products of index arrays, sorted
+once by (coordinate, exponent) key and summed with np.add.reduceat; the
+classical target, L * e^q at each classical coordinate, is subtracted
+the same way, and Python scalars are built only for the nonzero
+coordinates left.  The compiled form holds only these integer arrays;
+the evaluator reads each factor's ``nonzeros`` itself.
 
 Nothing rounds.  Sums run in int64 only under a proven bound: every
 partial sum is at most sum_i w_i |P_i|_1 |Q_i|_1 |S_i|_1 + L in magnitude
@@ -64,9 +65,7 @@ Term = namedtuple("Term", ["P", "Q", "S"])
 class FmmTensor:
     """Immutable sum of rank-one terms with optional A-support mask."""
 
-    # _compiled holds the compiled form once built; equality, pickling and
-    # copies ignore it
-    __slots__ = ("dims", "field_mode", "terms", "support", "_compiled")
+    __slots__ = ("dims", "field_mode", "terms", "support")
 
     def __init__(self, dims, field_mode, terms, support=None):
         dims = Dims(*dims)
@@ -103,7 +102,6 @@ class FmmTensor:
         object.__setattr__(self, "field_mode", field_mode)
         object.__setattr__(self, "terms", tuple(kept))
         object.__setattr__(self, "support", support)
-        object.__setattr__(self, "_compiled", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("tensors are immutable")
@@ -156,34 +154,22 @@ def classical_tensor(dims, support=None, field_mode=RATIONAL):
     return FmmTensor(dims, field_mode, terms, support)
 
 
-CompiledTensor = namedtuple("CompiledTensor", ["slots", "weights", "scale", "bound"])
-CompiledTensor.__doc__ = """A tensor's compiled form, built once by :func:`compiled`
-from each factor's ``Matrix.nonzeros``.
-
-slots: per factor slot P, Q, S, the arrays (term, pos, exp, num) over its
-    nonzero monomials in term order: term index and flat position as int64,
-    exponent and cleared numerator as Python ints.
-weights: per term, the integer w_i = scale / (its three factors'
-    denominators), so scale * P_i (x) Q_i (x) S_i = w_i * p (x) q (x) s.
-scale: the common denominator L.
-bound: sum_i w_i |P_i|_1 |Q_i|_1 |S_i|_1 + L, which no partial sum of an
-    expansion or residual (scaled by L) exceeds in magnitude.
-"""
-
 _INT64_LIMIT = 2**63
 
 
-def compiled(t):
-    """t's compiled form, built on first use and kept on the tensor."""
-    form = t._compiled
-    if form is None:
-        form = _compile(t)
-        object.__setattr__(t, "_compiled", form)
-    return form
-
-
 def _compile(t):
-    """Build t's CompiledTensor."""
+    """t's compiled form, built from each factor's ``Matrix.nonzeros``: the
+    tuple (slots, weights, scale, bound).
+
+    slots: per factor slot P, Q, S, the arrays (term, pos, exp, num) over its
+        nonzero monomials in term order: term index and flat position as
+        int64, exponent and cleared numerator as Python ints.
+    weights: per term, the integer w_i = scale / (its three factors'
+        denominators), so scale * P_i (x) Q_i (x) S_i = w_i * p (x) q (x) s.
+    scale: the common denominator L.
+    bound: sum_i w_i |P_i|_1 |Q_i|_1 |S_i|_1 + L, which no partial sum of an
+        expansion or residual (scaled by L) exceeds in magnitude.
+    """
     slots = tuple(([], [], [], []) for _ in range(3))
     dens, sizes = [], []
     for index, term in enumerate(t.terms):
@@ -206,11 +192,10 @@ def _compile(t):
         sizes.append(size)
     scale = math.lcm(*dens)
     weights = [scale // d for d in dens]
-    return CompiledTensor(
-        tuple((np.array(terms, dtype=np.int64), np.array(pos, dtype=np.int64),
-               np.array(exp, dtype=object), np.array(num, dtype=object))
-              for terms, pos, exp, num in slots),
-        weights, scale, sum(w * s for w, s in zip(weights, sizes)) + scale)
+    return (tuple((np.array(terms, dtype=np.int64), np.array(pos, dtype=np.int64),
+                   np.array(exp, dtype=object), np.array(num, dtype=object))
+                  for terms, pos, exp, num in slots),
+            weights, scale, sum(w * s for w, s in zip(weights, sizes)) + scale)
 
 
 def _width(bound):
@@ -306,32 +291,32 @@ def _sum_by_key(key, num, span):
 def _products(t):
     """Every product of t's expansion, as arrays over the products: term
     index, key (flat coordinate * span + exponent offset from lo) and value
-    times the scale; then lo and the exponent span."""
-    form = compiled(t)
+    times the scale; then lo, the exponent span and the scale."""
+    slots, weights, scale, bound = _compile(t)
     m, n, p = t.dims
-    counts = [np.bincount(slot[0], minlength=t.rank) for slot in form.slots]
+    counts = [np.bincount(slot[0], minlength=t.rank) for slot in slots]
     per_term = counts[0] * counts[1] * counts[2]
     term = np.repeat(np.arange(t.rank), per_term)
     # a product's index within its term, read as mixed-radix digits: its
     # P monomial, Q monomial and S monomial
     rest = np.arange(len(term)) - np.repeat(np.cumsum(per_term) - per_term, per_term)
     radices = (counts[1] * counts[2], counts[2], np.ones_like(counts[2]))
-    lows = [min(slot[2]) for slot in form.slots]
+    lows = [min(slot[2]) for slot in slots]
     lo = sum(lows)
-    span = sum(max(slot[2]) - low for slot, low in zip(form.slots, lows)) + 1
-    kd, vd = _key_dtype(t.dims, span), _width(form.bound)
+    span = sum(max(slot[2]) - low for slot, low in zip(slots, lows)) + 1
+    kd, vd = _key_dtype(t.dims, span), _width(bound)
     # key = ((posP * np + posQ) * pm + posS) * span + expP + expQ + expS,
     # summed one slot at a time from per-monomial parts
     strides = (n * p * p * m * span, p * m * span, span)
     key = np.zeros(len(term), dtype=kd)
-    num = np.array(form.weights, dtype=vd)[term]
+    num = np.array(weights, dtype=vd)[term]
     for (_, pos, exps, nums), count, radix, stride, low in zip(
-            form.slots, counts, radices, strides, lows):
+            slots, counts, radices, strides, lows):
         pick, rest = np.divmod(rest, radix[term])
         pick += (np.cumsum(count) - count)[term]
         key += (pos.astype(kd) * stride + (exps - low).astype(kd))[pick]
         num *= nums.astype(vd)[pick]
-    return term, key, num, lo, span
+    return term, key, num, lo, span, scale
 
 
 def expand(t):
@@ -341,13 +326,13 @@ def expand(t):
     are the nonzero coefficients.  The result is a read-only
     :class:`CoefficientMap` over arrays: the sum_i nnz(P_i) nnz(Q_i)
     nnz(S_i) products (counting monomials for laurent entries) are formed
-    from t's compiled form as integers over its common denominator, sorted
-    once by (coordinate, exponent) and summed.  Values and keys are int64
+    from t's factors' nonzeros as integers over their common denominator,
+    sorted once by (coordinate, exponent) and summed.  Values and keys are int64
     under the bounds in the module docstring and Python ints otherwise, so
     the map is exact either way.
     """
-    key, num, lo, span = _products(t)[1:]
-    return CoefficientMap(t.dims, *_sum_by_key(key, num, span), lo, span, compiled(t).scale)
+    key, num, lo, span, scale = _products(t)[1:]
+    return CoefficientMap(t.dims, *_sum_by_key(key, num, span), lo, span, scale)
 
 
 def _classical_coords(dims, support, dtype):
@@ -491,7 +476,7 @@ def explain(t, report, k):
     if not failing:
         return ()
     wanted = [_coordinate(t.dims, key) for key, _ in failing]
-    term, keys, _, _, span = _products(t)
+    term, keys, _, _, span, _ = _products(t)
     coord = keys // span
     hit = np.isin(coord, wanted)
     touching = {}

@@ -413,6 +413,16 @@ def test_search_huge_max_sweeps_exits_two_at_once(capsys):
     assert err.startswith("error: max_sweeps %d exceeds the sweep limit" % 10**30)
 
 
+def test_search_too_many_restarts_exits_two_at_once(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "search", "--dims", "2", "2", "2", "--rank", "7",
+                         "--restarts", "1001", "--max-sweeps", "1")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: restarts 1001 exceeds the restart limit")
+
+
 def test_missing_file_is_usage_error(capsys):
     code, _, err = run(capsys, "verify", "no-such-file.fmm")
     assert code == 2

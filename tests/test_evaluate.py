@@ -7,7 +7,6 @@ from fmmkit import evaluate
 from fmmkit.algebra import direct_sum, kronecker
 from fmmkit.evaluate import (
     MultiplicationCounter,
-    apply_bilinear,
     count_multiplications,
     epsilon_error_scan,
     multiply_recursive,
@@ -23,41 +22,60 @@ def rand_rational_matrix(rng, rows, cols):
     return Matrix([[rand_fraction(rng) for _ in range(cols)] for _ in range(rows)])
 
 
-def test_apply_bilinear_matches_direct_product(strassen):
+def test_single_level_matches_direct_product(strassen):
     rng = random.Random(2)
     for _ in range(50):
         A = rand_rational_matrix(rng, 2, 2)
         B = rand_rational_matrix(rng, 2, 2)
-        assert apply_bilinear(strassen, A, B) == A @ B
+        assert multiply_recursive([strassen], A, B) == A @ B
 
 
-def test_apply_bilinear_counts_rank_products(strassen, t58):
+def test_single_level_counts_rank_products(strassen, t58):
     rng = random.Random(4)
     for t in (strassen, t58):
         m, n, p = t.dims
         A = rand_rational_matrix(rng, m, n)
         B = rand_rational_matrix(rng, n, p)
         counter = MultiplicationCounter()
-        assert apply_bilinear(t, A, B, counter=counter) == A @ B
+        assert multiply_recursive([t], A, B, counter=counter) == A @ B
         assert counter.count == t.rank
 
 
-def test_apply_bilinear_respects_mask():
+def test_masked_first_level(strassen):
     masked = classical_tensor((2, 2, 2), support=[[True, False], [True, True]])
     A = Matrix([[1, 0], [2, 3]])
     B = Matrix([[1, 2], [3, 4]])
-    assert apply_bilinear(masked, A, B) == A @ B
+    assert multiply_recursive([masked], A, B) == A @ B
     with pytest.raises(ValueError):
-        apply_bilinear(masked, Matrix([[1, 5], [2, 3]]), B)
+        multiply_recursive([masked], Matrix([[1, 5], [2, 3]]), B)
+    # over a second level the mask excludes the top-right 2x2 block of A
+    rng = random.Random(3)
+    A = Matrix([[Fraction(0) if r < 2 <= c else rand_fraction(rng) for c in range(4)]
+                for r in range(4)])
+    B = rand_rational_matrix(rng, 4, 4)
+    counter = MultiplicationCounter()
+    assert multiply_recursive([masked, strassen], A, B, counter=counter) == A @ B
+    assert counter.count == 42 == count_multiplications([masked, strassen])
+    A = Matrix([[Fraction(int(r == 1 and c == 3)) for c in range(4)] for r in range(4)])
+    with pytest.raises(ValueError, match="A\\[1,3\\] must be zero under the support mask"):
+        multiply_recursive([masked, strassen], A, B)
 
 
-def test_apply_bilinear_argument_checks(strassen, teps):
+def test_single_level_argument_checks(strassen, teps):
     with pytest.raises(ValueError):
-        apply_bilinear(teps, Matrix.zeros(5, 5), Matrix.zeros(5, 5))
+        multiply_recursive([teps], Matrix.zeros(5, 5), Matrix.zeros(5, 5))
     with pytest.raises(ValueError):
-        apply_bilinear(strassen, Matrix.zeros(3, 2), Matrix.zeros(2, 2))
+        multiply_recursive([strassen], Matrix.zeros(3, 2), Matrix.zeros(2, 2))
     with pytest.raises(ValueError):
-        apply_bilinear(strassen, Matrix.zeros(2, 2), Matrix.zeros(2, 3))
+        multiply_recursive([strassen], Matrix.zeros(2, 2), Matrix.zeros(2, 3))
+
+
+def test_schedule_may_be_any_iterable(strassen):
+    A = Matrix([[1, 2], [3, 4]])
+    assert multiply_recursive(iter([strassen]), A, A) == A @ A
+    assert multiply_recursive((t for t in [strassen, strassen]),
+                              Matrix.identity(4), Matrix.identity(4)) == Matrix.identity(4)
+    assert count_multiplications(iter([strassen, strassen])) == 49
 
 
 def test_counter_tick():
@@ -105,7 +123,7 @@ def test_schedule_counter_matches_kronecker_evaluation(strassen):
     B = rand_rational_matrix(rng, 4, 4)
     flat = MultiplicationCounter()
     nested = MultiplicationCounter()
-    direct = apply_bilinear(big, A, B, counter=flat)
+    direct = multiply_recursive([big], A, B, counter=flat)
     recursive = multiply_recursive([strassen, strassen], A, B, counter=nested)
     assert direct == recursive == A @ B
     assert flat.count == nested.count == 49
@@ -139,8 +157,11 @@ def test_schedule_validation(strassen, teps):
     with pytest.raises(ValueError):
         count_multiplications([teps])  # approximate level
     masked = classical_tensor((2, 2, 2), support=[[True, False], [True, True]])
-    with pytest.raises(ValueError):
-        count_multiplications([masked])
+    assert count_multiplications([masked]) == masked.rank == 6
+    with pytest.raises(ValueError, match="level 2 is masked; only level 1 may be"):
+        count_multiplications([strassen, masked])
+    with pytest.raises(ValueError, match="level 2 is masked; only level 1 may be"):
+        multiply_recursive([strassen, masked], Matrix.zeros(4, 4), Matrix.zeros(4, 4))
     with pytest.raises(ValueError):
         count_multiplications([strassen, "strassen"])
     with pytest.raises(ValueError):
@@ -150,8 +171,6 @@ def test_schedule_validation(strassen, teps):
         count_multiplications([strassen, broken])
     with pytest.raises(UnverifiedSchemeError):
         multiply_recursive([broken], Matrix.zeros(2, 2), Matrix.zeros(2, 2))
-    with pytest.raises(UnverifiedSchemeError):
-        apply_bilinear(broken, Matrix.zeros(2, 2), Matrix.zeros(2, 2))
 
 
 def test_schedule_verifies_each_distinct_scheme_once(strassen, monkeypatch):
@@ -201,7 +220,7 @@ def test_mask_check_is_shared(teps):
         epsilon_error_scan(teps, A, B, [1e-1])
     masked = classical_tensor((2, 2, 2), support=[[True, False], [True, True]])
     with pytest.raises(ValueError, match="A\\[0,1\\] must be zero under the support mask"):
-        apply_bilinear(masked, Matrix([[1, 5], [2, 3]]), Matrix.identity(2))
+        multiply_recursive([masked], Matrix([[1, 5], [2, 3]]), Matrix.identity(2))
 
 
 def test_epsilon_error_scan_exact_scheme_hits_floor(strassen):

@@ -9,6 +9,7 @@ import pytest
 from fmmkit.search import (
     DESK_LIMIT,
     FactorSet,
+    RESTART_LIMIT,
     RestartRecord,
     SearchConfig,
     SWEEP_LIMIT,
@@ -195,6 +196,19 @@ def test_search_sweep_limit():
             SearchConfig((2, 1, 1), 1, max_sweeps=sweeps)
         cfg = SearchConfig((2, 1, 1), 1, max_sweeps=sweeps, allow_large=True)
         assert cfg.max_sweeps == sweeps
+
+
+def test_search_restart_limit():
+    budget = RESTART_LIMIT * 2000
+    for restarts, sweeps in ((RESTART_LIMIT, 2000), (20, SWEEP_LIMIT), (1, SWEEP_LIMIT)):
+        assert SearchConfig((2, 1, 1), 1, max_sweeps=sweeps, restarts=restarts).restarts == restarts
+    for restarts, sweeps in ((RESTART_LIMIT + 1, 1), (10**30, 1), (21, SWEEP_LIMIT),
+                             (RESTART_LIMIT, 2001)):
+        assert restarts > RESTART_LIMIT or restarts * sweeps > budget
+        with pytest.raises(ValueError, match="restart limit"):
+            SearchConfig((2, 1, 1), 1, max_sweeps=sweeps, restarts=restarts)
+        cfg = SearchConfig((2, 1, 1), 1, max_sweeps=sweeps, restarts=restarts, allow_large=True)
+        assert (cfg.restarts, cfg.max_sweeps) == (restarts, sweeps)
 
 
 def test_search_trivial_problem_succeeds():

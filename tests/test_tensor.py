@@ -9,6 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import fmmkit.tensor as tensor_module
 from fmmkit.algebra import direct_sum, embed_and_add, mask_embedding
 from fmmkit.matrices import Matrix
 from fmmkit.scalars import Laurent
@@ -144,6 +145,22 @@ def test_verify_approximate_on_exact_scheme(strassen):
     assert report.valid
     assert report.discrepancy_order == math.inf
     assert str(report) == "VALID discrepancy_order inf"
+
+
+def test_each_check_calls_expand_once_by_its_module_name(strassen, teps, monkeypatch):
+    # the benchmark's span tracer wraps fmmkit.tensor.expand, so the checks
+    # must look it up there at call time
+    calls = []
+
+    def counting_expand(t):
+        calls.append(t)
+        return expand(t)
+
+    monkeypatch.setattr(tensor_module, "expand", counting_expand)
+    assert verify_exact(strassen).passed
+    assert calls == [strassen]
+    assert verify_approximate(teps).valid
+    assert calls == [strassen, teps]
 
 
 def test_verify_approximate_strict_and_scaled(teps):
