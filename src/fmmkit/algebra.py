@@ -17,7 +17,7 @@ together, and their result is laurent when any input is.
 from collections import namedtuple
 from dataclasses import dataclass
 
-from .matrices import ZERO, Matrix
+from .matrices import Matrix, _sparse
 from .tensor import LAURENT, RATIONAL, FmmTensor, Term
 
 AXIS_M = "M"
@@ -79,11 +79,9 @@ def _joint_mode(t1, t2):
 
 
 def _scatter(mat, rows, cols, big_rows, big_cols):
-    # Matrix skips the shared ZERO by identity
-    cells = [[ZERO] * big_cols for _ in range(big_rows)]
-    for i, j, v in mat.nonzeros:
-        cells[rows[i]][cols[j]] = v
-    return Matrix(cells)
+    # the index maps increase, so the placed entries stay row-major
+    return _sparse(big_rows, big_cols,
+                   [(rows[i], cols[j], v) for i, j, v in mat.nonzeros])
 
 
 def _placed_terms(t, e, dims):
@@ -221,7 +219,7 @@ def serendipity_find(t, up_to_scale=False):
             bucket = classes.setdefault(key, [])
             for members in bucket:
                 if not up_to_scale or _proportional(
-                        getattr(t.terms[members[0]], slot), factor, key):
+                        getattr(t.terms[members[0]], slot), factor):
                     members.append(idx)
                     break
             else:
@@ -235,13 +233,13 @@ def serendipity_find(t, up_to_scale=False):
     return groups
 
 
-def _proportional(F, G, support):
-    """Whether F and G, both nonzero exactly at the positions support,
-    differ by a scalar factor: F[i] G[a] == G[i] F[a] at every position i,
-    with a the first one.  The test divides nothing, so it holds in the
-    Laurent scalars too, where a quotient may not exist."""
-    a = support[0]
-    return all(F[i] * G[a] == G[i] * F[a] for i in support[1:])
+def _proportional(F, G):
+    """Whether F and G, nonzero at the same positions (so their nonzeros
+    pair up in order), differ by a scalar factor: f g_a == g f_a at every
+    position, with a the first one.  The test divides nothing, so it holds
+    in the Laurent scalars too, where a quotient may not exist."""
+    (_, _, fa), (_, _, ga) = F.nonzeros[0], G.nonzeros[0]
+    return all(f * ga == g * fa for (_, _, f), (_, _, g) in zip(F.nonzeros, G.nonzeros))
 
 
 def serendipity_transform(t, group, M):

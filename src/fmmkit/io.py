@@ -19,19 +19,18 @@ comma, ' + ' around monomial sums); whitespace-separated compact tokens
 such as `1/2*e^-3+2` are accepted on input.  Matrix files carry a
 `rows cols` header and then row-major rational entries.
 
-Each distinct row text is parsed once per file, and each distinct cell
-token once: a scheme file repeats a few hundred row texts and a handful
-of tokens (0, 1, -1, ...) thousands of times, and the parsed scalars are
-immutable, so every row with the same text shares one tuple of values and
-every cell with the same text one value.  A parsed zero is the shared
-``matrices.ZERO``, which lets a Matrix skip its zero cells by identity.
-A row's width is checked at every occurrence, and only successful parses
-are kept, so an error names the line of the first bad occurrence.
+A factor stores only its nonzero entries (see matrices), and the parser
+builds it straight from them.  Each distinct cell token is parsed once
+per file, and each distinct row text once per width: a scheme file
+repeats a few hundred row texts and a handful of tokens (0, 1, -1, ...)
+thousands of times, so rows of one text and width share one tuple of
+their nonzero (column, scalar) pairs.  Only successful parses are kept,
+so an error names the line of the first bad occurrence.
 """
 
 from operator import itemgetter
 
-from .matrices import ZERO, Matrix
+from .matrices import Matrix, _sparse
 from .scalars import ScalarParseError, format_rational, format_scalar, parse_scalar
 from .tensor import LAURENT, RATIONAL, FmmTensor, Term
 
@@ -86,8 +85,7 @@ def _split_row(body):
 
 
 def _scalar_reader(laurent):
-    """read(cell) -> parse_scalar(cell), each distinct cell parsed once;
-    a zero is returned as ZERO.
+    """read(cell) -> parse_scalar(cell), each distinct cell parsed once.
 
     Only successful parses are kept, so a bad cell raises
     ScalarParseError wherever it occurs.
@@ -97,21 +95,22 @@ def _scalar_reader(laurent):
     def read(cell):
         value = table.get(cell)
         if value is None:
-            value = table[cell] = parse_scalar(cell, laurent=laurent) or ZERO
+            value = table[cell] = parse_scalar(cell, laurent=laurent)
         return value
 
     return read
 
 
 def _parse_row(no, body, width, read, what):
-    """The scalars of row text `body` at line `no`, as a tuple."""
+    """The (column, scalar) pairs of the nonzero entries of row text `body`
+    at line `no`, as a tuple."""
     # a single scalar may contain spaces (' + ' joined monomials)
     cells = [body] if width == 1 and "," not in body else _split_row(body)
     if len(cells) != width:
         raise TensorFormatError(
             "%s: expected %d entries, got %d" % (what, width, len(cells)), no)
     try:
-        return tuple([read(cell) for cell in cells])
+        return tuple([(j, x) for j, x in enumerate(map(read, cells)) if x])
     except ScalarParseError as exc:
         raise TensorFormatError("%s: %s" % (what, exc), no) from None
 
@@ -119,24 +118,24 @@ def _parse_row(no, body, width, read, what):
 def _parse_factor(cursor, rows, cols, read, table, what):
     """The next rows x cols factor.
 
-    table maps each row text already parsed in the file to its scalars.
-    The split depends on the width (a comma-free text is one scalar at
-    width 1 and whitespace-separated cells at any other width), and a
-    parse is stored only when it gave exactly `cols` scalars; so a stored
-    tuple of `cols` scalars is this row's parse, and a text met at another
-    width is parsed again.  Only successful parses are stored, so every
-    error is the one parsing that row alone would give.
+    table maps each (row text, width) already parsed in the file to the
+    row's nonzero (column, scalar) pairs.  The width is part of the key
+    because the split depends on it (a comma-free text is one scalar at
+    width 1 and whitespace-separated cells at any other width).  Only
+    successful parses are stored, so every error is the one parsing that
+    row alone would give, and a row's error comes before the end of file.
     """
-    data = []
-    for no, body in cursor.take(rows):
-        row = table.get(body)
-        if row is None or len(row) != cols:
-            row = table[body] = _parse_row(
-                no, body, cols, read, "%s row %d" % (what, len(data) + 1))
-        data.append(row)
-    if len(data) < rows:
-        raise _end_of_file("%s row %d" % (what, len(data) + 1))
-    return Matrix(data)
+    nonzeros = []
+    lines = cursor.take(rows)
+    for i, (no, body) in enumerate(lines):
+        pairs = table.get((body, cols))
+        if pairs is None:
+            pairs = table[body, cols] = _parse_row(
+                no, body, cols, read, "%s row %d" % (what, i + 1))
+        nonzeros += [(i, j, x) for j, x in pairs]
+    if len(lines) < rows:
+        raise _end_of_file("%s row %d" % (what, len(lines) + 1))
+    return _sparse(rows, cols, nonzeros)
 
 
 def parse_tensor(text):
@@ -188,7 +187,7 @@ def parse_tensor(text):
         support = tuple(mask)
 
     read = _scalar_reader(mode == LAURENT)
-    table = {}  # row text -> its scalars
+    table = {}  # (row text, width) -> its nonzero (column, scalar) pairs
     terms = []
     for idx in range(1, rank + 1):
         no, body = cursor.next("'term %d'" % idx)
@@ -287,9 +286,7 @@ def write_matrix(mat):
     if not mat.is_rational():
         raise ValueError("matrix files hold rational entries only")
     lines = ["%d %d" % (mat.rows, mat.cols)]
-    for r in range(mat.rows):
-        lines.append(" ".join(
-            format_rational(mat[(r, c)]) for c in range(mat.cols)))
+    lines += [" ".join(map(format_rational, row)) for row in mat.data]
     return "\n".join(lines) + "\n"
 
 

@@ -1,18 +1,15 @@
-"""Exact dense matrices over the rationals or the Laurent scalars.
+"""Exact matrices over the rationals or the Laurent scalars.
 
 Everything here is immutable and pure.  Sizes stay at desk scale (at most
 a few tens of rows), so the algorithms favour exactness and clarity.
 
-The constructor is the one place that settles an entry's type: Fraction
-and Laurent entries are kept as they are and any other x becomes
-Fraction(x), so nothing downstream re-coerces a matrix's entries; a row
-whose entries all equal zero is stored as a row of the shared ``ZERO``.
-The constructor is also the one place that finds the nonzero entries:
-``nonzeros`` keeps them row-major, and truth, ``nonzero_entries``,
-``kron`` and ``is_rational`` read that instead of scanning every cell
-again.  Cells that are ``ZERO`` itself (what the parser and ``kron`` fill
-grids with) are skipped by identity, so an all-``ZERO`` row costs no
-scalar call at all.
+A Matrix stores one form, its nonzero entries as row-major (i, j, value)
+triples (``nonzeros``); ``data``, the dense rows with each zero the shared
+``ZERO``, is built on demand for the operations that walk every cell.
+``Matrix(data)`` is the one place that settles an entry's type (Fraction
+and Laurent entries are kept, any other x becomes Fraction(x)), and every
+matrix built from other entries (``kron``, ``transpose``, ``zeros``, a
+placed or parsed factor) comes straight from its triples via ``_sparse``.
 
 Rank, determinant and inverse share one fraction-free (Bareiss)
 elimination, exact in any integral domain and so over the Laurent
@@ -32,41 +29,23 @@ from .scalars import Laurent, exact_div
 
 ZERO = Fraction(0)
 
-# entry types kept as they are; a row of only these is not rebuilt
-_SETTLED = frozenset((Fraction, Laurent))
-
 
 class Matrix:
-    """Immutable dense matrix; entries are Fraction or Laurent scalars."""
+    """Immutable matrix; entries are Fraction or Laurent scalars."""
 
     # nonzeros: the (i, j, value) triples of the nonzero entries, row-major
-    __slots__ = ("rows", "cols", "data", "nonzeros")
+    __slots__ = ("rows", "cols", "nonzeros")
 
-    def __init__(self, data):
+    def __new__(cls, data):
         data = [tuple(row) for row in data]
         if not data or not data[0]:
             raise ValueError("matrix needs at least one row and one column")
-        cols = len(data[0])
         if len(set(map(len, data))) != 1:
             raise ValueError("ragged rows")
-        zero = (ZERO,) * cols
-        nonzeros = []
-        for i, row in enumerate(data):
-            # tuple == compares cells by identity before ==, and stops at the
-            # first cell that differs, so a row of ZERO costs no scalar call
-            # and any other row one; a row of entries equal to zero becomes
-            # `zero`
-            if row == zero:
-                data[i] = zero
-                continue
-            if not _SETTLED.issuperset(map(type, row)):
-                row = data[i] = tuple([x if type(x) is Fraction or isinstance(x, Laurent)
-                                       else Fraction(x) for x in row])
-            nonzeros += [(i, j, x) for j, x in enumerate(row) if x is not ZERO and x]
-        object.__setattr__(self, "data", tuple(data))
-        object.__setattr__(self, "rows", len(data))
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "nonzeros", tuple(nonzeros))
+        settled = ((x if type(x) is Fraction or isinstance(x, Laurent) else Fraction(x)
+                    for x in row) for row in data)
+        return _sparse(len(data), len(data[0]), [(i, j, x) for i, row in enumerate(settled)
+                                                 for j, x in enumerate(row) if x])
 
     def __setattr__(self, name, value):
         raise AttributeError("matrices are immutable")
@@ -78,7 +57,9 @@ class Matrix:
 
     @staticmethod
     def zeros(rows, cols):
-        return Matrix([[ZERO] * cols for _ in range(rows)])
+        if rows < 1 or cols < 1:
+            raise ValueError("matrix needs at least one row and one column")
+        return _sparse(rows, cols, ())
 
     @staticmethod
     def identity(n):
@@ -93,13 +74,21 @@ class Matrix:
 
     # -- basic structure ----------------------------------------------------
 
+    @property
+    def data(self):
+        """The dense rows as tuples, each zero the shared ZERO."""
+        cells = [[ZERO] * self.cols for _ in range(self.rows)]
+        for i, j, x in self.nonzeros:
+            cells[i][j] = x
+        return tuple(map(tuple, cells))
+
     def __eq__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
-        return self.data == other.data
+        return (self.rows, self.cols, self.nonzeros) == (other.rows, other.cols, other.nonzeros)
 
     def __hash__(self):
-        return hash(self.data)
+        return hash((self.rows, self.cols, self.nonzeros))
 
     def __getitem__(self, key):
         i, j = key
@@ -160,21 +149,19 @@ class Matrix:
                        for row in self.data])
 
     def transpose(self):
-        return Matrix(list(zip(*self.data)))
+        return _sparse(self.cols, self.rows, sorted((j, i, x) for i, j, x in self.nonzeros))
 
     def kron(self, other):
         """Kronecker product; big row index = (outer row)*(inner rows) + inner row.
 
-        Built from the nonzero entries of both operands: a grid of the
-        shared ZERO gets one product per pair of nonzeros, so no cell pair
-        involving a zero is multiplied.
+        One product per pair of nonzero entries, itself nonzero: the
+        scalars form an integral domain.
         """
         rows, cols = other.rows, other.cols
-        out = [[ZERO] * (self.cols * cols) for _ in range(self.rows * rows)]
-        for i, j, a in self.nonzeros:
-            for k, l, b in other.nonzeros:
-                out[i * rows + k][j * cols + l] = a * b
-        return Matrix(out)
+        out = [(i * rows + k, j * cols + l, a * b)
+               for i, j, a in self.nonzeros for k, l, b in other.nonzeros]
+        out.sort()
+        return _sparse(self.rows * rows, self.cols * cols, out)
 
     def _check_same_shape(self, other):
         if (self.rows, self.cols) != (other.rows, other.cols):
@@ -217,6 +204,18 @@ class Matrix:
         if rank < self.rows:
             return Fraction(0)
         return -pivot if sign < 0 else pivot
+
+
+def _sparse(rows, cols, nonzeros):
+    """The rows x cols Matrix with the (i, j, value) triples nonzeros.  The
+    caller keeps the invariant that equality and hashing rely on: strictly
+    row-major positions (distinct, so sorting the triples as tuples never
+    compares values) and every value a nonzero Fraction or Laurent."""
+    m = object.__new__(Matrix)
+    object.__setattr__(m, "rows", rows)
+    object.__setattr__(m, "cols", cols)
+    object.__setattr__(m, "nonzeros", tuple(nonzeros))
+    return m
 
 
 def _eliminate(a, pivot_cols, jordan=False):

@@ -89,6 +89,10 @@ class SearchConfig:
         if int(self.rank) < 1:
             raise ValueError("rank must be positive, got %r" % (self.rank,))
         object.__setattr__(self, "rank", int(self.rank))
+        # the classical scheme has rank m*n*p; above it, r x r Gram matrices only grow
+        if self.rank > dims.m * dims.n * dims.p:
+            raise ValueError("rank %d exceeds the classical rank %d of <%d,%d,%d>"
+                             % ((self.rank, dims.m * dims.n * dims.p) + dims))
         try:
             grid = tuple(sorted(set(Fraction(g) for g in self.snap_grid)))
             for g in grid:

@@ -139,7 +139,7 @@ class FmmTensor:
         return FmmTensor(self.dims, self.field_mode, terms, self.support)
 
 
-def classical_tensor(dims, support=None, field_mode=RATIONAL):
+def classical_tensor(dims, support=None):
     """The classical scheme: one term per allowed (i, j, k) product.
 
     With a support mask, (i, j) pairs outside the mask are dropped, giving
@@ -151,7 +151,7 @@ def classical_tensor(dims, support=None, field_mode=RATIONAL):
         Term(Matrix.unit(m, n, i, j), Matrix.unit(n, p, j, k), Matrix.unit(p, m, k, i))
         for (i, j), (_, k), _ in classical_map(dims, support)
     ]
-    return FmmTensor(dims, field_mode, terms, support)
+    return FmmTensor(dims, RATIONAL, terms, support)
 
 
 _INT64_LIMIT = 2**63

@@ -423,6 +423,17 @@ def test_search_too_many_restarts_exits_two_at_once(capsys):
     assert err.startswith("error: restarts 1001 exceeds the restart limit")
 
 
+def test_search_rank_above_the_classical_rank_exits_two_at_once(capsys):
+    for extra in ([], ["--allow-large"]):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "search", "--dims", "2", "2", "2",
+                             "--rank", "1000000000000", *extra)
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: rank 1000000000000 exceeds the classical rank 8")
+
+
 def test_missing_file_is_usage_error(capsys):
     code, _, err = run(capsys, "verify", "no-such-file.fmm")
     assert code == 2

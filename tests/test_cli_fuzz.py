@@ -101,7 +101,8 @@ COMMANDS = {
     "search": ([], {
         "--dims": st.lists(st.sampled_from(("1", "2", "0", "-1", "nan", "")),
                            min_size=3, max_size=3),
-        "--rank": one(st.sampled_from(("1", "2", "6", "7", "0", "-1", "nan", ""))),
+        "--rank": one(st.sampled_from(("1", "2", "6", "7", "0", "-1", "nan", "",
+                                       "1000000000000"))),
     }, {
         "--seed": odd("3"),
         "--restarts": one(st.sampled_from(("1", "2", "0", "-1", "inf", ""))),

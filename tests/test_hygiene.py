@@ -1,7 +1,8 @@
 """Every name a module under src/fmmkit, tests or tools imports is
 referenced in it, every module-level private (_name) function, class
-or constant is referenced somewhere in the package, and every name the
-benchmark's tracer wraps exists.
+or constant is referenced somewhere in the package, only matrices.py
+names the shared zero ``ZERO``, and every name the benchmark's tracer
+wraps exists.
 
 A package __init__.py imports names to re-export them, so it is exempt
 from the first check.
@@ -102,6 +103,29 @@ def test_no_dead_private_names():
     dead = dead_private_names([p.read_text() for p in SOURCES])
     assert [(SOURCES[i].relative_to(PACKAGE).as_posix(), line, name)
             for i, line, name in dead] == []
+
+
+def mentions(source, name):
+    """Whether source names `name`: loads it, imports it or reads it as an
+    attribute."""
+    return any(isinstance(node, ast.Name) and node.id == name
+               or isinstance(node, ast.Attribute) and node.attr == name
+               or isinstance(node, ast.alias) and name in (node.name, node.asname)
+               for node in ast.walk(ast.parse(source)))
+
+
+def test_mentions_are_found():
+    for source in ("from m import ZERO\n", "from m import Z as ZERO\n",
+                   "import m\nm.ZERO\n", "x = ZERO\n"):
+        assert mentions(source, "ZERO"), source
+    assert not mentions("ZEROS = 1\nx = 'ZERO'\n", "ZERO")
+
+
+def test_only_matrices_names_the_shared_zero():
+    # a Matrix stores its nonzeros only, so no other module needs the zero
+    # cells' identity
+    assert [p.relative_to(PACKAGE).as_posix() for p in SOURCES
+            if mentions(p.read_text(), "ZERO")] == ["matrices.py"]
 
 
 def test_every_traced_name_resolves():

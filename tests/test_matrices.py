@@ -6,9 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fmmkit.algebra import AXIS_M, AXIS_N, AXIS_P, direct_sum, embed_and_add, mask_embedding
+from fmmkit.io import parse_tensor, write_tensor
 from fmmkit.matrices import ZERO, Matrix
 from fmmkit.scalars import Laurent
-from fmmkit.tensor import LAURENT, RATIONAL
+from fmmkit.tensor import LAURENT, RATIONAL, FmmTensor, Term, classical_tensor
 
 from helpers import rand_factor, rand_invertible, rand_scalar
 
@@ -241,3 +243,65 @@ def test_constructor_settles_each_entry_once():
     assert type(one) is Fraction and one == 1
     assert kept_q is q
     assert kept_x is x
+
+
+def _assert_stored_form(x):
+    """x keeps the invariant of Matrix.nonzeros: strictly row-major
+    positions inside the shape and nonzero values, so it equals, and
+    hashes like, the matrix Matrix builds from its dense rows."""
+    positions = [(i, j) for i, j, _ in x.nonzeros]
+    assert positions == sorted(set(positions)), x.nonzeros
+    assert all(0 <= i < x.rows and 0 <= j < x.cols for i, j in positions)
+    assert all(type(v) in (Fraction, Laurent) and v for _, _, v in x.nonzeros)
+    dense = Matrix(x.data)
+    assert x.nonzeros == dense.nonzeros
+    assert x == dense and hash(x) == hash(dense)
+
+
+def _rand_tensor(rng, dims, mode):
+    m, n, p = dims
+    return FmmTensor(dims, mode, [
+        Term(rand_factor(rng, m, n, mode), rand_factor(rng, n, p, mode),
+             rand_factor(rng, p, m, mode)) for _ in range(rng.randint(1, 3))])
+
+
+@settings(max_examples=200)
+@given(st.integers(min_value=0, max_value=2**48 - 1))
+def test_built_factors_keep_the_stored_form(seed):
+    rng = random.Random(seed)
+    modes = (RATIONAL, LAURENT)
+    a = rand_factor(rng, rng.randint(1, 3), rng.randint(1, 3), rng.choice(modes))
+    b = rand_factor(rng, rng.randint(1, 3), rng.randint(1, 3), rng.choice(modes))
+    built = [a.kron(b), b.kron(a), a.transpose(), Matrix.zeros(a.rows, a.cols)]
+
+    dims = [rng.randint(1, 3) for _ in range(3)]
+    axis = rng.randrange(3)
+    other = list(dims)
+    other[axis] = rng.randint(1, 3)
+    t1 = _rand_tensor(rng, dims, rng.choice(modes))
+    t2 = _rand_tensor(rng, other, rng.choice(modes))
+    summed = direct_sum(t1, t2, (AXIS_M, AXIS_N, AXIS_P)[axis])
+    m, n = dims[0] + 1, dims[1] + 1
+    support = [[True] * n for _ in range(m)]
+    rows = sorted(rng.sample(range(m), rng.randint(1, m - 1)))
+    cols = sorted(rng.sample(range(n), rng.randint(1, n - 1)))
+    for r in rows:
+        for c in cols:
+            support[r][c] = False
+    partial = classical_tensor((m, n, dims[2]), support)
+    block = _rand_tensor(rng, (len(rows), len(cols), dims[2]), rng.choice(modes))
+    completed = embed_and_add(partial, block, mask_embedding(partial))
+    parsed = parse_tensor(write_tensor(summed))
+    assert parsed == summed
+    for t in (summed, completed, parsed):
+        built += [factor for term in t.terms for factor in term]
+    for x in built:
+        _assert_stored_form(x)
+
+
+def test_parsed_zero_spellings_are_not_stored():
+    t = parse_tensor("fmm 1\ndims 1 2 1\nrank 1\nfield laurent\nterm 1\n"
+                     "0/7, 1 + 0*e^2\n-0\n0*e^-1 + 1\n1\n")
+    P, Q, _ = t.terms[0]
+    assert P.nonzeros == ((0, 1, 1),) and Q.nonzeros == ((1, 0, 1),)
+    assert type(P.nonzeros[0][2]) is Fraction

@@ -491,3 +491,25 @@ def test_all_zero_restart_stops_collapsed():
     assert second.trace[:5] == capped.trace
     assert second.best_res == capped.best_res == second.trace[0][1]
     assert all(np.array_equal(a, b) for a, b in zip(second.factors, capped.factors))
+
+
+def test_search_rank_is_capped_at_the_classical_rank():
+    # the classical scheme already has rank m*n*p; a larger rank would only
+    # grow the r x r Gram matrices of every block solve
+    for allow_large in (False, True):
+        assert SearchConfig((2, 2, 2), 8, allow_large=allow_large).rank == 8
+        for rank in (9, 10**12):
+            with pytest.raises(ValueError, match="exceeds the classical rank 8"):
+                SearchConfig((2, 2, 2), rank, allow_large=allow_large)
+
+
+def test_stagnation_reset_fires_after_the_window(monkeypatch):
+    # a residual stuck at 5.0 drops once, from inf at sweep 1, so sweeps
+    # 2-26 run at the decayed lambda; at sweep 26 it has not dropped over
+    # the stall window of 25 sweeps, so sweep 27 runs at LAMBDA_INIT again
+    monkeypatch.setattr(kernels, "residual", lambda P, Q, S, T, k: np.full(k, 5.0))
+    out = search(SearchConfig((2, 2, 2), 7, max_sweeps=100))
+    lam = {sweep: value for sweep, _, value in out.trace}
+    assert lam[2] == lam[26] == als.LAMBDA_INIT * als.LAMBDA_DECAY
+    assert lam[27] == als.LAMBDA_INIT
+    assert out.restarts[0].lambda_resets == 3
