@@ -147,10 +147,13 @@ def _cmd_compose(args):
 
 
 def _load_schedule(spec):
+    """The schedule's tensors; a path named more than once is parsed once,
+    so its levels are one object, which the schedule check verifies once."""
     files = [s for s in spec.split(",") if s]
     if not files:
         raise ValueError("--schedule needs at least one tensor file")
-    return [load_tensor(f) for f in files]
+    loaded = {f: load_tensor(f) for f in dict.fromkeys(files)}
+    return [loaded[f] for f in files]
 
 
 def _cmd_multiply(args):

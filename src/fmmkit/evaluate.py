@@ -10,24 +10,33 @@ multiply; the products are then folded back up through the S factors.
 An r1-term scheme over an r2-term scheme so forms r1*r2 leaf products,
 and the counter advances by the number actually formed.
 
-The evaluator works on numpy arrays of any dtype.  Exact runs have one
-entry point, multiply_recursive: it runs object arrays of Fraction, and
-only schedules whose every level passes verify_exact.  Only the first
-level may carry a support mask, and A must then be zero in the blocks
-the mask excludes (single entries for a one-level schedule).
+The evaluator works on numpy arrays of any dtype.  A coefficient of 1 or
+-1 costs no multiply: its block is added, subtracted or negated.  Exact
+runs have one entry point, multiply_recursive, which runs only schedules
+whose every level passes verify_exact.  When every entry of A and B is
+an integer, each level's P, Q and S coefficients are cleared to integers
+by one common denominator per slot, and the run is on int64 when
+max|A| * max|B| times the product of the cleared coefficients' norms is
+below 2^63 (see _cleared), on Python ints otherwise; the result is
+divided once, exactly, by the product of the denominators.  Other
+operands run on object arrays of Fraction.  Only the first level may
+carry a support mask, and A must then be zero in the blocks the mask
+excludes (single entries for a one-level schedule).
 epsilon_error_scan substitutes each epsilon into the nonzero Laurent
 entries and runs the same evaluator on float64 arrays, then fits the
 error decay slope.
 """
 
 import math
+from collections import Counter
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
 from .matrices import Matrix
-from .scalars import value_at
-from .tensor import RATIONAL, FmmTensor, UnverifiedSchemeError, verify_exact
+from .scalars import Laurent
+from .tensor import RATIONAL, FmmTensor, UnverifiedSchemeError, _width, verify_exact
 
 
 class MultiplicationCounter:
@@ -50,16 +59,26 @@ def _compile(t):
 
 def _combine(blocks, factors):
     """blocks (K, a, b, X, Y) -> (K*r, X, Y): for each batch entry, one
-    linear combination of its blocks per term.  Unit coefficients, the
-    most common kind, skip their multiply (as in the fold below): on
-    Fraction entries it would cost as much as the addition."""
+    linear combination of its blocks per term.  A coefficient of 1 or -1,
+    the only kind in the bundled schemes, costs no multiply: its block is
+    added or subtracted (negated when it is the term's first piece), as
+    in the fold below.  On Fraction entries a multiply costs as much as an
+    addition; on floats -x and a - x are bit-identical to (-1.0) * x and
+    a + (-1.0) * x."""
     K, _, _, X, Y = blocks.shape
     out = np.empty((K, len(factors), X, Y), dtype=blocks.dtype)
     for term, entries in enumerate(factors):
         acc = None
         for i, j, v in entries:
-            piece = blocks[:, i, j] if v == 1 else v * blocks[:, i, j]
-            acc = piece if acc is None else acc + piece
+            x = blocks[:, i, j]
+            if acc is None:
+                acc = x if v == 1 else -x if v == -1 else v * x
+            elif v == 1:
+                acc = acc + x
+            elif v == -1:
+                acc = acc - x
+            else:
+                acc = acc + v * x
         out[:, term] = acc
     return out.reshape(K * len(factors), X, Y)
 
@@ -82,10 +101,26 @@ def _evaluate(levels, A, B):
         r = len(S)
         K, Mi, Pi = c.shape[0] // r, c.shape[1], c.shape[2]
         c = c.reshape(K, r, Mi, Pi)
-        out = np.zeros((K, m, p, Mi, Pi), dtype=c.dtype)
+        # each output block starts as its first contribution, not as a
+        # zero that every contribution is added to; untouched ones are 0
+        out = np.empty((K, m, p, Mi, Pi), dtype=c.dtype)
+        written = set()
         for term, entries in enumerate(S):
             for k, i, s in entries:
-                out[:, i, k] += c[:, term] if s == 1 else s * c[:, term]
+                x = c[:, term]
+                if (i, k) not in written:
+                    written.add((i, k))
+                    out[:, i, k] = x if s == 1 else -x if s == -1 else s * x
+                elif s == 1:
+                    out[:, i, k] += x
+                elif s == -1:
+                    out[:, i, k] -= x
+                else:
+                    out[:, i, k] += s * x
+        for i in range(m):
+            for k in range(p):
+                if (i, k) not in written:
+                    out[:, i, k] = 0
         c = out.transpose(0, 1, 3, 2, 4).reshape(K, m * Mi, p * Pi)
     return c[0], leaves
 
@@ -140,6 +175,49 @@ def _check_schedule(levels):
     return levels
 
 
+def _cleared(levels, a, b):
+    """Compiled levels with integer coefficients, for integer operands of
+    magnitude at most a (A) and b (B): (levels, scale, bound).
+
+    Each level's P, Q and S coefficients are multiplied by their slot's
+    common denominator, as tensor._compile does, so the cleared schedule
+    computes scale * A @ B, scale being the product of those denominators.
+    The norm of a P or Q slot is the largest sum of |coefficient| over a
+    term, that of an S slot the largest over output positions of the sum
+    over terms.  Every partial sum of a combination at depth d is then at
+    most a (or b) times the first d levels' P (or Q) norms, and every
+    partial sum of the fold at most the product of the leaves' bound and
+    the S norms.  bound is max(a, 1) * max(b, 1) times every norm raised
+    to at least 1: it covers the A-side and B-side combinations on their
+    own (the plain product reads 0 when one operand is zero) and each
+    cleared coefficient.
+    """
+    out, scale, bound = [], 1, max(a, 1) * max(b, 1)
+    for dims, slots in levels:
+        cleared = []
+        for slot, by_position in zip(slots, (False, False, True)):
+            d = math.lcm(*(v.denominator for entries in slot for _, _, v in entries))
+            slot = tuple(tuple((i, j, v.numerator * (d // v.denominator)) for i, j, v in entries)
+                         for entries in slot)
+            sums = Counter()
+            for term, entries in enumerate(slot):
+                for i, j, v in entries:
+                    sums[(i, j) if by_position else term] += abs(v)
+            cleared.append(slot)
+            scale *= d
+            bound *= max(1, *sums.values())
+        out.append((dims, tuple(cleared)))
+    return out, scale, bound
+
+
+def _integral(X):
+    return all(isinstance(v, Fraction) and v.denominator == 1 for _, _, v in X.nonzeros)
+
+
+def _largest(X):
+    return max((abs(v.numerator) for _, _, v in X.nonzeros), default=0)
+
+
 def multiply_recursive(levels, A, B, counter=None):
     """Blockwise product through a schedule of exact schemes.
 
@@ -149,18 +227,33 @@ def multiply_recursive(levels, A, B, counter=None):
     zero in the blocks the first level's support mask excludes; the
     result equals A*B.  When a counter is supplied it advances by the
     leaf products formed, the product of the ranks.
+
+    Integer operands run on integers, in int64 when _cleared's bound is
+    below 2^63 (tensor._width, the verifier's rule) and on Python ints
+    otherwise, and are divided by the cleared scale once at the end; any
+    other operands run on Fraction.
     """
     levels = _check_schedule(levels)
     M, N, P = _schedule_dims(levels)
     if (A.rows, A.cols) != (M, N) or (B.rows, B.cols) != (N, P):
         raise ValueError("schedule computes <%d,%d,%d>; got A %dx%d, B %dx%d"
                          % (M, N, P, A.rows, A.cols, B.rows, B.cols))
-    A = np.array(A.data, dtype=object)
+    compiled = [_compile(t) for t in levels]
+    scale = 1
+    if _integral(A) and _integral(B):
+        compiled, scale, bound = _cleared(compiled, _largest(A), _largest(B))
+        A, B = (np.array([[v.numerator for v in row] for row in X.data], dtype=_width(bound))
+                for X in (A, B))
+    else:
+        A, B = (np.array(X.data, dtype=object) for X in (A, B))
     _check_mask_zeros(levels[0], A)
-    C, leaves = _evaluate([_compile(t) for t in levels], A, np.array(B.data, dtype=object))
+    C, leaves = _evaluate(compiled, A, B)
     if counter is not None:
         counter.tick(leaves)
-    return Matrix(C.tolist())
+    C = C.tolist()
+    if scale != 1:
+        C = [[Fraction(x, scale) for x in row] for row in C]
+    return Matrix(C)
 
 
 def count_multiplications(levels):
@@ -184,11 +277,26 @@ class ErrorScan:
         return "\n".join(lines)
 
 
-def _level_at(level, eps):
+def _at_each_eps(level):
+    """level with float coefficients, and a function that sets its Laurent
+    entries to their values at a given eps; each rational coefficient is
+    converted once."""
     dims, factors = level
-    return dims, tuple(
-        [tuple((i, j, value_at(v, eps)) for i, j, v in entries) for entries in slot]
-        for slot in factors)
+    factors = tuple([list(entries) for entries in slot] for slot in factors)
+    laurent = []
+    for slot in factors:
+        for entries in slot:
+            for index, (i, j, v) in enumerate(entries):
+                if isinstance(v, Laurent):
+                    laurent.append((entries, index, i, j, v))
+                else:
+                    entries[index] = (i, j, float(v))
+
+    def set_eps(eps):
+        for entries, index, i, j, v in laurent:
+            entries[index] = (i, j, v.evaluate(eps))
+
+    return (dims, factors), set_eps
 
 
 def epsilon_error_scan(t, A, B, eps_values):
@@ -216,7 +324,7 @@ def epsilon_error_scan(t, A, B, eps_values):
     if A.shape != (m, n) or B.shape != (n, p):
         raise ValueError("expected A %dx%d and B %dx%d" % (m, n, n, p))
     _check_mask_zeros(t, A)
-    level = _compile(t)
+    level, set_eps = _at_each_eps(_compile(t))
     target = A @ B
     target_norm = float(np.linalg.norm(target))
     if target_norm == 0.0:
@@ -225,7 +333,8 @@ def epsilon_error_scan(t, A, B, eps_values):
     samples = []
     with np.errstate(over="ignore", invalid="ignore"):
         for eps in eps_values:
-            C, _ = _evaluate([_level_at(level, eps)], A, B)
+            set_eps(eps)
+            C, _ = _evaluate([level], A, B)
             err = float(np.linalg.norm(C - target)) / target_norm
             if not math.isfinite(err):
                 err = math.inf

@@ -1,3 +1,4 @@
+import random
 import time
 from importlib import resources
 
@@ -275,6 +276,47 @@ def test_multiply_schedule(capsys, tmp_path):
                          "--a", str(a), "--b", str(b), "--out", str(out_path))
     assert code == 0
     assert load_matrix(out_path) == A @ B
+
+
+def test_multiply_forty_digit_integers(capsys, tmp_path):
+    # Python-int run: 40-digit entries are far above the int64 bound
+    rng = random.Random(40)
+    rows = [[rng.choice((1, -1)) * rng.randrange(10**39, 10**40) for _ in range(4)]
+            for _ in range(4)]
+    A, B = Matrix(rows), Matrix([list(r) for r in zip(*rows)][::-1])
+    a, b = tmp_path / "a.mat", tmp_path / "b.mat"
+    save_matrix(A, a)
+    save_matrix(B, b)
+    code, out, err = run(capsys, "multiply", "--schedule", "%s,%s" % (STRASSEN, STRASSEN),
+                         "--a", str(a), "--b", str(b))
+    assert code == 0
+    schoolbook = [[sum(x * y for x, y in zip(row, col)) for col in zip(*B.data)]
+                  for row in A.data]
+    assert out == write_matrix(Matrix(schoolbook))
+    assert "multiplications 49" in err
+
+
+def test_schedule_parses_and_verifies_a_repeated_file_once(capsys, tmp_path, monkeypatch):
+    from fmmkit import evaluate, io
+
+    calls = {"parse": 0, "verify": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(io, "parse_tensor", counted("parse", io.parse_tensor))
+    monkeypatch.setattr(evaluate, "verify_exact", counted("verify", evaluate.verify_exact))
+    a = tmp_path / "a.mat"
+    A = Matrix([[i * j - 3 for j in range(16)] for i in range(16)])
+    save_matrix(A, a)
+    code, out, err = run(capsys, "multiply", "--schedule", ",".join([STRASSEN] * 4),
+                         "--a", str(a), "--b", str(a))
+    assert code == 0
+    assert out == write_matrix(A @ A)
+    assert calls == {"parse": 1, "verify": 1}
 
 
 def test_unwritable_result_leaves_out_file_unchanged(capsys, tmp_path):

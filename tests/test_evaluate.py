@@ -1,10 +1,13 @@
+import math
 import random
+from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from fmmkit import evaluate
-from fmmkit.algebra import direct_sum, kronecker
+from fmmkit.algebra import direct_sum, embed_and_add, isotropy_apply, kronecker, mask_embedding
 from fmmkit.evaluate import (
     MultiplicationCounter,
     count_multiplications,
@@ -13,6 +16,7 @@ from fmmkit.evaluate import (
 )
 from fmmkit.io import parse_tensor, write_tensor
 from fmmkit.matrices import Matrix
+from fmmkit.scalars import value_at
 from fmmkit.tensor import UnverifiedSchemeError, classical_tensor, verify_exact
 
 from helpers import mutate_one_entry, rand_fraction
@@ -20,6 +24,67 @@ from helpers import mutate_one_entry, rand_fraction
 
 def rand_rational_matrix(rng, rows, cols):
     return Matrix([[rand_fraction(rng) for _ in range(cols)] for _ in range(rows)])
+
+
+# -- the reference evaluator ---------------------------------------------------
+# The evaluator as it was before coefficients of 1 and -1 skipped their
+# multiply and integer operands ran on integers: every coefficient other
+# than 1 is multiplied in, and the fold adds every contribution into
+# zeros.  Exact runs must equal it, and error scans must equal it bit for
+# bit.
+
+def reference_combine(blocks, factors):
+    K, _, _, X, Y = blocks.shape
+    out = np.empty((K, len(factors), X, Y), dtype=blocks.dtype)
+    for term, entries in enumerate(factors):
+        acc = None
+        for i, j, v in entries:
+            piece = blocks[:, i, j] if v == 1 else v * blocks[:, i, j]
+            acc = piece if acc is None else acc + piece
+        out[:, term] = acc
+    return out.reshape(K * len(factors), X, Y)
+
+
+def reference_evaluate(levels, A, B):
+    a, b = A[None], B[None]
+    for (m, n, p), (P, Q, _) in levels:
+        K, M, N = a.shape
+        Mi, Ni, Pi = M // m, N // n, b.shape[2] // p
+        a = reference_combine(a.reshape(K, m, Mi, n, Ni).transpose(0, 1, 3, 2, 4), P)
+        b = reference_combine(b.reshape(K, n, Ni, p, Pi).transpose(0, 1, 3, 2, 4), Q)
+    c = a * b
+    for (m, n, p), (_, _, S) in reversed(levels):
+        r = len(S)
+        K, Mi, Pi = c.shape[0] // r, c.shape[1], c.shape[2]
+        c = c.reshape(K, r, Mi, Pi)
+        out = np.zeros((K, m, p, Mi, Pi), dtype=c.dtype)
+        for term, entries in enumerate(S):
+            for k, i, s in entries:
+                out[:, i, k] += c[:, term] if s == 1 else s * c[:, term]
+        c = out.transpose(0, 1, 3, 2, 4).reshape(K, m * Mi, p * Pi)
+    return c[0]
+
+
+def reference_product(levels, A, B):
+    """A @ B through the schedule on Fraction object arrays."""
+    C = reference_evaluate([evaluate._compile(t) for t in levels],
+                           np.array(A.data, dtype=object), np.array(B.data, dtype=object))
+    return Matrix(C.tolist())
+
+
+def reference_error_samples(t, A, B, eps_values):
+    dims, factors = evaluate._compile(t)
+    A, B = np.asarray(A, dtype=float), np.asarray(B, dtype=float)
+    target = A @ B
+    samples = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for eps in eps_values:
+            level = dims, tuple([tuple((i, j, value_at(v, eps)) for i, j, v in entries)
+                                 for entries in slot] for slot in factors)
+            C = reference_evaluate([level], A, B)
+            err = float(np.linalg.norm(C - target)) / float(np.linalg.norm(target))
+            samples.append((eps, err if math.isfinite(err) else math.inf))
+    return tuple(samples)
 
 
 def test_single_level_matches_direct_product(strassen):
@@ -142,7 +207,122 @@ def test_multiply_recursive_exact_on_large_rationals(strassen, t58):
                 for rows, cols in ((M, N), (N, P)))
         counter = MultiplicationCounter()
         assert multiply_recursive(levels, A, B, counter=counter) == A @ B
+        assert multiply_recursive(levels, A, B) == reference_product(levels, A, B)
         assert counter.count == count_multiplications(levels)
+
+
+# U, V, W give strassen coefficients 1/2, -1/2, 1/3, -1/3 and -6 besides
+# 1 and -1: cleared scales above 1 and coefficients that are multiplied in
+ISOTROPY = (Matrix([[2, 0], [0, 1]]), Matrix([[1, 1], [0, 1]]), Matrix([[1, 0], [0, 3]]))
+
+
+@pytest.fixture(scope="module")
+def integer_schedules(strassen, t58):
+    t108 = direct_sum(t58, classical_tensor((2, 5, 5)), axis="M")
+    return ([strassen], [t58], [strassen, t108], [strassen] * 4,
+            [isotropy_apply(strassen, ISOTROPY)], [classical_tensor((1, 1, 1))])
+
+
+def norm_product(levels, slots=3):
+    """The product over levels and their first `slots` factor slots of the
+    slot's norm once its coefficients are cleared by their common
+    denominator: the largest sum of |coefficient| over a term for P and Q,
+    over an output position for S."""
+    total = 1
+    for t in levels:
+        for slot, by_position in list(zip(zip(*t.terms), (False, False, True)))[:slots]:
+            entries = [(term, i, j, v) for term, factor in enumerate(slot)
+                       for i, j, v in factor.nonzeros]
+            d = math.lcm(*(v.denominator for *_, v in entries))
+            sums = Counter()
+            for term, i, j, v in entries:
+                sums[(i, j) if by_position else term] += abs(v * d)
+            total *= max(sums.values())
+    return total
+
+
+def record_operand_types(monkeypatch):
+    """A list that gets, per evaluator run, the dtype of A and the type of
+    its first entry."""
+    seen = []
+    run = evaluate._evaluate
+
+    def recording(levels, A, B):
+        seen.append((A.dtype, type(A.flat[0])))
+        return run(levels, A, B)
+
+    monkeypatch.setattr(evaluate, "_evaluate", recording)
+    return seen
+
+
+def signed_matrix(rng, rows, cols, top):
+    """Random integers in [-top, top], with top itself at a random entry."""
+    cells = [[rng.randint(-top, top) for _ in range(cols)] for _ in range(rows)]
+    cells[rng.randrange(rows)][rng.randrange(cols)] = rng.choice((top, -top))
+    return Matrix(cells)
+
+
+def test_integer_operands_run_in_int64_only_under_the_bound(integer_schedules, monkeypatch):
+    # max|A| * max|B| * (product of the cleared norms) is the bound: below
+    # 2^63 the run is int64, at or above it Python ints.  <1,1,1> with
+    # max|B| = 7 puts the bound at 2^63 - 1 exactly, strassen with 8 at 2^63.
+    seen = record_operand_types(monkeypatch)
+    rng = random.Random(20)
+    edges = set()
+    for levels in integer_schedules:
+        M, N, P = evaluate._schedule_dims(levels)
+        norms = norm_product(levels)
+        for b in (7, 8):
+            below = (2**63 - 1) // (b * norms)
+            edges.add(below * b * norms - 2**63)
+            edges.add((below + 1) * b * norms - 2**63)
+            for top, kind in ((below, (np.int64, np.int64)), (below + 1, (object, int))):
+                for a, b_top in ((top, b), (b, top)):
+                    A, B = signed_matrix(rng, M, N, a), signed_matrix(rng, N, P, b_top)
+                    counter = MultiplicationCounter()
+                    C = multiply_recursive(levels, A, B, counter=counter)
+                    assert seen.pop() == (np.dtype(kind[0]), kind[1])
+                    assert C == reference_product(levels, A, B) == A @ B
+                    assert counter.count == count_multiplications(levels)
+    assert {-1, 0} <= edges
+
+
+def test_zero_operand_still_bounds_the_other_side(integer_schedules, monkeypatch):
+    # max|A| * max|B| * norms reads 0 for B = 0, but the A-side
+    # combinations still reach max|A| times the P norms, here 2^63 or more
+    seen = record_operand_types(monkeypatch)
+    for levels in integer_schedules:
+        M, N, P = evaluate._schedule_dims(levels)
+        top = (2**63 - 1) // norm_product(levels, slots=1) + 1
+        A = signed_matrix(random.Random(21), M, N, top)
+        B = Matrix.zeros(N, P)
+        assert multiply_recursive(levels, A, B) == Matrix.zeros(M, P)
+        assert seen.pop() == (np.dtype(object), int)
+
+
+def test_rational_operands_run_on_fractions(strassen, monkeypatch):
+    seen = record_operand_types(monkeypatch)
+    A = Matrix([[Fraction(1, 2), 3], [4, 5]])
+    B = Matrix([[1, 2], [3, 4]])
+    for X, Y in ((A, B), (B, A)):
+        assert multiply_recursive([strassen], X, Y) == X @ Y
+        assert seen.pop() == (np.dtype(object), Fraction)
+    assert multiply_recursive([strassen], B, B) == B @ B
+    assert seen.pop() == (np.dtype(np.int64), np.int64)
+
+
+def test_error_scan_matches_the_reference_bit_for_bit(teps):
+    t100 = embed_and_add(teps, classical_tensor((3, 3, 5)), mask_embedding(teps))
+    eps_values = [1e-1, 1e-2, 1e-3, 1e-4, 1e-6, 1e-12, 1e-200]
+    for t, seed in ((teps, 22), (t100, 23)):
+        rng = np.random.default_rng(seed)
+        A, B = rng.uniform(-1, 1, (5, 5)), rng.uniform(-1, 1, (5, 5))
+        for i, j in t.masked_out():
+            A[i, j] = 0.0
+        got = epsilon_error_scan(t, A, B, eps_values).samples
+        want = reference_error_samples(t, A, B, eps_values)
+        assert [(e, r.hex()) for e, r in got] == [(e, r.hex()) for e, r in want]
+        assert math.isinf(got[-1][1])
 
 
 def test_count_multiplications_products(strassen, t58):
