@@ -194,11 +194,17 @@ def test_schedule_counter_matches_kronecker_evaluation(strassen):
     assert flat.count == nested.count == 49
 
 
+# U, V, W give strassen coefficients 1/2, -1/2, 1/3, -1/3 and -6 besides
+# 1 and -1: cleared scales above 1 and coefficients that are multiplied in
+ISOTROPY = (Matrix([[2, 0], [0, 1]]), Matrix([[1, 1], [0, 1]]), Matrix([[1, 0], [0, 3]]))
+
+
 def test_multiply_recursive_exact_on_large_rationals(strassen, t58):
     t108 = direct_sum(t58, classical_tensor((2, 5, 5)), axis="M")
     rng = random.Random(16)
     bound = 10 ** 12
-    for levels in ([strassen], [t58], [strassen, t108], [strassen] * 4):
+    for levels in ([strassen], [t58], [strassen, t108], [strassen] * 4,
+                   [isotropy_apply(strassen, ISOTROPY)]):
         M = N = P = 1
         for t in levels:
             M, N, P = M * t.dims.m, N * t.dims.n, P * t.dims.p
@@ -209,11 +215,6 @@ def test_multiply_recursive_exact_on_large_rationals(strassen, t58):
         assert multiply_recursive(levels, A, B, counter=counter) == A @ B
         assert multiply_recursive(levels, A, B) == reference_product(levels, A, B)
         assert counter.count == count_multiplications(levels)
-
-
-# U, V, W give strassen coefficients 1/2, -1/2, 1/3, -1/3 and -6 besides
-# 1 and -1: cleared scales above 1 and coefficients that are multiplied in
-ISOTROPY = (Matrix([[2, 0], [0, 1]]), Matrix([[1, 1], [0, 1]]), Matrix([[1, 0], [0, 3]]))
 
 
 @pytest.fixture(scope="module")
@@ -309,6 +310,21 @@ def test_rational_operands_run_on_fractions(strassen, monkeypatch):
         assert seen.pop() == (np.dtype(object), Fraction)
     assert multiply_recursive([strassen], B, B) == B @ B
     assert seen.pop() == (np.dtype(np.int64), np.int64)
+
+
+def test_untouched_output_blocks_are_zero(strassen):
+    # row 0 of A is masked out, so no term writes row 0 of C: integer and
+    # Fraction runs, one level and two, and the float scan
+    masked = classical_tensor((2, 2, 2), support=[[False, False], [True, True]])
+    B = Matrix([[1, 2], [3, 5]])
+    for A in (Matrix([[0, 0], [3, 4]]), Matrix([[0, 0], [Fraction(1, 3), 4]])):
+        assert multiply_recursive([masked], A, B) == A @ B
+    A = Matrix([[0] * 4, [0] * 4, [1, 2, 3, 4], [5, 6, 7, 8]])
+    for B in (Matrix([[i - j for j in range(4)] for i in range(4)]),
+              rand_rational_matrix(random.Random(24), 4, 4)):
+        assert multiply_recursive([masked, strassen], A, B) == A @ B
+    scan = epsilon_error_scan(masked, [[0.0, 0.0], [3.0, 4.0]], [[1.0, 2.0], [3.0, 5.0]], [0.1])
+    assert scan.samples == ((0.1, 0.0),)
 
 
 def test_error_scan_matches_the_reference_bit_for_bit(teps):
