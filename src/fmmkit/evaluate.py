@@ -13,15 +13,16 @@ and the counter advances by the number actually formed.
 The evaluator works on numpy arrays of any dtype.  A coefficient of 1 or
 -1 costs no multiply: its block is added, subtracted or negated.  Exact
 runs have one entry point, multiply_recursive, which runs only schedules
-whose every level passes verify_exact.  When every entry of A and B is
-an integer, each level's P, Q and S coefficients are cleared to integers
-by one common denominator per slot, and the run is on int64 when
-max|A| * max|B| times the product of the cleared coefficients' norms is
-below 2^63 (see _cleared), on Python ints otherwise; the result is
-divided once, exactly, by the product of the denominators.  Other
-operands run on object arrays of Fraction.  Only the first level may
-carry a support mask, and A must then be zero in the blocks the mask
-excludes (single entries for a one-level schedule).
+whose every level passes verify_exact.  Every exact run reads each
+level's P, Q and S coefficients as tensor._cleared gives them, integers
+over one denominator per slot, and divides the result once, exactly, by
+the product of the denominators.  When every entry of A and B is an
+integer, the run is on int64 when max|A| * max|B| times the product of
+the cleared coefficients' norms is below 2^63 (see _level), on Python
+ints otherwise.  Other operands run on object arrays of Fraction, with
+the same integer coefficients.  Only the first level may carry a support
+mask, and A must then be zero in the blocks the mask excludes (single
+entries for a one-level schedule).
 epsilon_error_scan substitutes each epsilon into the nonzero Laurent
 entries and runs the same evaluator on float64 arrays, then fits the
 error decay slope.
@@ -36,7 +37,7 @@ import numpy as np
 
 from .matrices import Matrix
 from .scalars import Laurent
-from .tensor import RATIONAL, FmmTensor, UnverifiedSchemeError, _width, verify_exact
+from .tensor import RATIONAL, FmmTensor, UnverifiedSchemeError, _cleared, _width, verify_exact
 
 
 class MultiplicationCounter:
@@ -49,12 +50,6 @@ class MultiplicationCounter:
 
     def tick(self, k=1):
         self.count += k
-
-
-def _compile(t):
-    """dims plus, for each factor slot P, Q, S, every term's nonzero
-    entries as (row, col, value) triples: each factor's Matrix.nonzeros."""
-    return t.dims, tuple(tuple(factor.nonzeros for factor in slot) for slot in zip(*t.terms))
 
 
 def _combine(blocks, factors):
@@ -175,39 +170,36 @@ def _check_schedule(levels):
     return levels
 
 
-def _cleared(levels, a, b):
-    """Compiled levels with integer coefficients, for integer operands of
-    magnitude at most a (A) and b (B): (levels, scale, bound).
+def _level(t):
+    """t as the evaluator runs it, read from tensor._cleared: (level,
+    scale, norm).  level is (dims, (P, Q, S)), each slot holding every
+    term's (row, col, coefficient) triples with the coefficients cleared to
+    integers, so the level computes scale * A @ B, scale being the product
+    of the slot denominators.
 
-    Each level's P, Q and S coefficients are multiplied by their slot's
-    common denominator, as tensor._compile does, so the cleared schedule
-    computes scale * A @ B, scale being the product of those denominators.
-    The norm of a P or Q slot is the largest sum of |coefficient| over a
-    term, that of an S slot the largest over output positions of the sum
-    over terms.  Every partial sum of a combination at depth d is then at
-    most a (or b) times the first d levels' P (or Q) norms, and every
-    partial sum of the fold at most the product of the leaves' bound and
-    the S norms.  bound is max(a, 1) * max(b, 1) times every norm raised
-    to at least 1: it covers the A-side and B-side combinations on their
-    own (the plain product reads 0 when one operand is zero) and each
-    cleared coefficient.
+    norm is the product of the slot norms, each raised to at least 1: the
+    norm of a P or Q slot is the largest sum of |coefficient| over a term,
+    that of an S slot the largest over output positions of the sum over
+    terms.  For integer operands of magnitude at most a (A) and b (B),
+    every partial sum of a combination at depth d is then at most a (or b)
+    times the first d levels' P (or Q) norms, and every partial sum of the
+    fold at most the product of the leaves' bound and the S norms; so
+    max(a, 1) * max(b, 1) times the levels' norms bounds the whole run.
+    Flooring at 1 covers the A-side and B-side combinations on their own
+    (the plain product reads 0 when one operand is zero) and each cleared
+    coefficient.
     """
-    out, scale, bound = [], 1, max(a, 1) * max(b, 1)
-    for dims, slots in levels:
-        cleared = []
-        for slot, by_position in zip(slots, (False, False, True)):
-            d = math.lcm(*(v.denominator for entries in slot for _, _, v in entries))
-            slot = tuple(tuple((i, j, v.numerator * (d // v.denominator)) for i, j, v in entries)
-                         for entries in slot)
-            sums = Counter()
-            for term, entries in enumerate(slot):
-                for i, j, v in entries:
-                    sums[(i, j) if by_position else term] += abs(v)
-            cleared.append(slot)
-            scale *= d
-            bound *= max(1, *sums.values())
-        out.append((dims, tuple(cleared)))
-    return out, scale, bound
+    slots, scale, norm = [], 1, 1
+    for (d, monomials), by_position in zip(_cleared(t), (False, False, True)):
+        entries = tuple([] for _ in range(t.rank))
+        sums = Counter()
+        for term, i, j, _, c in monomials:
+            entries[term].append((i, j, c))
+            sums[(i, j) if by_position else term] += abs(c)
+        slots.append(entries)
+        scale *= d
+        norm *= max(1, *sums.values())
+    return (t.dims, tuple(slots)), scale, norm
 
 
 def _integral(X):
@@ -228,20 +220,21 @@ def multiply_recursive(levels, A, B, counter=None):
     result equals A*B.  When a counter is supplied it advances by the
     leaf products formed, the product of the ranks.
 
-    Integer operands run on integers, in int64 when _cleared's bound is
-    below 2^63 (tensor._width, the verifier's rule) and on Python ints
-    otherwise, and are divided by the cleared scale once at the end; any
-    other operands run on Fraction.
+    Every run reads the levels' coefficients cleared to integers (see
+    _level) and divides the result once, exactly, by the cleared scale.
+    Integer operands run on integers, in int64 when the bound is below
+    2^63 (tensor._width, the verifier's rule) and on Python ints
+    otherwise; any other operands run on Fraction.
     """
     levels = _check_schedule(levels)
     M, N, P = _schedule_dims(levels)
     if (A.rows, A.cols) != (M, N) or (B.rows, B.cols) != (N, P):
         raise ValueError("schedule computes <%d,%d,%d>; got A %dx%d, B %dx%d"
                          % (M, N, P, A.rows, A.cols, B.rows, B.cols))
-    compiled = [_compile(t) for t in levels]
-    scale = 1
+    compiled, scales, norms = zip(*map(_level, levels))
+    scale = math.prod(scales)
     if _integral(A) and _integral(B):
-        compiled, scale, bound = _cleared(compiled, _largest(A), _largest(B))
+        bound = max(_largest(A), 1) * max(_largest(B), 1) * math.prod(norms)
         A, B = (np.array([[v.numerator for v in row] for row in X.data], dtype=_width(bound))
                 for X in (A, B))
     else:
@@ -277,12 +270,11 @@ class ErrorScan:
         return "\n".join(lines)
 
 
-def _at_each_eps(level):
-    """level with float coefficients, and a function that sets its Laurent
-    entries to their values at a given eps; each rational coefficient is
-    converted once."""
-    dims, factors = level
-    factors = tuple([list(entries) for entries in slot] for slot in factors)
+def _at_each_eps(t):
+    """t as a level with float coefficients, and a function that sets its
+    Laurent entries to their values at a given eps; each rational
+    coefficient is converted once."""
+    factors = tuple([list(factor.nonzeros) for factor in slot] for slot in zip(*t.terms))
     laurent = []
     for slot in factors:
         for entries in slot:
@@ -296,7 +288,7 @@ def _at_each_eps(level):
         for entries, index, i, j, v in laurent:
             entries[index] = (i, j, v.evaluate(eps))
 
-    return (dims, factors), set_eps
+    return (t.dims, factors), set_eps
 
 
 def epsilon_error_scan(t, A, B, eps_values):
@@ -324,7 +316,7 @@ def epsilon_error_scan(t, A, B, eps_values):
     if A.shape != (m, n) or B.shape != (n, p):
         raise ValueError("expected A %dx%d and B %dx%d" % (m, n, n, p))
     _check_mask_zeros(t, A)
-    level, set_eps = _at_each_eps(_compile(t))
+    level, set_eps = _at_each_eps(t)
     target = A @ B
     target_norm = float(np.linalg.norm(target))
     if target_norm == 0.0:

@@ -20,27 +20,27 @@ exact), from the expansion: a rational tensor's residual stays rational
 under either check.  Every form of the classical tensor, here and in the
 search, comes from one builder of its coordinates, _classical_coords.
 
-The expansion runs on integers.  Each check compiles the tensor from the
-nonzero entries its factors found when they were built
-(``Matrix.nonzeros``), so no zero cell is read again, and the tensor
-keeps no compiled form between checks: for each factor slot P, Q, S
-every nonzero monomial q * e^k is recorded as its term index, its flat
-position row * cols + col, its exponent k (0 in rational mode) and an
-integer numerator, with each factor's denominators cleared.  Term i
-then carries one integer weight w_i over a common denominator L, so that
-L times the expansion is a sum of integer products w_i * p * q * s.  The
-products are formed as per-term outer products of index arrays, sorted
-once by (coordinate, exponent) key and summed with np.add.reduceat; the
-classical target, L * e^q at each classical coordinate, is subtracted
-the same way, and Python scalars are built only for the nonzero
-coordinates left.  The compiled form holds only these integer arrays;
-the evaluator reads each factor's ``nonzeros`` itself.
+The expansion runs on integers.  _cleared, the one place a scheme's
+denominators are cleared (the evaluator reads it too), walks the
+nonzero entries each factor found when it was built (``Matrix.nonzeros``)
+once per check, and the tensor keeps no cleared form between checks:
+for each factor slot P, Q, S it takes the lcm d of the slot's
+denominators and records every nonzero monomial c/d * e^k as its term
+index, its row and column, its exponent k (0 in rational mode) and its
+integer numerator c.  With scale d_P * d_Q * d_S, scale times the
+expansion is a sum of integer products p * q * s.  The products are
+formed as per-term outer products of index arrays, sorted once by
+(coordinate, exponent) key and summed with np.add.reduceat; the
+classical target, scale * e^q at each classical coordinate, is
+subtracted the same way, and Python scalars are built only for the
+nonzero coordinates left.
 
 Nothing rounds.  Sums run in int64 only under a proven bound: every
-partial sum is at most sum_i w_i |P_i|_1 |Q_i|_1 |S_i|_1 + L in magnitude
-(1-norms over the cleared numerators), and that bound must be below 2^63.
-Keys are int64 only when (mn)(np)(pm) times the exponent span is below
-2^63.  Otherwise the same code runs on object arrays of Python ints.
+partial sum is at most sum_i |P_i|_1 |Q_i|_1 |S_i|_1 + scale in
+magnitude (1-norms over the cleared numerators), and that bound must be
+below 2^63.  Keys are int64 only when (mn)(np)(pm) times the exponent
+span is below 2^63.  Otherwise the same code runs on object arrays of
+Python ints.
 """
 
 import math
@@ -51,7 +51,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .matrices import Matrix
+from .matrices import _sparse
 from .scalars import Laurent, laurent_order
 
 RATIONAL = "rational"
@@ -140,62 +140,43 @@ class FmmTensor:
 
 
 def classical_tensor(dims, support=None):
-    """The classical scheme: one term per allowed (i, j, k) product.
+    """The classical scheme: one term per allowed (i, j, k) product, in
+    (i, j, k) order, each factor built from its single nonzero.
 
     With a support mask, (i, j) pairs outside the mask are dropped, giving
     the target tensor of a partial matrix product.
     """
     dims = Dims(*dims)
     m, n, p = dims
-    terms = [
-        Term(Matrix.unit(m, n, i, j), Matrix.unit(n, p, j, k), Matrix.unit(p, m, k, i))
-        for (i, j), (_, k), _ in classical_map(dims, support)
-    ]
+    one = Fraction(1)
+    terms = [Term(_sparse(m, n, ((i, j, one),)), _sparse(n, p, ((j, k, one),)),
+                  _sparse(p, m, ((k, i, one),)))
+             for i in range(m) for j in range(n) if support is None or support[i][j]
+             for k in range(p)]
     return FmmTensor(dims, RATIONAL, terms, support)
 
 
 _INT64_LIMIT = 2**63
 
 
-def _compile(t):
-    """t's compiled form, built from each factor's ``Matrix.nonzeros``: the
-    tuple (slots, weights, scale, bound).
-
-    slots: per factor slot P, Q, S, the arrays (term, pos, exp, num) over its
-        nonzero monomials in term order: term index and flat position as
-        int64, exponent and cleared numerator as Python ints.
-    weights: per term, the integer w_i = scale / (its three factors'
-        denominators), so scale * P_i (x) Q_i (x) S_i = w_i * p (x) q (x) s.
-    scale: the common denominator L.
-    bound: sum_i w_i |P_i|_1 |Q_i|_1 |S_i|_1 + L, which no partial sum of an
-        expansion or residual (scaled by L) exceeds in magnitude.
+def _cleared(t):
+    """t's factor coefficients as integers over one denominator per slot:
+    for each factor slot P, Q, S the pair (d, monomials), d the lcm of the
+    slot's denominators and monomials the (term, i, j, k, c) of every
+    nonzero monomial c/d * e^k at (i, j) of a factor, c an integer, in
+    term order and each factor's ``Matrix.nonzeros`` order (k is 0 in
+    rational mode).  The one place a scheme's denominators are cleared:
+    the verifier and the evaluator both read it.
     """
-    slots = tuple(([], [], [], []) for _ in range(3))
-    dens, sizes = [], []
-    for index, term in enumerate(t.terms):
-        den = size = 1
-        for factor, (terms, pos, exp, num) in zip(term, slots):
-            monomials = [(i * factor.cols + j, k, q) for i, j, v in factor.nonzeros
-                         for k, q in (v.terms.items() if isinstance(v, Laurent) else ((0, v),))]
-            d = math.lcm(*(q.denominator for _, _, q in monomials))
-            norm = 0
-            for at, k, q in monomials:
-                c = q.numerator * (d // q.denominator)
-                terms.append(index)
-                pos.append(at)
-                exp.append(k)
-                num.append(c)
-                norm += abs(c)
-            den *= d
-            size *= norm
-        dens.append(den)
-        sizes.append(size)
-    scale = math.lcm(*dens)
-    weights = [scale // d for d in dens]
-    return (tuple((np.array(terms, dtype=np.int64), np.array(pos, dtype=np.int64),
-                   np.array(exp, dtype=object), np.array(num, dtype=object))
-                  for terms, pos, exp, num in slots),
-            weights, scale, sum(w * s for w, s in zip(weights, sizes)) + scale)
+    slots = []
+    for factors in zip(*t.terms):
+        monomials = [(term, i, j, k, q.numerator, q.denominator)
+                     for term, factor in enumerate(factors) for i, j, v in factor.nonzeros
+                     for k, q in (v.terms.items() if isinstance(v, Laurent) else ((0, v),))]
+        d = math.lcm(*{den for *_, den in monomials})
+        slots.append((d, [(term, i, j, k, num * (d // den))
+                          for term, i, j, k, num, den in monomials]))
+    return tuple(slots)
 
 
 def _width(bound):
@@ -292,28 +273,40 @@ def _products(t):
     """Every product of t's expansion, as arrays over the products: term
     index, key (flat coordinate * span + exponent offset from lo) and value
     times the scale; then lo, the exponent span and the scale."""
-    slots, weights, scale, bound = _compile(t)
     m, n, p = t.dims
-    counts = [np.bincount(slot[0], minlength=t.rank) for slot in slots]
+    # per slot: each term's monomial count and first monomial, and the
+    # monomials' flat positions, exponents and cleared numerators; per
+    # term, the product of its cleared factors' 1-norms
+    slots, scale, norms = [], 1, 1
+    for (d, monomials), cols in zip(_cleared(t), (n, p, m)):
+        term, i, j, k, c = zip(*monomials)
+        count = np.bincount(term, minlength=t.rank)
+        first = np.cumsum(count) - count
+        nums = np.array(c, dtype=object)
+        slots.append((count, first, np.array(i, dtype=np.int64) * cols + np.array(j, dtype=np.int64),
+                      np.array(k, dtype=object), nums))
+        scale *= d
+        norms = norms * np.add.reduceat(np.abs(nums), first)
+    bound = norms.sum() + scale
+    counts = [slot[0] for slot in slots]
     per_term = counts[0] * counts[1] * counts[2]
     term = np.repeat(np.arange(t.rank), per_term)
     # a product's index within its term, read as mixed-radix digits: its
     # P monomial, Q monomial and S monomial
     rest = np.arange(len(term)) - np.repeat(np.cumsum(per_term) - per_term, per_term)
     radices = (counts[1] * counts[2], counts[2], np.ones_like(counts[2]))
-    lows = [min(slot[2]) for slot in slots]
+    lows = [min(slot[3]) for slot in slots]
     lo = sum(lows)
-    span = sum(max(slot[2]) - low for slot, low in zip(slots, lows)) + 1
+    span = sum(max(slot[3]) - low for slot, low in zip(slots, lows)) + 1
     kd, vd = _key_dtype(t.dims, span), _width(bound)
     # key = ((posP * np + posQ) * pm + posS) * span + expP + expQ + expS,
     # summed one slot at a time from per-monomial parts
     strides = (n * p * p * m * span, p * m * span, span)
     key = np.zeros(len(term), dtype=kd)
-    num = np.array(weights, dtype=vd)[term]
-    for (_, pos, exps, nums), count, radix, stride, low in zip(
-            slots, counts, radices, strides, lows):
+    num = np.ones(len(term), dtype=vd)
+    for (_, first, pos, exps, nums), radix, stride, low in zip(slots, radices, strides, lows):
         pick, rest = np.divmod(rest, radix[term])
-        pick += (np.cumsum(count) - count)[term]
+        pick += first[term]
         key += (pos.astype(kd) * stride + (exps - low).astype(kd))[pick]
         num *= nums.astype(vd)[pick]
     return term, key, num, lo, span, scale
@@ -326,7 +319,7 @@ def expand(t):
     are the nonzero coefficients.  The result is a read-only
     :class:`CoefficientMap` over arrays: the sum_i nnz(P_i) nnz(Q_i)
     nnz(S_i) products (counting monomials for laurent entries) are formed
-    from t's factors' nonzeros as integers over their common denominator,
+    from t's factors' nonzeros as integers over one denominator per slot,
     sorted once by (coordinate, exponent) and summed.  Values and keys are int64
     under the bounds in the module docstring and Python ints otherwise, so
     the map is exact either way.

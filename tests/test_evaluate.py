@@ -65,15 +65,21 @@ def reference_evaluate(levels, A, B):
     return c[0]
 
 
+def reference_level(t):
+    """t as a level of the reference evaluator, with its own coefficients:
+    dims and, per factor slot, every term's nonzero (row, col, value)."""
+    return t.dims, tuple(tuple(factor.nonzeros for factor in slot) for slot in zip(*t.terms))
+
+
 def reference_product(levels, A, B):
     """A @ B through the schedule on Fraction object arrays."""
-    C = reference_evaluate([evaluate._compile(t) for t in levels],
+    C = reference_evaluate([reference_level(t) for t in levels],
                            np.array(A.data, dtype=object), np.array(B.data, dtype=object))
     return Matrix(C.tolist())
 
 
 def reference_error_samples(t, A, B, eps_values):
-    dims, factors = evaluate._compile(t)
+    dims, factors = reference_level(t)
     A, B = np.asarray(A, dtype=float), np.asarray(B, dtype=float)
     target = A @ B
     samples = []
@@ -310,6 +316,27 @@ def test_rational_operands_run_on_fractions(strassen, monkeypatch):
         assert seen.pop() == (np.dtype(object), Fraction)
     assert multiply_recursive([strassen], B, B) == B @ B
     assert seen.pop() == (np.dtype(np.int64), np.int64)
+
+
+def test_rational_operands_run_on_cleared_coefficients(strassen, monkeypatch):
+    # the isotropy scheme's coefficients have denominators 2 and 3; Fraction
+    # operands run on the same cleared integers as integer operands
+    levels = [isotropy_apply(strassen, ISOTROPY)]
+    coefficients = []
+    run = evaluate._evaluate
+
+    def recording(compiled, A, B):
+        coefficients.extend(c for _, slots in compiled for slot in slots
+                            for entries in slot for *_, c in entries)
+        return run(compiled, A, B)
+
+    monkeypatch.setattr(evaluate, "_evaluate", recording)
+    A = Matrix([[Fraction(1, 2), 3], [4, Fraction(-5, 7)]])
+    B = Matrix([[Fraction(2, 9), -1], [0, Fraction(11, 4)]])
+    assert multiply_recursive(levels, A, B) == reference_product(levels, A, B) == A @ B
+    assert coefficients and {type(c) for c in coefficients} == {int}
+    raw = {v for t in levels for term in t.terms for factor in term for *_, v in factor.nonzeros}
+    assert any(v.denominator != 1 for v in raw)
 
 
 def test_untouched_output_blocks_are_zero(strassen):

@@ -116,6 +116,29 @@ def test_value_bound_sides():
                                                       Fraction(2**63 - 2)),)
 
 
+def test_value_bound_sides_with_slot_denominators():
+    # <1,1,1;3> with terms (a/2, 1, 1), (1, 1/3, 1) and (1, 1/2, 1): P
+    # clears by 2 and Q by 6, so the cleared terms are (a, 6, 1), (2, 2, 1)
+    # and (2, 3, 1) and the bound is 6a + 4 + 6 + 12 (scale 2 * 6 * 1).
+    # Clearing per term, over their lcm 6, would bound it by 3a + 11.
+    def scheme(a):
+        return FmmTensor((1, 1, 1), RATIONAL, [
+            Term(Matrix([[Fraction(a, 2)]]), Matrix([[1]]), Matrix([[1]])),
+            Term(Matrix([[1]]), Matrix([[Fraction(1, 3)]]), Matrix([[1]])),
+            Term(Matrix([[1]]), Matrix([[Fraction(1, 2)]]), Matrix([[1]]))])
+
+    a = (2**63 - 23) // 6
+    a -= 1 - a % 2  # odd, so that a/2 keeps its denominator
+    assert 6 * a + 22 < 2**63 <= 6 * (a + 2) + 22
+    assert 3 * (a + 2) + 11 < 2**63
+    for value, dtype in ((a, np.int64), (a + 2, object)):
+        t = scheme(value)
+        assert expand(t).num.dtype == dtype
+        assert_matches_reference(t)
+        assert verify_exact(t).failing_equations == ((((0, 0), (0, 0), (0, 0)),
+                                                      Fraction(3 * value - 1, 6)),)
+
+
 def test_key_bound_sides():
     # (mn)(np)(pm) = (mnp)^2; 1448^3 squared is just below 2^63
     assert (1448**3) ** 2 < 2**63 < (1449**3) ** 2

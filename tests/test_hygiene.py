@@ -1,8 +1,8 @@
 """Every name a module under src/fmmkit, tests or tools imports is
 referenced in it, every module-level private (_name) function, class
 or constant is referenced somewhere in the package, only matrices.py
-names the shared zero ``ZERO``, and every name the benchmark's tracer
-wraps exists.
+names the shared zero ``ZERO``, only tensor.py names ``lcm``, and every
+name the benchmark's tracer wraps exists.
 
 A package __init__.py imports names to re-export them, so it is exempt
 from the first check.
@@ -126,6 +126,13 @@ def test_only_matrices_names_the_shared_zero():
     # cells' identity
     assert [p.relative_to(PACKAGE).as_posix() for p in SOURCES
             if mentions(p.read_text(), "ZERO")] == ["matrices.py"]
+
+
+def test_only_tensor_clears_denominators():
+    # tensor._cleared is the one walk that turns a scheme's coefficients
+    # into integers; the verifier and the evaluator both read it
+    assert [p.relative_to(PACKAGE).as_posix() for p in SOURCES
+            if mentions(p.read_text(), "lcm")] == ["tensor.py"]
 
 
 def test_every_traced_name_resolves():

@@ -293,7 +293,7 @@ def test_built_factors_keep_the_stored_form(seed):
     completed = embed_and_add(partial, block, mask_embedding(partial))
     parsed = parse_tensor(write_tensor(summed))
     assert parsed == summed
-    for t in (summed, completed, parsed):
+    for t in (summed, completed, parsed, partial, classical_tensor(dims)):
         built += [factor for term in t.terms for factor in term]
     for x in built:
         _assert_stored_form(x)

@@ -107,6 +107,8 @@ def test_every_classical_form_comes_from_one_builder():
             assert keys == [((i, j), (j, k), (k, i)) for i in range(m) for j in range(n)
                             if mask is None or mask[i][j] for k in range(p)]
             assert keys == list(expand(classical_tensor(dims, mask)))
+            assert classical_tensor(dims, mask).terms == tuple(
+                unit_term(dims, i, j, k) for (i, j), (_, k), _ in keys)
             assert set(classical_map(dims, mask).values()) == {Fraction(1)}
         dense = classical_dense(dims)
         assert set(dense.ravel().tolist()) <= {0.0, 1.0}
