@@ -15,12 +15,15 @@ The evaluator works on numpy arrays of any dtype.  A coefficient of 1 or
 runs have one entry point, multiply_recursive, which runs only schedules
 whose every level passes verify_exact.  Every exact run reads each
 level's P, Q and S coefficients as tensor._cleared gives them, integers
-over one denominator per slot, and divides the result once, exactly, by
-the product of the denominators.  When every entry of A and B is an
-integer, the run is on int64 when max|A| * max|B| times the product of
-the cleared coefficients' norms is below 2^63 (see _level), on Python
-ints otherwise.  Other operands run on object arrays of Fraction, with
-the same integer coefficients.  Only the first level may carry a support
+over one denominator per slot.  The operands are cleared outside the
+algorithm, where diagonal scaling is exact: with A = diag(1/d) A' and
+B = B' diag(1/e), d_i the lcm of row i's denominators in A and e_j that
+of column j's in B, A @ B = diag(1/d) (A' @ B') diag(1/e).  So every run
+computes scale * A' @ B' on integers, in int64 when max|A'| * max|B'|
+times the product of the cleared coefficients' norms is below 2^63 (see
+_level) and on Python ints otherwise, and divides each entry once,
+exactly, by scale * d_i * e_j.  Laurent operands are cleared the same
+way and run on object arrays.  Only the first level may carry a support
 mask, and A must then be zero in the blocks the mask excludes (single
 entries for a one-level schedule).
 epsilon_error_scan substitutes each epsilon into the nonzero Laurent
@@ -36,7 +39,7 @@ from fractions import Fraction
 import numpy as np
 
 from .matrices import Matrix
-from .scalars import Laurent
+from .scalars import Laurent, eps_power
 from .tensor import RATIONAL, FmmTensor, UnverifiedSchemeError, _cleared, _width, verify_exact
 
 
@@ -57,9 +60,9 @@ def _combine(blocks, factors):
     linear combination of its blocks per term.  A coefficient of 1 or -1,
     the only kind in the bundled schemes, costs no multiply: its block is
     added or subtracted (negated when it is the term's first piece), as
-    in the fold below.  On Fraction entries a multiply costs as much as an
-    addition; on floats -x and a - x are bit-identical to (-1.0) * x and
-    a + (-1.0) * x."""
+    in the fold below.  On Python ints a multiply costs about as much as
+    an addition; on floats -x and a - x are bit-identical to (-1.0) * x
+    and a + (-1.0) * x."""
     K, _, _, X, Y = blocks.shape
     out = np.empty((K, len(factors), X, Y), dtype=blocks.dtype)
     for term, entries in enumerate(factors):
@@ -202,12 +205,31 @@ def _level(t):
     return (t.dims, tuple(slots)), scale, norm
 
 
-def _integral(X):
-    return all(isinstance(v, Fraction) and v.denominator == 1 for _, _, v in X.nonzeros)
+def _cleared_operand(X, by_rows):
+    """X's nonzeros with each row (by_rows) or column cleared of its
+    denominators: ((rows, cols, values), d, top).  d[k] is the lcm of line
+    k's denominators (a Laurent entry's is its coefficients' lcm), each
+    value is its entry times its line's d, an integer or a Laurent with
+    integer coefficients, and top is max(1, largest |value|), or None when
+    X has a Laurent entry."""
+    rows, cols, values = zip(*X.nonzeros) if X.nonzeros else ((),) * 3
+    nums = [v.numerator for v in values]
+    dens = [v.denominator for v in values]
+    line = rows if by_rows else cols
+    d = [1] * (X.rows if by_rows else X.cols)
+    for k, den in zip(line, dens):
+        if den != 1:
+            d[k] = math.lcm(d[k], den)
+    if max(d) > 1:
+        nums = [num * (d[k] // den) for num, k, den in zip(nums, line, dens)]
+    top = max([1, *map(abs, nums)]) if set(map(type, values)) <= {Fraction} else None
+    return (rows, cols, nums), d, top
 
 
-def _largest(X):
-    return max((abs(v.numerator) for _, _, v in X.nonzeros), default=0)
+def _array(X, rows, cols, values, dtype):
+    out = np.zeros((X.rows, X.cols), dtype=dtype)
+    out[rows, cols] = values
+    return out
 
 
 def multiply_recursive(levels, A, B, counter=None):
@@ -221,10 +243,12 @@ def multiply_recursive(levels, A, B, counter=None):
     leaf products formed, the product of the ranks.
 
     Every run reads the levels' coefficients cleared to integers (see
-    _level) and divides the result once, exactly, by the cleared scale.
-    Integer operands run on integers, in int64 when the bound is below
-    2^63 (tensor._width, the verifier's rule) and on Python ints
-    otherwise; any other operands run on Fraction.
+    _level), clears each row of A and each column of B by the lcm of its
+    denominators, and runs the cleared operands on integers: int64 when
+    the bound on max|A'| * max|B'| is below 2^63 (tensor._width, the
+    verifier's rule), Python ints otherwise, and object arrays when a
+    Laurent entry is left.  Each result entry is divided once, exactly, by
+    the cleared scale times its row's and its column's lcm.
     """
     levels = _check_schedule(levels)
     M, N, P = _schedule_dims(levels)
@@ -233,19 +257,19 @@ def multiply_recursive(levels, A, B, counter=None):
                          % (M, N, P, A.rows, A.cols, B.rows, B.cols))
     compiled, scales, norms = zip(*map(_level, levels))
     scale = math.prod(scales)
-    if _integral(A) and _integral(B):
-        bound = max(_largest(A), 1) * max(_largest(B), 1) * math.prod(norms)
-        A, B = (np.array([[v.numerator for v in row] for row in X.data], dtype=_width(bound))
-                for X in (A, B))
-    else:
-        A, B = (np.array(X.data, dtype=object) for X in (A, B))
+    (a, d, top_a), (b, e, top_b) = _cleared_operand(A, True), _cleared_operand(B, False)
+    dtype = (object if top_a is None or top_b is None
+             else _width(top_a * top_b * math.prod(norms)))
+    A, B = _array(A, *a, dtype), _array(B, *b, dtype)
     _check_mask_zeros(levels[0], A)
     C, leaves = _evaluate(compiled, A, B)
     if counter is not None:
         counter.tick(leaves)
     C = C.tolist()
-    if scale != 1:
-        C = [[Fraction(x, scale) for x in row] for row in C]
+    if scale * max(d) * max(e) != 1:
+        C = [[Fraction(c, scale * di * ej) if not isinstance(c, Laurent)
+              else c * Fraction(1, scale * di * ej) for c, ej in zip(row, e)]
+             for row, di in zip(C, d)]
     return Matrix(C)
 
 
@@ -272,21 +296,28 @@ class ErrorScan:
 
 def _at_each_eps(t):
     """t as a level with float coefficients, and a function that sets its
-    Laurent entries to their values at a given eps; each rational
-    coefficient is converted once."""
+    Laurent entries to their values at a given eps.  Each coefficient is
+    converted to float once, and each distinct power of eps is taken once
+    per eps; an entry's value is Laurent.evaluate's, bit for bit."""
     factors = tuple([list(factor.nonzeros) for factor in slot] for slot in zip(*t.terms))
     laurent = []
     for slot in factors:
         for entries in slot:
             for index, (i, j, v) in enumerate(entries):
                 if isinstance(v, Laurent):
-                    laurent.append((entries, index, i, j, v))
+                    terms = [(k, float(q)) for k, q in v.terms.items()]
+                    laurent.append((entries, index, i, j, terms))
                 else:
                     entries[index] = (i, j, float(v))
+    exponents = {k for *_, terms in laurent for k, _ in terms}
 
     def set_eps(eps):
-        for entries, index, i, j, v in laurent:
-            entries[index] = (i, j, v.evaluate(eps))
+        power = {k: eps_power(eps, k) for k in exponents}
+        for entries, index, i, j, terms in laurent:
+            total = 0.0
+            for k, q in terms:
+                total += q * power[k]
+            entries[index] = (i, j, total)
 
     return (t.dims, factors), set_eps
 

@@ -123,6 +123,17 @@ class Laurent:
     def is_monomial(self):
         return len(self.terms) == 1
 
+    @property
+    def denominator(self):
+        """The lcm of the coefficients' denominators, so that, as for a
+        Fraction, the value is numerator / denominator."""
+        return math.lcm(*(q.denominator for q in self.terms.values()))
+
+    @property
+    def numerator(self):
+        """The value times its denominator: integer coefficients."""
+        return self * self.denominator
+
     def evaluate(self, eps):
         """Numerical value at a concrete float eps (for error scans).
 
@@ -131,12 +142,17 @@ class Laurent:
         """
         total = 0.0
         for k, q in self.terms.items():
-            try:
-                power = eps**k
-            except OverflowError:
-                power = -INF if eps < 0 and k % 2 else INF
-            total += float(q) * power
+            total += float(q) * eps_power(eps, k)
         return total
+
+
+def eps_power(eps, k):
+    """eps**k for a float eps, a power too large for a float counting as
+    infinite (signed as the power would be)."""
+    try:
+        return eps**k
+    except OverflowError:
+        return -INF if eps < 0 and k % 2 else INF
 
 
 def laurent_order(value):

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fmmkit import evaluate
 from fmmkit.algebra import direct_sum, embed_and_add, isotropy_apply, kronecker, mask_embedding
@@ -16,7 +18,7 @@ from fmmkit.evaluate import (
 )
 from fmmkit.io import parse_tensor, write_tensor
 from fmmkit.matrices import Matrix
-from fmmkit.scalars import value_at
+from fmmkit.scalars import Laurent, value_at
 from fmmkit.tensor import UnverifiedSchemeError, classical_tensor, verify_exact
 
 from helpers import mutate_one_entry, rand_fraction
@@ -307,20 +309,131 @@ def test_zero_operand_still_bounds_the_other_side(integer_schedules, monkeypatch
         assert seen.pop() == (np.dtype(object), int)
 
 
-def test_rational_operands_run_on_fractions(strassen, monkeypatch):
+def test_rational_operands_run_on_integers(strassen, monkeypatch):
+    # each row of A and each column of B is cleared by the lcm of its
+    # denominators, so small-denominator operands run in int64
     seen = record_operand_types(monkeypatch)
     A = Matrix([[Fraction(1, 2), 3], [4, 5]])
     B = Matrix([[1, 2], [3, 4]])
-    for X, Y in ((A, B), (B, A)):
+    for X, Y in ((A, B), (B, A), (B, B)):
         assert multiply_recursive([strassen], X, Y) == X @ Y
-        assert seen.pop() == (np.dtype(object), Fraction)
-    assert multiply_recursive([strassen], B, B) == B @ B
-    assert seen.pop() == (np.dtype(np.int64), np.int64)
+        assert seen.pop() == (np.dtype(np.int64), np.int64)
+
+
+def cleared_to(rng, rows, cols, top, by_rows):
+    """Integers in [-9, 9], except one random row (by_rows) or column that
+    holds only +-1/top and +-1: that line's lcm is top, so it clears to
+    +-1 and +-top, while no numerator exceeds 9."""
+    cells = [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)]
+    if not by_rows:
+        cells = [list(col) for col in zip(*cells)]
+    line = cells[rng.randrange(len(cells))]
+    line[:] = [0] * len(line)
+    small, big = rng.sample(range(len(line)), 2)
+    line[small] = Fraction(rng.choice((1, -1)), top)
+    line[big] = rng.choice((1, -1))
+    if not by_rows:
+        cells = [list(row) for row in zip(*cells)]
+    return Matrix(cells)
+
+
+def test_cleared_rational_operands_run_in_int64_only_under_the_bound(strassen, t58,
+                                                                    monkeypatch):
+    # the bound reads the cleared operands: max|A'| * max|B'| * norms.  The
+    # large side is a row of A (or a column of B) cleared by an lcm of top
+    # from numerators of 1.  <1,7,1> with 7 on the other side puts the
+    # bound at 2^63 - 1 exactly, strassen with 8 at 2^63.
+    seen = record_operand_types(monkeypatch)
+    t108 = direct_sum(t58, classical_tensor((2, 5, 5)), axis="M")
+    rng = random.Random(26)
+    edges = set()
+    for levels in ([classical_tensor((1, 7, 1))], [strassen], [strassen, t108]):
+        M, N, P = evaluate._schedule_dims(levels)
+        norms = norm_product(levels)
+        for b in (7, 8):
+            below = (2**63 - 1) // (b * norms)
+            edges.add(below * b * norms - 2**63)
+            edges.add((below + 1) * b * norms - 2**63)
+            for top, kind in ((below, (np.int64, np.int64)), (below + 1, (object, int))):
+                for A, B in ((cleared_to(rng, M, N, top, True), signed_matrix(rng, N, P, b)),
+                             (signed_matrix(rng, M, N, b), cleared_to(rng, N, P, top, False))):
+                    counter = MultiplicationCounter()
+                    C = multiply_recursive(levels, A, B, counter=counter)
+                    assert seen.pop() == (np.dtype(kind[0]), kind[1])
+                    assert C == reference_product(levels, A, B) == A @ B
+                    assert counter.count == count_multiplications(levels)
+    assert {-1, 0} <= edges
+
+
+def mixed_matrix(rng, rows, cols):
+    """Rationals whose rows are, at random, integer, large with a large
+    lcm, small-denominator or all zero, with some columns all zero."""
+    def entry(kind):
+        if kind == "integer":
+            return rng.randint(-9, 9)
+        if kind == "large":
+            return Fraction(rng.randint(-10**12, 10**12), rng.randint(1, 10**12))
+        return rand_fraction(rng) if kind == "small" else 0
+    kinds = [rng.choice(("integer", "large", "small", "zero")) for _ in range(rows)]
+    zero = {c for c in range(cols) if rng.random() < 0.2}
+    return Matrix([[0 if c in zero else entry(kind) for c in range(cols)] for kind in kinds])
+
+
+@pytest.fixture(scope="module")
+def mixed_schedules(strassen, t58):
+    masked = classical_tensor((2, 2, 2), support=[[True, False], [True, True]])
+    t108 = direct_sum(t58, classical_tensor((2, 5, 5)), axis="M")
+    return [strassen], [t58], [strassen, t108], [masked, strassen]
+
+
+@settings(max_examples=40)
+@given(seed=st.integers(min_value=0, max_value=2**48 - 1), which=st.integers(0, 3))
+def test_mixed_denominators_match_the_reference(mixed_schedules, seed, which):
+    # A mixes its kinds of row and B (built transposed) its kinds of column,
+    # the lines each is cleared by
+    levels = mixed_schedules[which]
+    rng = random.Random(seed)
+    M, N, P = evaluate._schedule_dims(levels)
+    A = mixed_matrix(rng, M, N)
+    bm, bn = M // levels[0].dims.m, N // levels[0].dims.n
+    excluded = set(levels[0].masked_out())
+    A = Matrix([[0 if (i // bm, j // bn) in excluded else x for j, x in enumerate(row)]
+                for i, row in enumerate(A.data)])
+    B = mixed_matrix(rng, P, N).transpose()
+    counter = MultiplicationCounter()
+    C = multiply_recursive(levels, A, B, counter=counter)
+    assert C == A @ B == reference_product(levels, A, B)
+    assert counter.count == count_multiplications(levels)
+
+
+def test_laurent_operands_run_on_objects(strassen, monkeypatch):
+    seen = record_operand_types(monkeypatch)
+    A = Matrix([[Laurent({-1: Fraction(1, 2), 2: Fraction(3, 4)}), Fraction(5, 6)],
+                [4, Fraction(-1, 3)]])
+    B = Matrix([[Fraction(2, 9), -1], [0, Fraction(11, 4)]])
+    for X, Y in ((A, B), (B, A), (A, A)):
+        assert multiply_recursive([strassen], X, Y) == X @ Y
+        assert seen.pop()[0] == np.dtype(object)
+
+
+def test_laurent_operands_are_cleared_like_rationals(strassen, monkeypatch):
+    # a Laurent entry's denominator is the lcm of its coefficients'; it is
+    # cleared with its row (or column), and a scaled scheme divides it out
+    seen = record_operand_types(monkeypatch)
+    A = Matrix([[Laurent({-1: Fraction(1, 2), 2: Fraction(3, 4)}), Fraction(5, 6)],
+                [4, Fraction(-1, 3)]])
+    B = Matrix([[Fraction(2, 9), Laurent({1: Fraction(-1, 5)})], [0, Fraction(11, 4)]])
+    for levels in ([isotropy_apply(strassen, ISOTROPY)], [strassen, strassen]):
+        M, N, P = evaluate._schedule_dims(levels)
+        X = A if M == 2 else Matrix.identity(2).kron(A)
+        Y = B if P == 2 else Matrix.identity(2).kron(B)
+        assert multiply_recursive(levels, X, Y) == reference_product(levels, X, Y) == X @ Y
+        assert seen.pop()[0] == np.dtype(object)
 
 
 def test_rational_operands_run_on_cleared_coefficients(strassen, monkeypatch):
-    # the isotropy scheme's coefficients have denominators 2 and 3; Fraction
-    # operands run on the same cleared integers as integer operands
+    # the isotropy scheme's coefficients have denominators 2 and 3; they
+    # are cleared to integers whatever the operands
     levels = [isotropy_apply(strassen, ISOTROPY)]
     coefficients = []
     run = evaluate._evaluate

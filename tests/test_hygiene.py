@@ -1,8 +1,9 @@
 """Every name a module under src/fmmkit, tests or tools imports is
 referenced in it, every module-level private (_name) function, class
 or constant is referenced somewhere in the package, only matrices.py
-names the shared zero ``ZERO``, only tensor.py names ``lcm``, and every
-name the benchmark's tracer wraps exists.
+names the shared zero ``ZERO``, ``lcm`` is named only where a scheme's
+coefficients, the evaluator's operands or a Laurent scalar are cleared,
+and every name the benchmark's tracer wraps exists.
 
 A package __init__.py imports names to re-export them, so it is exempt
 from the first check.
@@ -105,13 +106,33 @@ def test_no_dead_private_names():
             for i, line, name in dead] == []
 
 
-def mentions(source, name):
-    """Whether source names `name`: loads it, imports it or reads it as an
+def names(node, name):
+    """Whether the node loads `name`, imports it or reads it as an
     attribute."""
-    return any(isinstance(node, ast.Name) and node.id == name
-               or isinstance(node, ast.Attribute) and node.attr == name
-               or isinstance(node, ast.alias) and name in (node.name, node.asname)
-               for node in ast.walk(ast.parse(source)))
+    return (isinstance(node, ast.Name) and node.id == name
+            or isinstance(node, ast.Attribute) and node.attr == name
+            or isinstance(node, ast.alias) and name in (node.name, node.asname))
+
+
+def mentions(source, name):
+    """Whether source names `name` anywhere."""
+    return any(names(node, name) for node in ast.walk(ast.parse(source)))
+
+
+def functions_mentioning(source, name):
+    """Names of the functions (methods and nested ones too) whose body
+    names `name`, in source order, led by "<module>" when a mention lies
+    outside every function."""
+    tree = ast.parse(source)
+    hits = {id(node) for node in ast.walk(tree) if names(node, name)}
+    found, inside = [], set()
+    for fn in ast.walk(tree):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            nodes = {id(node) for node in ast.walk(fn)}
+            if hits & nodes:
+                found.append((fn.lineno, fn.name))
+            inside |= nodes
+    return ["<module>"] * bool(hits - inside) + [fn for _, fn in sorted(found)]
 
 
 def test_mentions_are_found():
@@ -119,6 +140,10 @@ def test_mentions_are_found():
                    "import m\nm.ZERO\n", "x = ZERO\n"):
         assert mentions(source, "ZERO"), source
     assert not mentions("ZEROS = 1\nx = 'ZERO'\n", "ZERO")
+    source = ("import math\nX = math.lcm(2, 3)\n\nclass C:\n    def f(self):\n"
+              "        return lcm\n\ndef g():\n    def h():\n        return math.lcm\n"
+              "    return h\n\ndef k():\n    return 1\n")
+    assert functions_mentioning(source, "lcm") == ["<module>", "f", "g", "h"]
 
 
 def test_only_matrices_names_the_shared_zero():
@@ -130,9 +155,14 @@ def test_only_matrices_names_the_shared_zero():
 
 def test_only_tensor_clears_denominators():
     # tensor._cleared is the one walk that turns a scheme's coefficients
-    # into integers; the verifier and the evaluator both read it
-    assert [p.relative_to(PACKAGE).as_posix() for p in SOURCES
-            if mentions(p.read_text(), "lcm")] == ["tensor.py"]
+    # into integers; the verifier and the evaluator both read it.  The
+    # only other lcms are the evaluator's clearing of its operands, row by
+    # row of A and column by column of B, and a Laurent scalar's
+    # denominator, the lcm of its coefficients'.
+    assert [(p.relative_to(PACKAGE).as_posix(), name) for p in SOURCES
+            for name in functions_mentioning(p.read_text(), "lcm")] == [
+        ("evaluate.py", "_cleared_operand"), ("scalars.py", "denominator"),
+        ("tensor.py", "_cleared")]
 
 
 def test_every_traced_name_resolves():

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from fmmkit.scalars import (
     Laurent,
     ScalarParseError,
+    eps_power,
     exact_div,
     format_scalar,
     laurent_order,
@@ -62,6 +63,24 @@ def test_queries():
     x = Laurent({0: Fraction(5), 2: Fraction(-1)})
     assert not x.is_monomial()
     assert Laurent.monomial(3, 9).is_monomial()
+
+
+def test_numerator_over_denominator_as_for_a_fraction():
+    # the denominator is the lcm of the coefficients' denominators, so the
+    # numerator has integer coefficients
+    x = Laurent({-1: Fraction(1, 6), 2: Fraction(-3, 4), 0: Fraction(5)})
+    assert x.denominator == 12
+    assert x.numerator == Laurent({-1: 2, 2: -9, 0: 60})
+    assert x.numerator * Fraction(1, x.denominator) == x
+    assert Laurent.monomial(7, 1).denominator == 1
+
+
+def test_eps_power_overflows_to_a_signed_infinity():
+    assert eps_power(0.5, -2) == 4.0
+    assert eps_power(1e-200, -2) == math.inf
+    assert eps_power(-1e-200, -3) == -math.inf
+    assert eps_power(-1e-200, -2) == math.inf
+    assert Laurent({-2: 1, 1: 3}).evaluate(1e-200) == math.inf
 
 
 def test_shift_and_evaluate():
