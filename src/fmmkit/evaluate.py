@@ -255,7 +255,10 @@ def multiply_recursive(levels, A, B, counter=None):
     if (A.rows, A.cols) != (M, N) or (B.rows, B.cols) != (N, P):
         raise ValueError("schedule computes <%d,%d,%d>; got A %dx%d, B %dx%d"
                          % (M, N, P, A.rows, A.cols, B.rows, B.cols))
-    compiled, scales, norms = zip(*map(_level, levels))
+    # a scheme repeated in the schedule is cleared once, at its first level
+    first = [levels.index(t) for t in levels]
+    built = {i: _level(levels[i]) for i in dict.fromkeys(first)}
+    compiled, scales, norms = zip(*(built[i] for i in first))
     scale = math.prod(scales)
     (a, d, top_a), (b, e, top_b) = _cleared_operand(A, True), _cleared_operand(B, False)
     dtype = (object if top_a is None or top_b is None

@@ -59,16 +59,22 @@ TOL = 1e-10
 JITTER = 1e-12
 
 # stagnation rule: if the residual has not dropped by STALL_DROP relative
-# over the last STALL_WINDOW sweeps, reset lambda to LAMBDA_INIT
+# over the last STALL_WINDOW sweeps, reset lambda to LAMBDA_INIT; a restart
+# stops, stalled on a plateau, at its PLATEAU_RESETS-th reset since its last
+# new best residual.  At 4 or 5 resets, a few <2,2,2;7> restarts that go on
+# to a verified scheme stalled first, and some searches found none
 STALL_WINDOW = 25
 STALL_DROP = 1e-3
+PLATEAU_RESETS = 6
 
 RestartRecord = namedtuple(
     "RestartRecord", ["outcome", "sweeps", "lambda_resets", "best_residual"])
 RestartRecord.__doc__ = """How one restart ended.  outcome is "converged"
-(residual below TOL), "exhausted" (ran max_sweeps), "nonfinite" (residual
-inf or nan), "singular" (a block solve raised LinAlgError) or "collapsed"
-(every factor stack exactly zero, which every later sweep keeps)."""
+(residual below TOL), "stalled" (PLATEAU_RESETS lambda resets since its
+last new best residual), "exhausted" (ran max_sweeps), "nonfinite"
+(residual inf or nan), "singular" (a block solve raised LinAlgError) or
+"collapsed" (every factor stack exactly zero, which every later sweep
+keeps)."""
 
 
 @dataclass(frozen=True)
@@ -238,8 +244,9 @@ def als_block_solve(f, models, lam, dims, slot):
     dims = Dims(*dims)
     f, models = _stacks(dims, f, models)
     i = FactorSet._fields.index(slot)
-    solved = kernels.block_solve(*(f[:i] + f[i + 1:]), _target(dims)[i],
-                                 np.array([_effective_lambda(lam)]), models[i])
+    A, B = f[:i] + f[i + 1:]
+    solved = kernels.block_solve(A, B, _target(dims)[i], np.array([_effective_lambda(lam)]),
+                                 models[i], kernels.gram(A, 1), kernels.gram(B, 1))
     return f._replace(**{slot: solved})
 
 
@@ -258,11 +265,15 @@ def als_objective(f, models, lam, dims):
 def _sweep(stacks, models, target, lam):
     """One cyclic pass of block solves on P, Q then S at the ridge weights
     lam, one per restart; each solve uses the stacks already updated
-    earlier in the same pass."""
+    earlier in the same pass.  S's Grams serve the P and Q solves and the
+    new P's the Q and S solves, so a pass forms four Grams per restart."""
+    k = len(lam)
     P, Q, S = stacks
-    P = kernels.block_solve(Q, S, target[0], lam, models[0])
-    Q = kernels.block_solve(P, S, target[1], lam, models[1])
-    S = kernels.block_solve(P, Q, target[2], lam, models[2])
+    GS = kernels.gram(S, k)
+    P = kernels.block_solve(Q, S, target[0], lam, models[0], kernels.gram(Q, k), GS)
+    GP = kernels.gram(P, k)
+    Q = kernels.block_solve(P, S, target[1], lam, models[1], GP, GS)
+    S = kernels.block_solve(P, Q, target[2], lam, models[2], GP, kernels.gram(Q, k))
     return FactorSet(P, Q, S)
 
 
@@ -306,10 +317,12 @@ class _Descent:
     keeps the batch stacks of the best sweep and the restart's first row in
     them, which no later sweep writes to, and settle() copies the rows once
     a sweep brings no improvement or the restart leaves.  So at most two
-    sweeps' stacks stay referenced."""
+    sweeps' stacks stay referenced.
+
+    plateau counts the lambda resets since the last new best residual."""
 
     __slots__ = ("lam", "lam_eff", "trace", "best_res", "best", "best_at",
-                 "prev_res", "guard", "resets", "outcome")
+                 "prev_res", "guard", "resets", "plateau", "outcome")
 
     def __init__(self, start):
         self.lam = LAMBDA_INIT
@@ -321,7 +334,14 @@ class _Descent:
         self.prev_res = math.inf
         self.guard = 0
         self.resets = 0
+        self.plateau = 0
         self.outcome = None
+
+    def leave(self, outcome, r):
+        """End the restart with the given outcome; returns False."""
+        self.outcome = outcome
+        self.settle(r)
+        return False
 
     def settle(self, r):
         if self.best_at is not None:
@@ -330,32 +350,27 @@ class _Descent:
             self.best = FactorSet(P[rows].copy(), Q[rows].copy(), S[rows].copy())
             self.best_at = None
 
-    def step(self, cfg, sweep, res, stacks, row):
+    def step(self, sweep, res, stacks, row, r, volume):
         """Book sweep number sweep, run at ridge weight lam_eff, with
-        residual res; this restart's block of the batch's stacks starts at
-        row.  Returns True while the restart goes on."""
+        residual res; this restart's r rows of the batch's stacks start at
+        row, and volume is m*n*p.  Returns True while the restart goes
+        on."""
         self.trace.append((sweep, res, self.lam_eff))
         if not math.isfinite(res):
-            self.outcome = "nonfinite"
-            self.settle(cfg.rank)
-            return False
+            return self.leave("nonfinite", r)
         if res < self.best_res:
             self.best_res = res
             self.best_at = (stacks, row)
+            self.plateau = 0
         elif self.best_at is not None:
-            self.settle(cfg.rank)
+            self.settle(r)
         if res < TOL:
-            self.outcome = "converged"
-            self.settle(cfg.rank)
-            return False
+            return self.leave("converged", r)
         # all-zero stacks are a fixed point of the sweep (Gram lambda*I,
         # zero right-hand side, zero snapped models); their residual is
         # exactly the m*n*p unit coefficients of the classical tensor
-        if res == cfg.dims.m * cfg.dims.n * cfg.dims.p and not any(
-                stack[row:row + cfg.rank].any() for stack in stacks):
-            self.outcome = "collapsed"
-            self.settle(cfg.rank)
-            return False
+        if res == volume and not any(stack[row:row + r].any() for stack in stacks):
+            return self.leave("collapsed", r)
         if res < self.prev_res:
             self.lam *= LAMBDA_DECAY
         if sweep - self.guard > STALL_WINDOW:
@@ -364,6 +379,9 @@ class _Descent:
                 self.lam = LAMBDA_INIT
                 self.guard = sweep
                 self.resets += 1
+                self.plateau += 1
+                if self.plateau == PLATEAU_RESETS:
+                    return self.leave("stalled", r)
         self.lam_eff = _effective_lambda(self.lam)
         self.prev_res = res
         return True
@@ -374,6 +392,7 @@ def _run_batch(cfg, indices, target, grid_floats):
     _Restart records in the same order."""
     m, n, p = cfg.dims
     r = cfg.rank
+    volume = m * n * p
     starts = []
     for i in indices:
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((cfg.seed, i))))
@@ -402,8 +421,7 @@ def _run_batch(cfg, indices, target, grid_floats):
                     parts.append(_sweep([s[rows] for s in f], [s[rows] for s in models],
                                         target, lam[j:j + 1]))
                 except np.linalg.LinAlgError:
-                    d.outcome = "singular"
-                    d.settle(r)
+                    d.leave("singular", r)
                     continue
                 keep.append(j)
             if not keep:
@@ -411,7 +429,7 @@ def _run_batch(cfg, indices, target, grid_floats):
             live = [live[j] for j in keep]
             stacks = tuple(np.concatenate(s) for s in zip(*parts))
         res = kernels.residual(*stacks, target[0], len(live)).tolist()
-        keep = [j for j, d in enumerate(live) if d.step(cfg, sweep, res[j], stacks, j * r)]
+        keep = [j for j, d in enumerate(live) if d.step(sweep, res[j], stacks, j * r, r, volume)]
         f = stacks
         if len(keep) < len(live):
             if not keep:
@@ -421,8 +439,7 @@ def _run_batch(cfg, indices, target, grid_floats):
             f = [s[rows] for s in f]
     else:
         for d in live:
-            d.outcome = "exhausted"
-            d.settle(r)
+            d.leave("exhausted", r)
     return [_Restart(d.best_res, d.best, len(d.trace), tuple(d.trace), d.outcome, d.resets)
             for d in runs]
 
@@ -435,8 +452,7 @@ def _run_restarts(cfg, progress=None):
     if progress is not None:
         for i, out in enumerate(results):
             progress("restart %d %s residual %.6e after %d sweeps" % (
-                i, "converged" if out.best_res < TOL else "stopped", out.best_res,
-                out.sweeps))
+                i, out.outcome, out.best_res, out.sweeps))
     return results
 
 

@@ -1,6 +1,6 @@
 """Hot numeric kernels for the ALS search, vectorized with numpy.
 
-Both kernels take a batch of k restarts in one row-blocked layout: each
+The kernels take a batch of k restarts in one row-blocked layout: each
 factor stack is a 2-D array of shape (k*r, d) whose rows i*r .. i*r+r-1
 belong to restart i.
 
@@ -12,19 +12,28 @@ belong to restart i.
                                   (P (.) Q)^T S, one Khatri-Rao product and
                                   one gemm per restart, so no array holds
                                   more than r*(mn)(np) floats per restart
-  block_solve(A, B, Tmat, lam, M) ridge-regularized normal-equation solve
+  gram(A, k)                      the k r x r Gram matrices A_i A_i^T of a
+                                  stack, as a (k, r, r) array, or a plain
+                                  r x r one when k = 1
+  block_solve(A, B, Tmat, lam, M, GA, GB)
+                                  ridge-regularized normal-equation solve
                                   for one factor stack given the other two,
                                   one r x r system per restart; Tmat is the
                                   target matricized with the solved mode
-                                  first, lam the length-k ridge weights and
-                                  M the proximal models in the same layout
+                                  first, lam the length-k ridge weights, M
+                                  the proximal models in the same layout
+                                  and GA, GB the Grams of A and B as gram
+                                  returns them; the caller computes each
+                                  Gram once and passes it to every solve
+                                  that reads it, and block_solve does not
+                                  write to them
 
 Each step is elementwise, sums within one restart's block in the order a
 lone restart sums, or makes one BLAS or LAPACK call per restart on that
 restart's rows.  So a restart's numbers are the same bit for bit in any
 batch and alone.  A single 2-D gemm over all k*r rows would break this:
 OpenBLAS picks its kernel, and with it the summation order, from the row
-count.  Both kernels are deterministic for given inputs.
+count.  The kernels are deterministic for given inputs.
 """
 
 import numpy as np
@@ -41,28 +50,26 @@ def residual(P, Q, S, T, k):
     return np.add.reduce(D.reshape(k, -1), axis=1)
 
 
-def block_solve(A, B, Tmat, lam, model):
-    k = len(lam)
+def gram(A, k):
     if k == 1:
-        return _block_solve_one(A, B, Tmat, lam[0], model)
+        return A @ A.T
     A3 = A.reshape(k, -1, A.shape[1])
-    B3 = B.reshape(k, -1, B.shape[1])
-    r = A3.shape[1]
-    G = A3 @ A3.transpose(0, 2, 1)
-    G *= B3 @ B3.transpose(0, 2, 1)
+    return A3 @ A3.transpose(0, 2, 1)
+
+
+def block_solve(A, B, Tmat, lam, model, GA, GB):
+    k = len(lam)
+    r = A.shape[0] // k
+    G = GA * GB
+    if k == 1:
+        # the same arithmetic on plain 2-D arrays: numpy's stacked matmul
+        # and solve cost several microseconds more per call at one
+        # restart's size
+        G.flat[:: r + 1] += lam[0]
+        RHS = (A[:, :, None] * B[:, None, :]).reshape(r, -1) @ Tmat.T
+        RHS += lam[0] * model
+        return np.linalg.solve(G, RHS)
     G.reshape(k, -1)[:, :: r + 1] += lam[:, None]
     RHS = (A[:, :, None] * B[:, None, :]).reshape(k, r, -1) @ Tmat.T
     RHS += lam[:, None, None] * model.reshape(k, r, -1)
     return np.linalg.solve(G, RHS).reshape(A.shape[0], -1)
-
-
-def _block_solve_one(A, B, Tmat, lam, model):
-    # the same arithmetic on plain 2-D arrays: numpy's stacked matmul and
-    # solve cost several microseconds more per call at one restart's size
-    r = A.shape[0]
-    G = A @ A.T
-    G *= B @ B.T
-    G.flat[:: r + 1] += lam
-    RHS = (A[:, :, None] * B[:, None, :]).reshape(r, -1) @ Tmat.T
-    RHS += lam * model
-    return np.linalg.solve(G, RHS)

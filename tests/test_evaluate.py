@@ -529,6 +529,28 @@ def test_schedule_verifies_each_distinct_scheme_once(strassen, monkeypatch):
         count_multiplications([strassen, broken, strassen])
 
 
+def test_schedule_clears_each_distinct_scheme_once(strassen, monkeypatch):
+    calls = []
+    real = evaluate._level
+
+    def counting_level(t):
+        calls.append(t)
+        return real(t)
+
+    monkeypatch.setattr(evaluate, "_level", counting_level)
+    A = Matrix([[Fraction(i - j, 1 + (i * j) % 3) for j in range(16)] for i in range(16)])
+    copies = [parse_tensor(write_tensor(strassen)) for _ in range(4)]
+    for schedule in ([strassen] * 4, copies):
+        calls.clear()
+        assert multiply_recursive(schedule, A, A) == A @ A
+        assert calls == [strassen]
+    iso = isotropy_apply(strassen, ISOTROPY)
+    calls.clear()
+    B = Matrix([[Fraction(i + j, 1 + i % 2) for j in range(8)] for i in range(8)])
+    assert multiply_recursive([strassen, iso, strassen], B, B) == B @ B
+    assert calls == [strassen, iso]
+
+
 def test_epsilon_error_scan_slope(teps):
     rng = random.Random(14)
     A = [[rng.uniform(-1, 1) for _ in range(5)] for _ in range(5)]

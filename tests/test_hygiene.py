@@ -3,7 +3,8 @@ referenced in it, every module-level private (_name) function, class
 or constant is referenced somewhere in the package, only matrices.py
 names the shared zero ``ZERO``, ``lcm`` is named only where a scheme's
 coefficients, the evaluator's operands or a Laurent scalar are cleared,
-and every name the benchmark's tracer wraps exists.
+every name the benchmark's tracer wraps exists, and every restart outcome
+the search assigns is documented.
 
 A package __init__.py imports names to re-export them, so it is exempt
 from the first check.
@@ -16,6 +17,7 @@ from pathlib import Path
 import pytest
 
 import fmmkit
+from fmmkit.search import RestartRecord
 
 PACKAGE = Path(fmmkit.__file__).parent
 SOURCES = sorted(PACKAGE.rglob("*.py"))
@@ -175,3 +177,39 @@ def test_every_traced_name_resolves():
     assert names
     assert [(module, attr) for module, attr, _ in names
             if not hasattr(importlib.import_module(module), attr)] == []
+
+
+def assigned_outcomes(source):
+    """The string constants source assigns to an ``outcome`` attribute or
+    passes first to a call of a ``leave`` method, in source order."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Attribute) and t.attr == "outcome" for t in node.targets):
+            value = node.value
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and node.func.attr == "leave" and node.args):
+            value = node.args[0]
+        else:
+            continue
+        if isinstance(value, ast.Constant) and isinstance(value.value, str):
+            found.append((value.lineno, value.value))
+    return [value for _, value in sorted(found)]
+
+
+def test_assigned_outcomes_are_found():
+    source = ("d.outcome = 'a'\nd.outcome = None\nself.leave('b', r)\n"
+              "outcome = 'c'\nleave('d')\nd.leave(x)\n")
+    assert assigned_outcomes(source) == ["a", "b"]
+
+
+def test_every_restart_outcome_is_documented():
+    # a restart's outcome reaches users as RestartRecord.outcome and the
+    # CLI's restart lines, so each value the search assigns must be named
+    # where both are described
+    outcomes = assigned_outcomes((PACKAGE / "search" / "als.py").read_text())
+    assert {"converged", "stalled", "exhausted"} <= set(outcomes)
+    search_paragraph, = [par for par in (ROOT / "README.md").read_text().split("\n\n")
+                         if par.startswith("The search minimizes")]
+    assert [o for o in outcomes if '"%s"' % o not in RestartRecord.__doc__] == []
+    assert [o for o in outcomes if "`%s`" % o not in search_paragraph] == []

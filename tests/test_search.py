@@ -245,6 +245,9 @@ def test_search_progress_lines():
     search(cfg, progress=seen.append)
     assert len(seen) == 2
     assert all(line.startswith("restart ") for line in seen)
+    # each line names the restart's outcome, as RestartRecord does
+    assert [line.split()[:3] for line in seen] == [["restart", "0", "converged"],
+                                                   ["restart", "1", "collapsed"]]
 
 
 # -- batched restarts -----------------------------------------------------------
@@ -278,6 +281,7 @@ def _serial_restart(cfg, index):
     S = rng.uniform(-1.0, 1.0, (cfg.rank, p * m))
     lam, trace, history = als.LAMBDA_INIT, [], []
     best_res, best, prev_res, guard, resets = math.inf, (P, Q, S), math.inf, 0, 0
+    plateau = 0
     for sweep in range(1, cfg.max_sweeps + 1):
         mP, mQ, mS = snap(P), snap(Q), snap(S)
         lam_eff = lam + als.JITTER if lam < als.JITTER else lam
@@ -292,7 +296,7 @@ def _serial_restart(cfg, index):
         if not math.isfinite(res):
             break
         if res < best_res:
-            best_res, best = res, (P.copy(), Q.copy(), S.copy())
+            best_res, best, plateau = res, (P.copy(), Q.copy(), S.copy()), 0
         if res < als.TOL:
             break
         if res < prev_res:
@@ -300,7 +304,9 @@ def _serial_restart(cfg, index):
         history.append(res)
         if sweep - guard > als.STALL_WINDOW:
             if not res < history[sweep - 1 - als.STALL_WINDOW] * (1.0 - als.STALL_DROP):
-                lam, guard, resets = als.LAMBDA_INIT, sweep, resets + 1
+                lam, guard, resets, plateau = als.LAMBDA_INIT, sweep, resets + 1, plateau + 1
+                if plateau == als.PLATEAU_RESETS:
+                    break
         prev_res = res
     return best_res, best, len(trace), tuple(trace), resets
 
@@ -327,6 +333,9 @@ def _same_bits(a, b):
     # large enough that OpenBLAS would pick another gemm kernel for one
     # product over all k*r rows than for one restart's r rows
     ((3, 3, 3), 23, 7, 20),
+    # three restarts stall on a plateau, each at its own sweep, and the
+    # fourth runs all its sweeps
+    ((2, 2, 2), 6, 4, 1500),
 ])
 def test_restart_is_the_same_alone_or_in_a_batch(dims, rank, restarts, max_sweeps):
     cfg = SearchConfig(dims, rank, seed=7, restarts=restarts, max_sweeps=max_sweeps,
@@ -345,6 +354,8 @@ def test_restart_is_the_same_alone_or_in_a_batch(dims, rank, restarts, max_sweep
         best_res, best, sweeps, trace, resets = _serial_restart(cfg, index)
         assert (a.trace, a.sweeps, a.best_res, a.resets) == (trace, sweeps, best_res, resets)
         assert _same_bits(a.factors, best)
+    if max_sweeps == 1500:
+        assert [a.outcome for a in alone] == ["stalled"] * 3 + ["exhausted"]
 
 
 def _recorded_call(kernel_name, cfg, index, call, arg):
@@ -378,10 +389,10 @@ def test_singular_and_nonfinite_restarts_leave_the_batch_alone(monkeypatch):
     nonfinite_p = _recorded_call("residual", cfg, 2, 29, 0)
     real_solve, real_residual = kernels.block_solve, kernels.residual
 
-    def block_solve(A, B, Tmat, lam, model):
+    def block_solve(A, B, Tmat, lam, model, GA, GB):
         if any(np.array_equal(block, singular_q) for block in _blocks(A, r)):
             raise np.linalg.LinAlgError("Singular matrix")
-        return real_solve(A, B, Tmat, lam, model)
+        return real_solve(A, B, Tmat, lam, model, GA, GB)
 
     def residual(P, Q, S, T, k):
         res = real_residual(P, Q, S, T, k)
@@ -513,3 +524,21 @@ def test_stagnation_reset_fires_after_the_window(monkeypatch):
     assert lam[2] == lam[26] == als.LAMBDA_INIT * als.LAMBDA_DECAY
     assert lam[27] == als.LAMBDA_INIT
     assert out.restarts[0].lambda_resets == 3
+
+
+def test_plateau_exit_stops_a_stuck_restart(monkeypatch):
+    # the same stuck residual as above: lambda resets every 26 sweeps, at
+    # sweeps 26, 52, 78, ..., none after a new best (the only one is sweep
+    # 1), so the PLATEAU_RESETS-th reset ends the restart, with its sweep
+    # in the trace
+    stop = (als.STALL_WINDOW + 1) * als.PLATEAU_RESETS
+    assert stop == 156
+    monkeypatch.setattr(kernels, "residual", lambda P, Q, S, T, k: np.full(k, 5.0))
+    seen = []
+    out = search(SearchConfig((2, 2, 2), 7, max_sweeps=200), progress=seen.append)
+    assert seen == ["restart 0 stalled residual 5.000000e+00 after %d sweeps" % stop]
+    record = out.restarts[0]
+    assert (record.outcome, record.sweeps, record.lambda_resets) == (
+        "stalled", stop, als.PLATEAU_RESETS)
+    assert out.sweeps_used == stop and out.trace[-1][0] == stop
+    assert out.best_residual == 5.0
