@@ -59,19 +59,19 @@ TOL = 1e-10
 JITTER = 1e-12
 
 # stagnation rule: if the residual has not dropped by STALL_DROP relative
-# over the last STALL_WINDOW sweeps, reset lambda to LAMBDA_INIT; a restart
-# stops, stalled on a plateau, at its PLATEAU_RESETS-th reset since its last
-# new best residual.  At 4 or 5 resets, a few <2,2,2;7> restarts that go on
-# to a verified scheme stalled first, and some searches found none
+# over the last STALL_WINDOW sweeps, reset lambda to LAMBDA_INIT.  A restart
+# stops, stalled on a plateau, STALL_SWEEPS sweeps after its last new best
+# residual.  The longest such gap measured in a <2,2,2;7> restart that went
+# on to a verified scheme is 486 sweeps; at 400, some of those stalled first
 STALL_WINDOW = 25
 STALL_DROP = 1e-3
-PLATEAU_RESETS = 6
+STALL_SWEEPS = 500
 
 RestartRecord = namedtuple(
     "RestartRecord", ["outcome", "sweeps", "lambda_resets", "best_residual"])
 RestartRecord.__doc__ = """How one restart ended.  outcome is "converged"
-(residual below TOL), "stalled" (PLATEAU_RESETS lambda resets since its
-last new best residual), "exhausted" (ran max_sweeps), "nonfinite"
+(residual below TOL), "stalled" (STALL_SWEEPS sweeps since its last new
+best residual), "exhausted" (ran max_sweeps), "nonfinite"
 (residual inf or nan), "singular" (a block solve raised LinAlgError) or
 "collapsed" (every factor stack exactly zero, which every later sweep
 keeps)."""
@@ -319,10 +319,10 @@ class _Descent:
     a sweep brings no improvement or the restart leaves.  So at most two
     sweeps' stacks stay referenced.
 
-    plateau counts the lambda resets since the last new best residual."""
+    best_sweep is the sweep of the last new best residual."""
 
     __slots__ = ("lam", "lam_eff", "trace", "best_res", "best", "best_at",
-                 "prev_res", "guard", "resets", "plateau", "outcome")
+                 "prev_res", "guard", "resets", "best_sweep", "outcome")
 
     def __init__(self, start):
         self.lam = LAMBDA_INIT
@@ -334,7 +334,7 @@ class _Descent:
         self.prev_res = math.inf
         self.guard = 0
         self.resets = 0
-        self.plateau = 0
+        self.best_sweep = 0
         self.outcome = None
 
     def leave(self, outcome, r):
@@ -361,7 +361,7 @@ class _Descent:
         if res < self.best_res:
             self.best_res = res
             self.best_at = (stacks, row)
-            self.plateau = 0
+            self.best_sweep = sweep
         elif self.best_at is not None:
             self.settle(r)
         if res < TOL:
@@ -379,9 +379,8 @@ class _Descent:
                 self.lam = LAMBDA_INIT
                 self.guard = sweep
                 self.resets += 1
-                self.plateau += 1
-                if self.plateau == PLATEAU_RESETS:
-                    return self.leave("stalled", r)
+        if sweep - self.best_sweep == STALL_SWEEPS:
+            return self.leave("stalled", r)
         self.lam_eff = _effective_lambda(self.lam)
         self.prev_res = res
         return True

@@ -281,7 +281,7 @@ def _serial_restart(cfg, index):
     S = rng.uniform(-1.0, 1.0, (cfg.rank, p * m))
     lam, trace, history = als.LAMBDA_INIT, [], []
     best_res, best, prev_res, guard, resets = math.inf, (P, Q, S), math.inf, 0, 0
-    plateau = 0
+    best_sweep = 0
     for sweep in range(1, cfg.max_sweeps + 1):
         mP, mQ, mS = snap(P), snap(Q), snap(S)
         lam_eff = lam + als.JITTER if lam < als.JITTER else lam
@@ -296,7 +296,7 @@ def _serial_restart(cfg, index):
         if not math.isfinite(res):
             break
         if res < best_res:
-            best_res, best, plateau = res, (P.copy(), Q.copy(), S.copy()), 0
+            best_res, best, best_sweep = res, (P.copy(), Q.copy(), S.copy()), sweep
         if res < als.TOL:
             break
         if res < prev_res:
@@ -304,9 +304,9 @@ def _serial_restart(cfg, index):
         history.append(res)
         if sweep - guard > als.STALL_WINDOW:
             if not res < history[sweep - 1 - als.STALL_WINDOW] * (1.0 - als.STALL_DROP):
-                lam, guard, resets, plateau = als.LAMBDA_INIT, sweep, resets + 1, plateau + 1
-                if plateau == als.PLATEAU_RESETS:
-                    break
+                lam, guard, resets = als.LAMBDA_INIT, sweep, resets + 1
+        if sweep - best_sweep == als.STALL_SWEEPS:
+            break
         prev_res = res
     return best_res, best, len(trace), tuple(trace), resets
 
@@ -334,7 +334,7 @@ def _same_bits(a, b):
     # product over all k*r rows than for one restart's r rows
     ((3, 3, 3), 23, 7, 20),
     # three restarts stall on a plateau, each at its own sweep, and the
-    # fourth runs all its sweeps
+    # fourth is still live when it runs out of sweeps
     ((2, 2, 2), 6, 4, 1500),
 ])
 def test_restart_is_the_same_alone_or_in_a_batch(dims, rank, restarts, max_sweeps):
@@ -355,7 +355,8 @@ def test_restart_is_the_same_alone_or_in_a_batch(dims, rank, restarts, max_sweep
         assert (a.trace, a.sweeps, a.best_res, a.resets) == (trace, sweeps, best_res, resets)
         assert _same_bits(a.factors, best)
     if max_sweeps == 1500:
-        assert [a.outcome for a in alone] == ["stalled"] * 3 + ["exhausted"]
+        assert [(a.outcome, a.sweeps) for a in alone] == [
+            ("stalled", 904), ("stalled", 718), ("stalled", 1390), ("exhausted", 1500)]
 
 
 def _recorded_call(kernel_name, cfg, index, call, arg):
@@ -527,18 +528,53 @@ def test_stagnation_reset_fires_after_the_window(monkeypatch):
 
 
 def test_plateau_exit_stops_a_stuck_restart(monkeypatch):
-    # the same stuck residual as above: lambda resets every 26 sweeps, at
-    # sweeps 26, 52, 78, ..., none after a new best (the only one is sweep
-    # 1), so the PLATEAU_RESETS-th reset ends the restart, with its sweep
-    # in the trace
-    stop = (als.STALL_WINDOW + 1) * als.PLATEAU_RESETS
-    assert stop == 156
+    # the same stuck residual as above: its only new best is sweep 1, so the
+    # restart stops STALL_SWEEPS sweeps later, with that sweep in its trace,
+    # after a lambda reset every 26 sweeps (26, 52, ..., 494)
+    stop = 1 + als.STALL_SWEEPS
+    assert stop == 501
     monkeypatch.setattr(kernels, "residual", lambda P, Q, S, T, k: np.full(k, 5.0))
     seen = []
-    out = search(SearchConfig((2, 2, 2), 7, max_sweeps=200), progress=seen.append)
+    out = search(SearchConfig((2, 2, 2), 7, max_sweeps=600), progress=seen.append)
     assert seen == ["restart 0 stalled residual 5.000000e+00 after %d sweeps" % stop]
     record = out.restarts[0]
-    assert (record.outcome, record.sweeps, record.lambda_resets) == (
-        "stalled", stop, als.PLATEAU_RESETS)
+    assert (record.outcome, record.sweeps, record.lambda_resets) == ("stalled", stop, 19)
     assert out.sweeps_used == stop and out.trace[-1][0] == stop
     assert out.best_residual == 5.0
+
+
+def test_plateau_exit_counts_from_the_last_new_best(monkeypatch):
+    # flat at 5.0, then a new best of 4.0 at sweep 300 and flat again: the
+    # count restarts there, so the restart stops at sweep 800, not 501
+    calls = []
+
+    def residual(P, Q, S, T, k):
+        calls.append(k)
+        return np.full(k, 4.0 if len(calls) >= 300 else 5.0)
+
+    monkeypatch.setattr(kernels, "residual", residual)
+    seen = []
+    out = search(SearchConfig((2, 2, 2), 7, max_sweeps=1000), progress=seen.append)
+    assert seen == ["restart 0 stalled residual 4.000000e+00 after 800 sweeps"]
+    record = out.restarts[0]
+    assert (record.outcome, record.sweeps) == ("stalled", 300 + als.STALL_SWEEPS)
+    assert out.trace[-1][0] == 800 and len(calls) == 800
+    assert out.best_residual == 4.0
+
+
+def test_plateau_exit_keeps_a_restart_that_finds_a_scheme():
+    # a <2,2,2;7> restart that goes 486 sweeps without a new best residual
+    # and then converges to a verified scheme: STALL_SWEEPS must stay above
+    # the longest gap measured in a restart that leads to a scheme
+    cfg = SearchConfig((2, 2, 2), 7, seed=1858194101, snap_grid=(0, 1, -1))
+    out, = als._run_batch(cfg, [12], als._target(cfg.dims), als._grid_arrays(cfg.snap_grid)[1])
+    assert (out.outcome, out.sweeps) == ("converged", 1584)
+    best_res, best_sweep, gap = math.inf, 0, 0
+    for sweep, res, _ in out.trace:
+        if res < best_res:
+            best_res, best_sweep = res, sweep
+        else:
+            gap = max(gap, sweep - best_sweep)
+    assert gap == 486 < als.STALL_SWEEPS
+    t = rationalize(out.factors, cfg.dims, cfg.snap_grid)
+    assert t is not None and verify_exact(t).passed
