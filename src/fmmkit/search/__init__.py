@@ -11,7 +11,6 @@ from .als import (
     als_objective,
     als_sweep,
     brent_residual,
-    classical_dense,
     factor_set_from_tensor,
     rationalize,
     search,

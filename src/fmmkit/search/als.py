@@ -11,13 +11,14 @@ restarts of a search run as one batch that stacks their factor stacks row
 block by row block (see kernels); a restart's trace is the same bit for
 bit in any batch, and alone.
 
-The search and the public helpers (als_block_solve, als_sweep,
-als_objective, brent_residual) share one target per dims (_target) and
-one sweep; the helpers run as a batch of one restart, so they give the
+No step reads a dense target: a right-hand side is one matrix product
+per term, and a sweep reads its residual from the Grams and products it
+built (see kernels).  The search and the public helpers (als_block_solve,
+als_sweep, als_objective, brent_residual) share these kernels and one
+sweep; the helpers run as a batch of one restart, so they give the
 search's numbers bit for bit.
 """
 
-import functools
 import math
 import warnings
 from collections import namedtuple
@@ -27,14 +28,17 @@ from fractions import Fraction
 import numpy as np
 
 from ..matrices import Matrix
-from ..tensor import RATIONAL, Dims, FmmTensor, Term, _classical_coords, verify_exact
+from ..tensor import RATIONAL, Dims, FmmTensor, Term, verify_exact
 from . import kernels
 
 FactorSet = namedtuple("FactorSet", ["P", "Q", "S"])
 
 # beyond this many output coordinates (m*n*p) a desk run stops being
-# interactive, so larger problems must opt in explicitly
-DESK_LIMIT = 36
+# interactive, so larger problems must opt in explicitly.  One restart's
+# sweep takes about 0.43 ms at <2,5,5;40>, what one took at the earlier
+# limit of 36 (<3,3,4;29>, 0.39 ms) before the kernels dropped the dense
+# target; at <3,5,5;58> it takes 0.69 ms, so 2,000 sweeps take 1.4 s
+DESK_LIMIT = 50
 
 # beyond this many sweeps a restart's run time and trace (one entry per
 # sweep) stop being desk-sized, so more must opt in explicitly too
@@ -141,28 +145,6 @@ class SearchResult:
     restarts: tuple = ()
 
 
-def classical_dense(dims):
-    """Dense float classical tensor, axes ordered (m*n, n*p, p*m)."""
-    m, n, p = dims
-    T = np.zeros((m * n, n * p, p * m))
-    T.flat[_classical_coords(dims, None, np.intp)] = 1.0
-    return T
-
-
-@functools.lru_cache(maxsize=8)
-def _target(dims):
-    """The classical tensor of dims matricized with the P, Q and S mode
-    first in turn, as three read-only arrays built once per dims.  The
-    first flattens to classical_dense(dims), so it is also the residual's
-    target."""
-    T = classical_dense(dims)
-    target = tuple(T.transpose(axes).reshape(T.shape[axes[0]], -1)
-                   for axes in ((0, 1, 2), (1, 0, 2), (2, 0, 1)))
-    for Tmat in target:
-        Tmat.flags.writeable = False
-    return target
-
-
 def _stacks(dims, *sets):
     """Each factor set as float64 stacks P, Q and S of shapes (r, m*n),
     (r, n*p) and (r, p*m), where r is the row count of the first set's P;
@@ -190,10 +172,12 @@ def factor_set_from_tensor(t):
 
 def brent_residual(f, dims):
     """Squared Frobenius distance from the stacks' expansion to the
-    classical tensor of the given dimensions."""
+    classical tensor of the given dimensions, read as a sweep reads it."""
     dims = Dims(*dims)
-    f, = _stacks(dims, f)
-    return float(kernels.residual(*f, _target(dims)[0], 1)[0])
+    (P, Q, S), = _stacks(dims, f)
+    G = kernels.gram(P, 1) * kernels.gram(Q, 1)
+    G *= kernels.gram(S, 1)
+    return float(kernels.residual(S, kernels.products(P, Q, dims.m), G, math.prod(dims))[0])
 
 
 def _grid_arrays(grid):
@@ -244,9 +228,10 @@ def als_block_solve(f, models, lam, dims, slot):
     dims = Dims(*dims)
     f, models = _stacks(dims, f, models)
     i = FactorSet._fields.index(slot)
-    A, B = f[:i] + f[i + 1:]
-    solved = kernels.block_solve(A, B, _target(dims)[i], np.array([_effective_lambda(lam)]),
-                                 models[i], kernels.gram(A, 1), kernels.gram(B, 1))
+    # the two other stacks in cyclic order: Q, S for P; S, P for Q; P, Q for S
+    A, B = f[(i + 1) % 3], f[(i + 2) % 3]
+    solved, _ = kernels.block_solve(A, B, models[i], np.array([_effective_lambda(lam)]),
+                                    kernels.gram(A, 1), kernels.gram(B, 1), dims[(i + 1) % 3])
     return f._replace(**{slot: solved})
 
 
@@ -259,22 +244,28 @@ def als_objective(f, models, lam, dims):
     for stack, model in zip(f, models):
         d = stack - model
         prox += float((d * d).sum())
-    return float(kernels.residual(*f, _target(dims)[0], 1)[0]) + lam * prox
+    return brent_residual(f, dims) + lam * prox
 
 
-def _sweep(stacks, models, target, lam):
+def _sweep(stacks, models, grams, lam, dims):
     """One cyclic pass of block solves on P, Q then S at the ridge weights
     lam, one per restart; each solve uses the stacks already updated
-    earlier in the same pass.  S's Grams serve the P and Q solves and the
-    new P's the Q and S solves, so a pass forms four Grams per restart."""
+    earlier in the same pass.  Takes and returns the Grams of Q and S, so
+    a pass forms three Grams per restart, and returns the residuals."""
+    m, n, p = dims
     k = len(lam)
     P, Q, S = stacks
-    GS = kernels.gram(S, k)
-    P = kernels.block_solve(Q, S, target[0], lam, models[0], kernels.gram(Q, k), GS)
+    GQ, GS = grams
+    P = kernels.block_solve(Q, S, models[0], lam, GQ, GS, n)[0]
     GP = kernels.gram(P, k)
-    Q = kernels.block_solve(P, S, target[1], lam, models[1], GP, GS)
-    S = kernels.block_solve(P, Q, target[2], lam, models[2], GP, kernels.gram(Q, k))
-    return FactorSet(P, Q, S)
+    Q = kernels.block_solve(S, P, models[1], lam, GS, GP, p)[0]
+    GQ = kernels.gram(Q, k)
+    S, C = kernels.block_solve(P, Q, models[2], lam, GP, GQ, m)
+    GS = kernels.gram(S, k)
+    # no later pass reads GP, so it takes the Grams' elementwise product
+    GP *= GQ
+    GP *= GS
+    return FactorSet(P, Q, S), (GQ, GS), kernels.residual(S, C, GP, m * n * p)
 
 
 def als_sweep(f, models, lam, dims):
@@ -282,7 +273,8 @@ def als_sweep(f, models, lam, dims):
     makes them: the search's own sweep, run as a batch of one."""
     dims = Dims(*dims)
     f, models = _stacks(dims, f, models)
-    return _sweep(f, models, _target(dims), np.array([_effective_lambda(lam)]))
+    grams = (kernels.gram(f.Q, 1), kernels.gram(f.S, 1))
+    return _sweep(f, models, grams, np.array([_effective_lambda(lam)]), dims)[0]
 
 
 def rationalize(f, dims, snap_grid=DEFAULT_GRID):
@@ -386,7 +378,7 @@ class _Descent:
         return True
 
 
-def _run_batch(cfg, indices, target, grid_floats):
+def _run_batch(cfg, indices, grid_floats):
     """Run the restarts numbered in indices as one batch; returns their
     _Restart records in the same order."""
     m, n, p = cfg.dims
@@ -400,6 +392,8 @@ def _run_batch(cfg, indices, target, grid_floats):
                                 rng.uniform(-1.0, 1.0, (r, n * p)),
                                 rng.uniform(-1.0, 1.0, (r, p * m))))
     f = [np.concatenate(stacks) for stacks in zip(*starts)]
+    # the Grams of Q and S that the next sweep reads, one block per live restart
+    grams = (kernels.gram(f[1], len(starts)), kernels.gram(f[2], len(starts)))
     runs = [_Descent(start) for start in starts]
     live = runs
     for sweep in range(1, cfg.max_sweeps + 1):
@@ -408,7 +402,7 @@ def _run_batch(cfg, indices, target, grid_floats):
         models = _split(grid_floats[_snap(f, grid_floats)], [s.shape for s in f])
         lam = np.array([d.lam_eff for d in live])
         try:
-            stacks = _sweep(f, models, target, lam)
+            stacks, grams, res = _sweep(f, models, grams, lam, cfg.dims)
         except np.linalg.LinAlgError:
             # numpy raises for the whole stack: sweep the restarts one by
             # one and drop those that raise again, with their state from
@@ -418,7 +412,7 @@ def _run_batch(cfg, indices, target, grid_floats):
                 rows = slice(j * r, j * r + r)
                 try:
                     parts.append(_sweep([s[rows] for s in f], [s[rows] for s in models],
-                                        target, lam[j:j + 1]))
+                                        [G[j:j + 1] for G in grams], lam[j:j + 1], cfg.dims))
                 except np.linalg.LinAlgError:
                     d.leave("singular", r)
                     continue
@@ -426,8 +420,10 @@ def _run_batch(cfg, indices, target, grid_floats):
             if not keep:
                 break
             live = [live[j] for j in keep]
-            stacks = tuple(np.concatenate(s) for s in zip(*parts))
-        res = kernels.residual(*stacks, target[0], len(live)).tolist()
+            stacks, grams, res = zip(*parts)
+            stacks, grams = (tuple(map(np.concatenate, zip(*x))) for x in (stacks, grams))
+            res = np.concatenate(res)
+        res = res.tolist()
         keep = [j for j, d in enumerate(live) if d.step(sweep, res[j], stacks, j * r, r, volume)]
         f = stacks
         if len(keep) < len(live):
@@ -436,6 +432,7 @@ def _run_batch(cfg, indices, target, grid_floats):
             live = [live[j] for j in keep]
             rows = (np.array(keep)[:, None] * r + np.arange(r)).ravel()
             f = [s[rows] for s in f]
+            grams = [G[keep] for G in grams]
     else:
         for d in live:
             d.leave("exhausted", r)
@@ -446,8 +443,7 @@ def _run_batch(cfg, indices, target, grid_floats):
 def _run_restarts(cfg, progress=None):
     """Every restart's _Restart record, in index order, from one batch of
     all the restarts; progress gets their summary lines once it ends."""
-    results = _run_batch(cfg, range(cfg.restarts), _target(cfg.dims),
-                         _grid_arrays(cfg.snap_grid)[1])
+    results = _run_batch(cfg, range(cfg.restarts), _grid_arrays(cfg.snap_grid)[1])
     if progress is not None:
         for i, out in enumerate(results):
             progress("restart %d %s residual %.6e after %d sweeps" % (

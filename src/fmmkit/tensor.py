@@ -17,8 +17,9 @@ schemes pass when the difference vanishes at e -> 0, that is when every
 residual coefficient has e-order >= 1.  Both checks subtract the same
 classical target, scaled by e^q in approximate verification (q = 0 for
 exact), from the expansion: a rational tensor's residual stays rational
-under either check.  Every form of the classical tensor, here and in the
-search, comes from one builder of its coordinates, _classical_coords.
+under either check.  Every form of the classical tensor here comes from
+one builder of its coordinates, _classical_coords; the search reads the
+tensor only through its structure, one matrix product per term.
 
 The expansion runs on integers.  _cleared, the one place a scheme's
 denominators are cleared (the evaluator reads it too), walks the

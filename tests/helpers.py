@@ -3,6 +3,8 @@
 import math
 from fractions import Fraction
 
+import numpy as np
+
 from fmmkit.matrices import Matrix
 from fmmkit.scalars import Laurent, laurent_order
 from fmmkit.tensor import (
@@ -12,6 +14,7 @@ from fmmkit.tensor import (
     FmmTensor,
     Term,
     VerificationReport,
+    _classical_coords,
     classical_map,
 )
 
@@ -204,3 +207,12 @@ def reference_verify_approximate(t, mode="strict"):
         if candidate.valid:
             return candidate
     return strict
+
+
+def classical_dense(dims):
+    """Dense float classical tensor, axes ordered (m*n, n*p, p*m): the
+    reference the search's structured kernels are checked against."""
+    m, n, p = dims
+    T = np.zeros((m * n, n * p, p * m))
+    T.flat[_classical_coords(dims, None, np.intp)] = 1.0
+    return T

@@ -3,8 +3,9 @@ referenced in it, every module-level private (_name) function, class
 or constant is referenced somewhere in the package, only matrices.py
 names the shared zero ``ZERO``, ``lcm`` is named only where a scheme's
 coefficients, the evaluator's operands or a Laurent scalar are cleared,
-every name the benchmark's tracer wraps exists, and every restart outcome
-the search assigns is documented.
+the search names no dense classical target, every name the benchmark's
+tracer wraps exists, and every restart outcome the search assigns is
+documented.
 
 A package __init__.py imports names to re-export them, so it is exempt
 from the first check.
@@ -165,6 +166,19 @@ def test_only_tensor_clears_denominators():
             for name in functions_mentioning(p.read_text(), "lcm")] == [
         ("evaluate.py", "_cleared_operand"), ("scalars.py", "denominator"),
         ("tensor.py", "_cleared")]
+
+
+def test_search_names_no_dense_target():
+    # the ALS kernels read the classical tensor through its structure, one
+    # matrix product per term; the dense builder lives in tests/helpers.py
+    found = []
+    for p in SOURCES:
+        if p.relative_to(PACKAGE).parts[0] == "search":
+            tree = ast.parse(p.read_text())
+            found += [(p.name, node.lineno) for node in ast.walk(tree)
+                      for name in ("classical_dense", "_target")
+                      if names(node, name) or getattr(node, "name", None) == name]
+    assert found == []
 
 
 def test_every_traced_name_resolves():

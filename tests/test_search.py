@@ -18,7 +18,6 @@ from fmmkit.search import (
     als_objective,
     als_sweep,
     brent_residual,
-    classical_dense,
     factor_set_from_tensor,
     rationalize,
     search,
@@ -26,6 +25,7 @@ from fmmkit.search import (
 )
 from fmmkit.search import als, kernels
 from fmmkit.tensor import LAURENT, FmmTensor, verify_exact
+from helpers import classical_dense
 
 
 def test_classical_dense_layout():
@@ -35,20 +35,6 @@ def test_classical_dense_layout():
     # entry for A[0,1]*B[1,0] landing in C[0,0]
     assert T[0 * 2 + 1, 1 * 2 + 0, 0 * 2 + 0] == 1.0
     assert T[0 * 2 + 1, 0 * 2 + 0, 0 * 2 + 0] == 0.0
-
-
-def test_target_is_built_once_and_read_only():
-    for dims in ((2, 2, 2), (1, 2, 3), (3, 1, 2)):
-        target = als._target(als.Dims(*dims))
-        assert als._target(als.Dims(*dims)) is target
-        m, n, p = dims
-        assert [T.shape for T in target] == [(m * n, n * p * p * m), (n * p, m * n * p * m),
-                                             (p * m, m * n * n * p)]
-        assert np.array_equal(target[0].reshape(-1), classical_dense(dims).reshape(-1))
-        for T in target:
-            assert not T.flags.writeable
-            with pytest.raises(ValueError):
-                T[0, 0] = 2.0
 
 
 def test_helpers_reproduce_a_one_restart_search():
@@ -117,7 +103,12 @@ def test_als_sweep_fixed_point_at_exact_solution(strassen):
     f = factor_set_from_tensor(strassen)
     models = snap_models(f)
     out = als_sweep(f, models, 1e-8, strassen.dims)
-    assert brent_residual(out, strassen.dims) < 1e-18
+    # measured on the dense definition: the kernel's residual reads
+    # sum(GP*GQ*GS) - 2<C, S> + m*n*p, whose rounding floor at a solution
+    # is a few ulps of m*n*p, far above this distance
+    D = np.einsum("ta,tb,tc->abc", *out) - classical_dense(strassen.dims)
+    assert float((D * D).sum()) < 1e-18
+    assert brent_residual(out, strassen.dims) < 1e-14
 
 
 def test_als_objective_monotone_under_block_solves():
@@ -178,7 +169,7 @@ def test_search_config_validation():
 
 
 def test_search_desk_limit():
-    big = (4, 3, 4)  # volume 48 over the limit
+    big = (4, 4, 4)  # volume 64 over the limit
     assert big[0] * big[1] * big[2] > DESK_LIMIT
     with pytest.raises(ValueError):
         search(SearchConfig(big, 2, max_sweeps=1))
@@ -254,26 +245,27 @@ def test_search_progress_lines():
 
 
 def _serial_restart(cfg, index):
-    """One restart as the search ran it before batching: plain r x d
-    stacks, one snap per stack and scalar bookkeeping.  The reference the
+    """One restart as a plain loop: r x d stacks, one snap per stack, every
+    Gram formed where it is read and scalar bookkeeping.  The reference the
     batched search must match bit for bit."""
     m, n, p = cfg.dims
-    Tdense = classical_dense(cfg.dims)
-    T1 = Tdense.reshape(m * n, -1)
-    T2 = Tdense.transpose(1, 0, 2).reshape(n * p, -1)
-    T3 = Tdense.transpose(2, 0, 1).reshape(p * m, -1)
     _, grid = als._grid_arrays(cfg.snap_grid)
 
     def snap(x):
         return grid[np.argmin(np.abs(x[..., None] - grid), axis=-1)]
 
-    def solve(A, B, Tmat, lam, model):
+    def products(A, B, a):
+        # row t is vec((A_t B_t)^T), A_t being a x b and B_t b x c
+        r, b = A.shape[0], A.shape[1] // a
+        c = B.shape[1] // b
+        return (B.reshape(r, b, c).transpose(0, 2, 1)
+                @ A.reshape(r, a, b).transpose(0, 2, 1)).reshape(r, c * a)
+
+    def solve(A, B, a, lam, model):
         r = A.shape[0]
         G = (A @ A.T) * (B @ B.T)
         G.flat[:: r + 1] += lam
-        RHS = (A[:, :, None] * B[:, None, :]).reshape(r, -1) @ Tmat.T
-        RHS += lam * model
-        return np.linalg.solve(G, RHS)
+        return np.linalg.solve(G, lam * model + products(A, B, a))
 
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((cfg.seed, index))))
     P = rng.uniform(-1.0, 1.0, (cfg.rank, m * n))
@@ -285,13 +277,11 @@ def _serial_restart(cfg, index):
     for sweep in range(1, cfg.max_sweeps + 1):
         mP, mQ, mS = snap(P), snap(Q), snap(S)
         lam_eff = lam + als.JITTER if lam < als.JITTER else lam
-        P = solve(Q, S, T1, lam_eff, mP)
-        Q = solve(P, S, T2, lam_eff, mQ)
-        S = solve(P, Q, T3, lam_eff, mS)
-        KR = (P[:, :, None] * Q[:, None, :]).reshape(cfg.rank, -1)
-        D = KR.T @ S
-        D -= Tdense.reshape(D.shape)
-        res = float((D * D).sum())
+        P = solve(Q, S, n, lam_eff, mP)
+        Q = solve(S, P, p, lam_eff, mQ)
+        S = solve(P, Q, m, lam_eff, mS)
+        G = (P @ P.T) * (Q @ Q.T) * (S @ S.T)
+        res = float(G.sum() - 2.0 * (S * products(P, Q, m)).sum() + m * n * p)
         trace.append((sweep, res, lam_eff))
         if not math.isfinite(res):
             break
@@ -314,10 +304,10 @@ def _serial_restart(cfg, index):
 def _per_restart(cfg, width):
     """Every restart's record, run in batches of `width` consecutive
     restarts."""
-    target, grid_floats = als._target(cfg.dims), als._grid_arrays(cfg.snap_grid)[1]
+    grid_floats = als._grid_arrays(cfg.snap_grid)[1]
     return [out for start in range(0, cfg.restarts, width)
             for out in als._run_batch(cfg, range(start, min(start + width, cfg.restarts)),
-                                      target, grid_floats)]
+                                      grid_floats)]
 
 
 def _same_bits(a, b):
@@ -371,7 +361,7 @@ def _recorded_call(kernel_name, cfg, index, call, arg):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(kernels, kernel_name, record)
-        als._run_batch(cfg, [index], als._target(cfg.dims), als._grid_arrays(cfg.snap_grid)[1])
+        als._run_batch(cfg, [index], als._grid_arrays(cfg.snap_grid)[1])
     return seen[call]
 
 
@@ -387,18 +377,18 @@ def test_singular_and_nonfinite_restarts_leave_the_batch_alone(monkeypatch):
     # restart 1's P-solve of sweep 20 raises; restart 2's residual of
     # sweep 30 comes out infinite
     singular_q = _recorded_call("block_solve", cfg, 1, 3 * 19, 0)
-    nonfinite_p = _recorded_call("residual", cfg, 2, 29, 0)
+    nonfinite_s = _recorded_call("residual", cfg, 2, 29, 0)
     real_solve, real_residual = kernels.block_solve, kernels.residual
 
-    def block_solve(A, B, Tmat, lam, model, GA, GB):
+    def block_solve(A, B, model, lam, GA, GB, a):
         if any(np.array_equal(block, singular_q) for block in _blocks(A, r)):
             raise np.linalg.LinAlgError("Singular matrix")
-        return real_solve(A, B, Tmat, lam, model, GA, GB)
+        return real_solve(A, B, model, lam, GA, GB, a)
 
-    def residual(P, Q, S, T, k):
-        res = real_residual(P, Q, S, T, k)
-        for j, block in enumerate(_blocks(P, r)):
-            if np.array_equal(block, nonfinite_p):
+    def residual(S, C, G, volume):
+        res = real_residual(S, C, G, volume)
+        for j, block in enumerate(_blocks(S, r)):
+            if np.array_equal(block, nonfinite_s):
                 res[j] = np.inf
         return res
 
@@ -421,7 +411,7 @@ def test_singular_and_nonfinite_restarts_leave_the_batch_alone(monkeypatch):
     assert [rec.sweeps for rec in records] == [40, 19, 30, 40]
 
 
-# -- residual kernel ------------------------------------------------------------
+# -- structured kernels ---------------------------------------------------------
 
 
 def _random_stacks(dims, rows, seed):
@@ -430,12 +420,35 @@ def _random_stacks(dims, rows, seed):
     return tuple(rng.uniform(-1.0, 1.0, (rows, d)) for d in (m * n, n * p, p * m))
 
 
+def _kernel_residual(P, Q, S, dims, k):
+    G = kernels.gram(P, k) * kernels.gram(Q, k) * kernels.gram(S, k)
+    return kernels.residual(S, kernels.products(P, Q, dims[0]), G, math.prod(dims))
+
+
+@pytest.mark.parametrize("dims, rank", [((1, 2, 3), 5), ((2, 3, 2), 6), ((2, 2, 2), 7),
+                                        ((3, 3, 3), 23)])
+@pytest.mark.parametrize("k", [1, 3])
+def test_products_are_the_khatri_rao_times_target_form(dims, rank, k):
+    # each solve's right-hand side, against the Khatri-Rao product of the
+    # other two stacks times the dense target matricized with the solved
+    # mode first
+    stacks = _random_stacks(dims, k * rank, 10)
+    T = classical_dense(dims)
+    for i, axes in enumerate(((0, 1, 2), (1, 0, 2), (2, 0, 1))):
+        A, B = (stacks[j] for j in range(3) if j != i)
+        KR = (A[:, :, None] * B[:, None, :]).reshape(k * rank, -1)
+        want = KR @ T.transpose(axes).reshape(T.shape[i], -1).T
+        got = kernels.products(stacks[(i + 1) % 3], stacks[(i + 2) % 3], dims[(i + 1) % 3])
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
 @pytest.mark.parametrize("dims, rank", [((1, 2, 3), 5), ((2, 2, 2), 7), ((3, 3, 3), 23)])
 @pytest.mark.parametrize("k", [1, 3])
 def test_residual_is_the_dense_definition(dims, rank, k):
     P, Q, S = _random_stacks(dims, k * rank, 11)
     T = classical_dense(dims)
-    res = kernels.residual(P, Q, S, als._target(als.Dims(*dims))[0], k)
+    res = _kernel_residual(P, Q, S, dims, k)
     assert res.shape == (k,)
     for j in range(k):
         rows = slice(j * rank, j * rank + rank)
@@ -448,27 +461,53 @@ def test_residual_is_the_dense_definition(dims, rank, k):
                                            ((3, 3, 3), 23, 7), ((4, 4, 4), 49, 4)])
 def test_residual_is_the_same_alone_or_in_a_batch(dims, rank, k):
     P, Q, S = _random_stacks(dims, k * rank, 12)
-    T = als._target(als.Dims(*dims))[0]
-    batched = kernels.residual(P, Q, S, T, k)
+    batched = _kernel_residual(P, Q, S, dims, k)
     for j in range(k):
         rows = slice(j * rank, j * rank + rank)
-        alone = kernels.residual(P[rows], Q[rows], S[rows], T, 1)
+        alone = _kernel_residual(P[rows], Q[rows], S[rows], dims, 1)
         assert alone.tobytes() == batched[j:j + 1].tobytes()
 
 
-def test_residual_builds_no_r_by_dense_tensor_intermediate():
+def test_sweep_builds_no_khatri_rao_stack():
+    # one batch sweep and its residual, as the search runs them, peak below
+    # one Khatri-Rao stack of every restart at once, the k*r x (np)(pm)
+    # float64 array the P solve's dense right-hand side was built from
     dims, rank, k = (4, 4, 4), 49, 4
-    P, Q, S = _random_stacks(dims, k * rank, 13)
-    T = als._target(als.Dims(*dims))[0]
-    # the r x (mn) x (np) x (pm) float64 product of every restart at once
-    dense_bytes = 8 * k * rank * 16 ** 3
+    stacks = _random_stacks(dims, k * rank, 13)
+    models = [np.round(stack) for stack in stacks]
+    lam = np.full(k, 0.5)
+    grams = [kernels.gram(stack, k) for stack in stacks[1:]]
+    khatri_rao_bytes = 8 * k * rank * 16 * 16
     tracemalloc.start()
     try:
-        kernels.residual(P, Q, S, T, k)
+        als._sweep(stacks, models, grams, lam, als.Dims(*dims))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < dense_bytes / 4
+    assert peak < khatri_rao_bytes
+
+
+def test_carried_grams_follow_the_live_restarts(monkeypatch):
+    # restarts converge at different sweeps and leave the batch; every
+    # solve still reads the Grams of exactly the stacks it is given, which
+    # the batch carries over from the sweep before
+    cfg = SearchConfig((1, 2, 2), 4, seed=7, restarts=5, max_sweeps=1200,
+                       snap_grid=(0, 1, -1))
+    real_solve = kernels.block_solve
+    batch_sizes = []
+
+    def block_solve(A, B, model, lam, GA, GB, a):
+        k = len(lam)
+        assert GA.tobytes() == kernels.gram(A, k).tobytes()
+        assert GB.tobytes() == kernels.gram(B, k).tobytes()
+        batch_sizes.append(k)
+        return real_solve(A, B, model, lam, GA, GB, a)
+
+    monkeypatch.setattr(kernels, "block_solve", block_solve)
+    records = als._run_restarts(cfg)
+    assert [out.outcome for out in records] == ["converged"] * 5
+    assert len(set(out.sweeps for out in records)) == 5
+    assert sorted(set(batch_sizes), reverse=True) == [5, 4, 3, 2, 1]
 
 
 def test_search_records_every_restart():
@@ -519,7 +558,7 @@ def test_stagnation_reset_fires_after_the_window(monkeypatch):
     # a residual stuck at 5.0 drops once, from inf at sweep 1, so sweeps
     # 2-26 run at the decayed lambda; at sweep 26 it has not dropped over
     # the stall window of 25 sweeps, so sweep 27 runs at LAMBDA_INIT again
-    monkeypatch.setattr(kernels, "residual", lambda P, Q, S, T, k: np.full(k, 5.0))
+    monkeypatch.setattr(kernels, "residual", lambda S, C, G, volume: np.full(len(G), 5.0))
     out = search(SearchConfig((2, 2, 2), 7, max_sweeps=100))
     lam = {sweep: value for sweep, _, value in out.trace}
     assert lam[2] == lam[26] == als.LAMBDA_INIT * als.LAMBDA_DECAY
@@ -533,7 +572,7 @@ def test_plateau_exit_stops_a_stuck_restart(monkeypatch):
     # after a lambda reset every 26 sweeps (26, 52, ..., 494)
     stop = 1 + als.STALL_SWEEPS
     assert stop == 501
-    monkeypatch.setattr(kernels, "residual", lambda P, Q, S, T, k: np.full(k, 5.0))
+    monkeypatch.setattr(kernels, "residual", lambda S, C, G, volume: np.full(len(G), 5.0))
     seen = []
     out = search(SearchConfig((2, 2, 2), 7, max_sweeps=600), progress=seen.append)
     assert seen == ["restart 0 stalled residual 5.000000e+00 after %d sweeps" % stop]
@@ -548,9 +587,9 @@ def test_plateau_exit_counts_from_the_last_new_best(monkeypatch):
     # count restarts there, so the restart stops at sweep 800, not 501
     calls = []
 
-    def residual(P, Q, S, T, k):
-        calls.append(k)
-        return np.full(k, 4.0 if len(calls) >= 300 else 5.0)
+    def residual(S, C, G, volume):
+        calls.append(len(G))
+        return np.full(len(G), 4.0 if len(calls) >= 300 else 5.0)
 
     monkeypatch.setattr(kernels, "residual", residual)
     seen = []
@@ -567,7 +606,7 @@ def test_plateau_exit_keeps_a_restart_that_finds_a_scheme():
     # and then converges to a verified scheme: STALL_SWEEPS must stay above
     # the longest gap measured in a restart that leads to a scheme
     cfg = SearchConfig((2, 2, 2), 7, seed=1858194101, snap_grid=(0, 1, -1))
-    out, = als._run_batch(cfg, [12], als._target(cfg.dims), als._grid_arrays(cfg.snap_grid)[1])
+    out, = als._run_batch(cfg, [12], als._grid_arrays(cfg.snap_grid)[1])
     assert (out.outcome, out.sweeps) == ("converged", 1584)
     best_res, best_sweep, gap = math.inf, 0, 0
     for sweep, res, _ in out.trace:

@@ -13,7 +13,6 @@ import fmmkit.tensor as tensor_module
 from fmmkit.algebra import direct_sum, embed_and_add, mask_embedding
 from fmmkit.matrices import Matrix
 from fmmkit.scalars import Laurent
-from fmmkit.search import classical_dense
 from fmmkit.tensor import (
     LAURENT,
     RATIONAL,
@@ -27,7 +26,7 @@ from fmmkit.tensor import (
     verify_exact,
 )
 
-from helpers import laurent_copy, mutate_one_entry, third_of_one_term
+from helpers import classical_dense, laurent_copy, mutate_one_entry, third_of_one_term
 
 
 def unit_term(dims, i, j, k):
