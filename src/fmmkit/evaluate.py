@@ -6,7 +6,8 @@ B operands into blocks, forms every term's linear combination of the A
 blocks and of the B blocks over the whole batch, and passes the results
 down as the next, rank-times larger batch.  Below the last level each
 operand is a scalar, so all leaf products are taken in one elementwise
-multiply; the products are then folded back up through the S factors.
+multiply, and the same combination step folds them back up: a level's S
+slot lists, for each output block, the terms that write it (_grouped).
 An r1-term scheme over an r2-term scheme so forms r1*r2 leaf products,
 and the counter advances by the number actually formed.
 
@@ -32,7 +33,6 @@ error decay slope.
 """
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -56,16 +56,18 @@ class MultiplicationCounter:
 
 
 def _combine(blocks, factors):
-    """blocks (K, a, b, X, Y) -> (K*r, X, Y): for each batch entry, one
-    linear combination of its blocks per term.  A coefficient of 1 or -1,
-    the only kind in the bundled schemes, costs no multiply: its block is
-    added or subtracted (negated when it is the term's first piece), as
-    in the fold below.  On Python ints a multiply costs about as much as
-    an addition; on floats -x and a - x are bit-identical to (-1.0) * x
-    and a + (-1.0) * x."""
+    """blocks (K, a, b, X, Y) -> (K*r, X, Y), r = len(factors): for each
+    batch entry, one linear combination of its blocks per group of
+    (i, j, coefficient) entries, and 0 for an empty group (a masked
+    scheme leaves some output blocks untouched).  A coefficient of 1 or
+    -1, the only kind in the bundled schemes, costs no multiply: its
+    block is added or subtracted (negated when it is the group's first
+    piece).  On Python ints a multiply costs about as much as an
+    addition; on floats -x and a - x are bit-identical to (-1.0) * x and
+    a + (-1.0) * x."""
     K, _, _, X, Y = blocks.shape
     out = np.empty((K, len(factors), X, Y), dtype=blocks.dtype)
-    for term, entries in enumerate(factors):
+    for group, entries in enumerate(factors):
         acc = None
         for i, j, v in entries:
             x = blocks[:, i, j]
@@ -77,12 +79,12 @@ def _combine(blocks, factors):
                 acc = acc - x
             else:
                 acc = acc + v * x
-        out[:, term] = acc
+        out[:, group] = 0 if acc is None else acc
     return out.reshape(K * len(factors), X, Y)
 
 
 def _evaluate(levels, A, B):
-    """A @ B through a schedule of compiled levels, outer level first.
+    """A @ B through a schedule of _grouped levels, outer level first.
 
     A and B are 2-D arrays of the schedule's composite dimensions.
     Returns the product and the number of leaf products formed.
@@ -95,31 +97,11 @@ def _evaluate(levels, A, B):
         b = _combine(b.reshape(K, n, Ni, p, Pi).transpose(0, 1, 3, 2, 4), Q)
     c = a * b
     leaves = c.shape[0]
-    for (m, n, p), (_, _, S) in reversed(levels):
-        r = len(S)
+    for (m, n, p), (P, _, S) in reversed(levels):
+        r = len(P)
         K, Mi, Pi = c.shape[0] // r, c.shape[1], c.shape[2]
-        c = c.reshape(K, r, Mi, Pi)
-        # each output block starts as its first contribution, not as a
-        # zero that every contribution is added to; untouched ones are 0
-        out = np.empty((K, m, p, Mi, Pi), dtype=c.dtype)
-        written = set()
-        for term, entries in enumerate(S):
-            for k, i, s in entries:
-                x = c[:, term]
-                if (i, k) not in written:
-                    written.add((i, k))
-                    out[:, i, k] = x if s == 1 else -x if s == -1 else s * x
-                elif s == 1:
-                    out[:, i, k] += x
-                elif s == -1:
-                    out[:, i, k] -= x
-                else:
-                    out[:, i, k] += s * x
-        for i in range(m):
-            for k in range(p):
-                if (i, k) not in written:
-                    out[:, i, k] = 0
-        c = out.transpose(0, 1, 3, 2, 4).reshape(K, m * Mi, p * Pi)
+        c = _combine(c.reshape(K, r, 1, Mi, Pi), S).reshape(K, m, p, Mi, Pi)
+        c = c.transpose(0, 1, 3, 2, 4).reshape(K, m * Mi, p * Pi)
     return c[0], leaves
 
 
@@ -155,11 +137,12 @@ def _check_schedule(levels):
     """The levels as a list.  Each must be exact and pass verify_exact,
     and only the first may carry a support mask: inner levels multiply
     linear combinations of blocks, which no mask constrains.  A level
-    equal to one verified already in this call is not verified again."""
+    equal to an earlier one is not verified again: the list holds that
+    earlier level in its place, so equal levels are the same object."""
     levels = list(levels)
     if not levels:
         raise ValueError("a schedule needs at least one scheme")
-    verified = []
+    distinct = []
     for idx, t in enumerate(levels, start=1):
         if not isinstance(t, FmmTensor):
             raise ValueError("schedule level %d is not a tensor" % idx)
@@ -167,42 +150,56 @@ def _check_schedule(levels):
             raise ValueError("schedule level %d must be exact" % idx)
         if idx > 1 and t.support is not None:
             raise ValueError("schedule level %d is masked; only level 1 may be" % idx)
-        if t not in verified:
+        first = next((u for u in distinct if u == t), None)
+        if first is None:
             _require_verified(t, "schedule level %d" % idx)
-            verified.append(t)
+            distinct.append(t)
+        else:
+            levels[idx - 1] = first
     return levels
+
+
+def _grouped(t, slots):
+    """t as a level of the evaluator, (dims, (P, Q, S)), from its three
+    slots' (term, row, col, value) entries in term order.  P and Q hold
+    one group per term, its (row, col, value) entries; S holds one group
+    per output block (i, k), at i * p + k, listing (term, 0, value) for
+    each term whose S factor has value at (k, i), so _combine folds the
+    products into the output blocks as it forms the operands' terms."""
+    m, _, p = t.dims
+    P, Q = (tuple([] for _ in range(t.rank)) for _ in range(2))
+    S = tuple([] for _ in range(m * p))
+    for groups, entries in zip((P, Q), slots):
+        for term, i, j, v in entries:
+            groups[term].append((i, j, v))
+    for term, k, i, v in slots[2]:
+        S[i * p + k].append((term, 0, v))
+    return t.dims, (P, Q, S)
 
 
 def _level(t):
     """t as the evaluator runs it, read from tensor._cleared: (level,
-    scale, norm).  level is (dims, (P, Q, S)), each slot holding every
-    term's (row, col, coefficient) triples with the coefficients cleared to
+    scale, norm).  level is _grouped's, with the coefficients cleared to
     integers, so the level computes scale * A @ B, scale being the product
     of the slot denominators.
 
-    norm is the product of the slot norms, each raised to at least 1: the
-    norm of a P or Q slot is the largest sum of |coefficient| over a term,
-    that of an S slot the largest over output positions of the sum over
-    terms.  For integer operands of magnitude at most a (A) and b (B),
-    every partial sum of a combination at depth d is then at most a (or b)
-    times the first d levels' P (or Q) norms, and every partial sum of the
-    fold at most the product of the leaves' bound and the S norms; so
-    max(a, 1) * max(b, 1) times the levels' norms bounds the whole run.
-    Flooring at 1 covers the A-side and B-side combinations on their own
-    (the plain product reads 0 when one operand is zero) and each cleared
-    coefficient.
+    norm is the product over the slots of the largest group's sum of
+    |coefficient|, each raised to at least 1: a P or Q group is a term, an
+    S group an output block.  For integer operands of magnitude at most a
+    (A) and b (B), every partial sum of a combination at depth d is then
+    at most a (or b) times the first d levels' P (or Q) norms, and every
+    partial sum on the way back up at most the product of the leaves'
+    bound and the S norms; so max(a, 1) * max(b, 1) times the levels'
+    norms bounds the whole run.  Flooring at 1 covers the A-side and
+    B-side combinations on their own (the plain product reads 0 when one
+    operand is zero) and each cleared coefficient.
     """
-    slots, scale, norm = [], 1, 1
-    for (d, monomials), by_position in zip(_cleared(t), (False, False, True)):
-        entries = tuple([] for _ in range(t.rank))
-        sums = Counter()
-        for term, i, j, _, c in monomials:
-            entries[term].append((i, j, c))
-            sums[(i, j) if by_position else term] += abs(c)
-        slots.append(entries)
-        scale *= d
-        norm *= max(1, *sums.values())
-    return (t.dims, tuple(slots)), scale, norm
+    cleared = _cleared(t)
+    level = _grouped(t, [[(term, i, j, c) for term, i, j, _, c in monomials]
+                         for _, monomials in cleared])
+    norm = math.prod(max(1, *(sum(abs(c) for *_, c in group) for group in groups))
+                     for groups in level[1])
+    return level, math.prod(d for d, _ in cleared), norm
 
 
 def _cleared_operand(X, by_rows):
@@ -255,10 +252,10 @@ def multiply_recursive(levels, A, B, counter=None):
     if (A.rows, A.cols) != (M, N) or (B.rows, B.cols) != (N, P):
         raise ValueError("schedule computes <%d,%d,%d>; got A %dx%d, B %dx%d"
                          % (M, N, P, A.rows, A.cols, B.rows, B.cols))
-    # a scheme repeated in the schedule is cleared once, at its first level
-    first = [levels.index(t) for t in levels]
-    built = {i: _level(levels[i]) for i in dict.fromkeys(first)}
-    compiled, scales, norms = zip(*(built[i] for i in first))
+    # _check_schedule gives equal levels as one object, cleared once
+    built = {id(t): t for t in levels}
+    built = {key: _level(t) for key, t in built.items()}
+    compiled, scales, norms = zip(*(built[id(t)] for t in levels))
     scale = math.prod(scales)
     (a, d, top_a), (b, e, top_b) = _cleared_operand(A, True), _cleared_operand(B, False)
     dtype = (object if top_a is None or top_b is None
@@ -302,16 +299,12 @@ def _at_each_eps(t):
     Laurent entries to their values at a given eps.  Each coefficient is
     converted to float once, and each distinct power of eps is taken once
     per eps; an entry's value is Laurent.evaluate's, bit for bit."""
-    factors = tuple([list(factor.nonzeros) for factor in slot] for slot in zip(*t.terms))
-    laurent = []
-    for slot in factors:
-        for entries in slot:
-            for index, (i, j, v) in enumerate(entries):
-                if isinstance(v, Laurent):
-                    terms = [(k, float(q)) for k, q in v.terms.items()]
-                    laurent.append((entries, index, i, j, terms))
-                else:
-                    entries[index] = (i, j, float(v))
+    level = _grouped(t, [[(term, i, j, v if isinstance(v, Laurent) else float(v))
+                          for term, factor in enumerate(slot) for i, j, v in factor.nonzeros]
+                         for slot in zip(*t.terms)])
+    laurent = [(entries, index, i, j, [(k, float(q)) for k, q in v.terms.items()])
+               for groups in level[1] for entries in groups
+               for index, (i, j, v) in enumerate(entries) if isinstance(v, Laurent)]
     exponents = {k for *_, terms in laurent for k, _ in terms}
 
     def set_eps(eps):
@@ -322,7 +315,7 @@ def _at_each_eps(t):
                 total += q * power[k]
             entries[index] = (i, j, total)
 
-    return (t.dims, factors), set_eps
+    return level, set_eps
 
 
 def epsilon_error_scan(t, A, B, eps_values):

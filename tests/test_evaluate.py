@@ -452,9 +452,9 @@ def test_rational_operands_run_on_cleared_coefficients(strassen, monkeypatch):
     assert any(v.denominator != 1 for v in raw)
 
 
-def test_untouched_output_blocks_are_zero(strassen):
+def test_untouched_output_blocks_are_zero(strassen, monkeypatch):
     # row 0 of A is masked out, so no term writes row 0 of C: integer and
-    # Fraction runs, one level and two, and the float scan
+    # Fraction runs, one level and two, object runs, and the float scan
     masked = classical_tensor((2, 2, 2), support=[[False, False], [True, True]])
     B = Matrix([[1, 2], [3, 5]])
     for A in (Matrix([[0, 0], [3, 4]]), Matrix([[0, 0], [Fraction(1, 3), 4]])):
@@ -465,6 +465,30 @@ def test_untouched_output_blocks_are_zero(strassen):
         assert multiply_recursive([masked, strassen], A, B) == A @ B
     scan = epsilon_error_scan(masked, [[0.0, 0.0], [3.0, 4.0]], [[1.0, 2.0], [3.0, 5.0]], [0.1])
     assert scan.samples == ((0.1, 0.0),)
+    # an object array starts as None, which numpy would carry silently:
+    # a row of 10^12-size rationals, cleared past 2^63, and a Laurent entry
+    outputs = []
+    run = evaluate._evaluate
+
+    def recording(levels, A, B):
+        C, leaves = run(levels, A, B)
+        outputs.append(C)
+        return C, leaves
+
+    monkeypatch.setattr(evaluate, "_evaluate", recording)
+    big = [Fraction(10**12 + 39, 10**12 - 11), Fraction(-(10**12 - 1), 10**12 + 3)]
+    laurent = [Laurent({-1: Fraction(1, 2), 1: Fraction(3)}), Fraction(5, 7)]
+    for levels, rows in (([masked], 1), ([masked, strassen], 2)):
+        M, N, P = evaluate._schedule_dims(levels)
+        B = rand_rational_matrix(random.Random(25), N, P)
+        for row in (big, laurent):
+            A = Matrix([[0] * N] * rows + [row * (N // 2)] * (M - rows))
+            C = multiply_recursive(levels, A, B)
+            assert C == A @ B
+            out = outputs.pop()
+            assert out.dtype == np.dtype(object)
+            assert all(x == 0 for x in out[:rows].flat)
+            assert all(type(x) is Fraction and x == 0 for line in C.data[:rows] for x in line)
 
 
 def test_error_scan_matches_the_reference_bit_for_bit(teps):
