@@ -287,13 +287,13 @@ def _build_parser():
     p = sub.add_parser("errscan", help="numeric error scan of an approximate tensor")
     p.add_argument("file")
     p.add_argument("--eps", default="3e-2,1e-2,3e-3,1e-3,3e-4", help="comma-separated decreasing values")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_nonnegative_int, default=0)
     p.set_defaults(func=_cmd_errscan)
 
     p = sub.add_parser("search", help="regularized ALS search for a decomposition")
     p.add_argument("--dims", type=int, nargs=3, required=True, metavar=("M", "N", "P"))
     p.add_argument("--rank", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_nonnegative_int, default=0)
     p.add_argument("--restarts", type=int, default=1)
     p.add_argument("--max-sweeps", type=int, default=2000)
     p.add_argument("--grid", help="comma-separated snap grid rationals")

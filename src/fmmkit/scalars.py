@@ -72,11 +72,7 @@ class Laurent:
             return NotImplemented
         out = dict(self.terms)
         for k, q in _as_coeff_map(other).items():
-            s = out.get(k, 0) + q
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
+            out[k] = out.get(k, 0) + q
         return Laurent(out)
 
     __radd__ = __add__
@@ -95,15 +91,11 @@ class Laurent:
     def __mul__(self, other):
         if not isinstance(other, (Laurent, int, Fraction)):
             return NotImplemented
-        out = {}
+        out, other = {}, _as_coeff_map(other)
         for k1, q1 in self.terms.items():
-            for k2, q2 in _as_coeff_map(other).items():
+            for k2, q2 in other.items():
                 k = k1 + k2
-                s = out.get(k, 0) + q1 * q2
-                if s:
-                    out[k] = s
-                else:
-                    out.pop(k, None)
+                out[k] = out.get(k, 0) + q1 * q2
         return Laurent(out)
 
     __rmul__ = __mul__

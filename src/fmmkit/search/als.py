@@ -9,7 +9,8 @@ Factor stacks are plain float arrays: P is r x (m*n), Q is r x (n*p),
 S is r x (p*m), each row the row-major vectorization of one factor.  The
 restarts of a search run as one batch that stacks their factor stacks row
 block by row block (see kernels); a restart's trace is the same bit for
-bit in any batch, and alone.
+bit in any batch, and alone.  Each restart is one _Descent, which once
+it leaves is the record search builds its RestartRecord and line from.
 
 No step reads a dense target: a right-hand side is one matrix product
 per term, and a sweep reads its residual from the Grams and products it
@@ -32,6 +33,10 @@ from ..tensor import RATIONAL, Dims, FmmTensor, Term, verify_exact
 from . import kernels
 
 FactorSet = namedtuple("FactorSet", ["P", "Q", "S"])
+
+# each slot with the two others in cyclic order, (i+1, i+2) mod 3: a solve
+# for P reads Q and S, for Q it reads S and P, for S it reads P and Q
+_CYCLE = tuple((i, (i + 1) % 3, (i + 2) % 3) for i in range(3))
 
 # beyond this many output coordinates (m*n*p) a desk run stops being
 # interactive, so larger problems must opt in explicitly.  One restart's
@@ -96,13 +101,14 @@ class SearchConfig:
         if any(d < 1 for d in dims):
             raise ValueError("dims must be positive, got %r" % (tuple(self.dims),))
         object.__setattr__(self, "dims", dims)
+        volume = math.prod(dims)
         if int(self.rank) < 1:
             raise ValueError("rank must be positive, got %r" % (self.rank,))
         object.__setattr__(self, "rank", int(self.rank))
         # the classical scheme has rank m*n*p; above it, r x r Gram matrices only grow
-        if self.rank > dims.m * dims.n * dims.p:
+        if self.rank > volume:
             raise ValueError("rank %d exceeds the classical rank %d of <%d,%d,%d>"
-                             % ((self.rank, dims.m * dims.n * dims.p) + dims))
+                             % ((self.rank, volume) + dims))
         try:
             grid = tuple(sorted(set(Fraction(g) for g in self.snap_grid)))
             for g in grid:
@@ -133,6 +139,16 @@ class SearchConfig:
                     "set allow_large=True to proceed"
                     % (self.restarts * self.max_sweeps, RESTART_LIMIT * 2000))
         object.__setattr__(self, "seed", int(self.seed))
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
+        if volume > DESK_LIMIT:
+            if not self.allow_large:
+                raise ValueError(
+                    "output size %d exceeds the desk limit %d; set allow_large=True to proceed"
+                    % (volume, DESK_LIMIT))
+            # stacklevel 3 names the line that built the config
+            warnings.warn("searching beyond the desk limit (%d > %d); expect long sweeps"
+                          % (volume, DESK_LIMIT), stacklevel=3)
 
 
 @dataclass(frozen=True)
@@ -227,11 +243,10 @@ def als_block_solve(f, models, lam, dims, slot):
         raise ValueError("slot must be P, Q or S, got %r" % (slot,))
     dims = Dims(*dims)
     f, models = _stacks(dims, f, models)
-    i = FactorSet._fields.index(slot)
-    # the two other stacks in cyclic order: Q, S for P; S, P for Q; P, Q for S
-    A, B = f[(i + 1) % 3], f[(i + 2) % 3]
+    i, a, b = _CYCLE[FactorSet._fields.index(slot)]
+    A, B = f[a], f[b]
     solved, _ = kernels.block_solve(A, B, models[i], np.array([_effective_lambda(lam)]),
-                                    kernels.gram(A, 1), kernels.gram(B, 1), dims[(i + 1) % 3])
+                                    kernels.gram(A, 1), kernels.gram(B, 1), dims[a])
     return f._replace(**{slot: solved})
 
 
@@ -250,22 +265,20 @@ def als_objective(f, models, lam, dims):
 def _sweep(stacks, models, grams, lam, dims):
     """One cyclic pass of block solves on P, Q then S at the ridge weights
     lam, one per restart; each solve uses the stacks already updated
-    earlier in the same pass.  Takes and returns the Grams of Q and S, so
-    a pass forms three Grams per restart, and returns the residuals."""
-    m, n, p = dims
+    earlier in the same pass, as als_block_solve reads them.  Takes and
+    returns the Grams of Q and S, so a pass forms three Grams per
+    restart, and returns the residuals."""
     k = len(lam)
-    P, Q, S = stacks
-    GQ, GS = grams
-    P = kernels.block_solve(Q, S, models[0], lam, GQ, GS, n)[0]
-    GP = kernels.gram(P, k)
-    Q = kernels.block_solve(S, P, models[1], lam, GS, GP, p)[0]
-    GQ = kernels.gram(Q, k)
-    S, C = kernels.block_solve(P, Q, models[2], lam, GP, GQ, m)
-    GS = kernels.gram(S, k)
+    f = list(stacks)
+    grams = [None, *grams]
+    for i, a, b in _CYCLE:
+        f[i], C = kernels.block_solve(f[a], f[b], models[i], lam, grams[a], grams[b], dims[a])
+        grams[i] = kernels.gram(f[i], k)
+    GP, GQ, GS = grams
     # no later pass reads GP, so it takes the Grams' elementwise product
     GP *= GQ
     GP *= GS
-    return FactorSet(P, Q, S), (GQ, GS), kernels.residual(S, C, GP, m * n * p)
+    return FactorSet(*f), (GQ, GS), kernels.residual(f[2], C, GP, math.prod(dims))
 
 
 def als_sweep(f, models, lam, dims):
@@ -298,12 +311,10 @@ def rationalize(f, dims, snap_grid=DEFAULT_GRID):
     return t if report.passed else None
 
 
-_Restart = namedtuple(
-    "_Restart", ["best_res", "factors", "sweeps", "trace", "outcome", "resets"])
-
-
 class _Descent:
-    """Scalar state of one restart's descent.
+    """One restart's descent: its state while it runs and, once it leaves,
+    the record search reads: outcome, best_res with its factors, resets,
+    the trace of (sweep, residual, lambda) frozen to a tuple, and sweeps.
 
     An improvement does not copy the restart's rows out of the batch: best_at
     keeps the batch stacks of the best sweep and the restart's first row in
@@ -313,7 +324,7 @@ class _Descent:
 
     best_sweep is the sweep of the last new best residual."""
 
-    __slots__ = ("lam", "lam_eff", "trace", "best_res", "best", "best_at",
+    __slots__ = ("lam", "lam_eff", "trace", "best_res", "factors", "best_at",
                  "prev_res", "guard", "resets", "best_sweep", "outcome")
 
     def __init__(self, start):
@@ -321,7 +332,7 @@ class _Descent:
         self.lam_eff = _effective_lambda(LAMBDA_INIT)
         self.trace = []
         self.best_res = math.inf
-        self.best = start
+        self.factors = start
         self.best_at = None
         self.prev_res = math.inf
         self.guard = 0
@@ -329,9 +340,14 @@ class _Descent:
         self.best_sweep = 0
         self.outcome = None
 
+    @property
+    def sweeps(self):
+        return len(self.trace)
+
     def leave(self, outcome, r):
         """End the restart with the given outcome; returns False."""
         self.outcome = outcome
+        self.trace = tuple(self.trace)
         self.settle(r)
         return False
 
@@ -339,7 +355,7 @@ class _Descent:
         if self.best_at is not None:
             (P, Q, S), row = self.best_at
             rows = slice(row, row + r)
-            self.best = FactorSet(P[rows].copy(), Q[rows].copy(), S[rows].copy())
+            self.factors = FactorSet(P[rows].copy(), Q[rows].copy(), S[rows].copy())
             self.best_at = None
 
     def step(self, sweep, res, stacks, row, r, volume):
@@ -378,12 +394,13 @@ class _Descent:
         return True
 
 
-def _run_batch(cfg, indices, grid_floats):
+def _run_batch(cfg, indices):
     """Run the restarts numbered in indices as one batch; returns their
-    _Restart records in the same order."""
+    left _Descents in the same order."""
     m, n, p = cfg.dims
     r = cfg.rank
     volume = m * n * p
+    grid_floats = _grid_arrays(cfg.snap_grid)[1]
     starts = []
     for i in indices:
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((cfg.seed, i))))
@@ -436,19 +453,7 @@ def _run_batch(cfg, indices, grid_floats):
     else:
         for d in live:
             d.leave("exhausted", r)
-    return [_Restart(d.best_res, d.best, len(d.trace), tuple(d.trace), d.outcome, d.resets)
-            for d in runs]
-
-
-def _run_restarts(cfg, progress=None):
-    """Every restart's _Restart record, in index order, from one batch of
-    all the restarts; progress gets their summary lines once it ends."""
-    results = _run_batch(cfg, range(cfg.restarts), _grid_arrays(cfg.snap_grid)[1])
-    if progress is not None:
-        for i, out in enumerate(results):
-            progress("restart %d %s residual %.6e after %d sweeps" % (
-                i, out.outcome, out.best_res, out.sweeps))
-    return results
+    return runs
 
 
 def search(cfg, progress=None):
@@ -460,37 +465,22 @@ def search(cfg, progress=None):
     restarts holds one RestartRecord per restart.  The restarts run as
     one batch, yet every restart's numbers are those of a serial run, so
     the result is fully deterministic for a given config.  progress, when
-    given, is called with one summary line per finished restart, in
-    restart order."""
-    m, n, p = cfg.dims
-    if m * n * p > DESK_LIMIT:
-        if not cfg.allow_large:
-            raise ValueError(
-                "output size %d exceeds the desk limit %d; set allow_large=True to proceed"
-                % (m * n * p, DESK_LIMIT)
-            )
-        warnings.warn(
-            "searching beyond the desk limit (%d > %d); expect long sweeps"
-            % (m * n * p, DESK_LIMIT),
-            stacklevel=2,
-        )
-    results = _run_restarts(cfg, progress)
-
-    order = sorted(range(cfg.restarts), key=lambda i: (results[i].best_res, i))
-    best_index = order[0]
+    given, is called once the batch ends with one line per restart, in
+    restart order, rendered from its RestartRecord.  The size limits are
+    SearchConfig's, checked when cfg was built."""
+    runs = _run_batch(cfg, range(cfg.restarts))
+    records = tuple(RestartRecord(d.outcome, d.sweeps, d.resets, d.best_res) for d in runs)
+    if progress is not None:
+        for i, rec in enumerate(records):
+            progress("restart %d %s residual %.6e after %d sweeps"
+                     % (i, rec.outcome, rec.best_residual, rec.sweeps))
+    order = sorted(range(cfg.restarts), key=lambda i: (records[i].best_residual, i))
     rationalized = None
     for i in order:
-        t = rationalize(results[i].factors, cfg.dims, cfg.snap_grid)
-        if t is not None:
-            rationalized = t
+        rationalized = rationalize(runs[i].factors, cfg.dims, cfg.snap_grid)
+        if rationalized is not None:
             break
-    chosen = results[best_index]
-    return SearchResult(
-        best_residual=chosen.best_res,
-        factors=chosen.factors,
-        sweeps_used=chosen.sweeps,
-        rationalized=rationalized,
-        trace=chosen.trace,
-        restarts=tuple(RestartRecord(out.outcome, out.sweeps, out.resets, out.best_res)
-                       for out in results),
-    )
+    best = runs[order[0]]
+    return SearchResult(best_residual=best.best_res, factors=best.factors,
+                        sweeps_used=best.sweeps, rationalized=rationalized,
+                        trace=best.trace, restarts=records)

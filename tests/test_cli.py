@@ -103,6 +103,15 @@ def test_verify_explain_needs_a_count(capsys, value):
     assert "--explain: expected a non-negative integer" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [["search", "--dims", "2", "2", "2", "--rank", "7"],
+                                  ["errscan", TEPS]])
+def test_negative_seed_is_refused_by_name(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--seed", "-5"])
+    assert exc.value.code == 2
+    assert "--seed: expected a non-negative integer, got '-5'" in capsys.readouterr().err
+
+
 def test_verify_scaled_huge_exponent_is_bounded(capsys, tmp_path):
     path = tmp_path / "huge.fmm"
     path.write_text("fmm 1\ndims 1 1 1\nrank 1\nfield laurent\n"

@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from fmmkit import cli
 from fmmkit.search import (
     DESK_LIMIT,
     FactorSet,
@@ -164,6 +165,8 @@ def test_search_config_validation():
         SearchConfig((2, 2, 2), 7, restarts=0)
     with pytest.raises(ValueError):
         SearchConfig((1, 1, 1), 1, snap_grid=(0, 10**400))  # no finite float
+    with pytest.raises(ValueError, match="seed must be non-negative"):
+        SearchConfig((2, 2, 2), 7, seed=-5)
     cfg = SearchConfig((2, 2, 2), 7, snap_grid=(0, 1, -1, 1))
     assert cfg.snap_grid == (Fraction(-1), Fraction(0), Fraction(1))
 
@@ -171,6 +174,12 @@ def test_search_config_validation():
 def test_search_desk_limit():
     big = (4, 4, 4)  # volume 64 over the limit
     assert big[0] * big[1] * big[2] > DESK_LIMIT
+    # the config refuses, or warns, when it is built
+    with pytest.raises(ValueError, match="desk limit"):
+        SearchConfig(big, 2, max_sweeps=1)
+    with pytest.warns(UserWarning, match="desk limit") as caught:
+        SearchConfig(big, 2, max_sweeps=1, allow_large=True)
+    assert [w.filename for w in caught] == [__file__]
     with pytest.raises(ValueError):
         search(SearchConfig(big, 2, max_sweeps=1))
     with warnings.catch_warnings(record=True) as caught:
@@ -241,6 +250,24 @@ def test_search_progress_lines():
                                                    ["restart", "1", "collapsed"]]
 
 
+def test_restart_lines_render_the_restart_records(capsys):
+    # a converged, a collapsed and an exhausted restart: the library's and
+    # the CLI's progress lines are both the rendering of SearchResult.restarts
+    cfg = SearchConfig((1, 1, 1), 1, seed=3, restarts=3, max_sweeps=16)
+    seen = []
+    out = search(cfg, progress=seen.append)
+    assert [(rec.outcome, rec.sweeps) for rec in out.restarts] == [
+        ("exhausted", 16), ("collapsed", 6), ("converged", 16)]
+    rendered = ["restart %d %s residual %.6e after %d sweeps"
+                % (i, rec.outcome, rec.best_residual, rec.sweeps)
+                for i, rec in enumerate(out.restarts)]
+    assert seen == rendered
+    assert cli.main(["search", "--dims", "1", "1", "1", "--rank", "1", "--seed", "3",
+                     "--restarts", "3", "--max-sweeps", "16"]) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert [line for line in err if line.startswith("restart ")] == rendered
+
+
 # -- batched restarts -----------------------------------------------------------
 
 
@@ -304,10 +331,8 @@ def _serial_restart(cfg, index):
 def _per_restart(cfg, width):
     """Every restart's record, run in batches of `width` consecutive
     restarts."""
-    grid_floats = als._grid_arrays(cfg.snap_grid)[1]
     return [out for start in range(0, cfg.restarts, width)
-            for out in als._run_batch(cfg, range(start, min(start + width, cfg.restarts)),
-                                      grid_floats)]
+            for out in als._run_batch(cfg, range(start, min(start + width, cfg.restarts)))]
 
 
 def _same_bits(a, b):
@@ -361,7 +386,7 @@ def _recorded_call(kernel_name, cfg, index, call, arg):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(kernels, kernel_name, record)
-        als._run_batch(cfg, [index], als._grid_arrays(cfg.snap_grid)[1])
+        als._run_batch(cfg, [index])
     return seen[call]
 
 
@@ -394,7 +419,7 @@ def test_singular_and_nonfinite_restarts_leave_the_batch_alone(monkeypatch):
 
     monkeypatch.setattr(kernels, "block_solve", block_solve)
     monkeypatch.setattr(kernels, "residual", residual)
-    batched = als._run_restarts(cfg)
+    batched = als._run_batch(cfg, range(cfg.restarts))
     for index in (0, 3):
         assert batched[index].trace == alone[index].trace
         assert batched[index].outcome == alone[index].outcome == "exhausted"
@@ -504,7 +529,7 @@ def test_carried_grams_follow_the_live_restarts(monkeypatch):
         return real_solve(A, B, model, lam, GA, GB, a)
 
     monkeypatch.setattr(kernels, "block_solve", block_solve)
-    records = als._run_restarts(cfg)
+    records = als._run_batch(cfg, range(cfg.restarts))
     assert [out.outcome for out in records] == ["converged"] * 5
     assert len(set(out.sweeps for out in records)) == 5
     assert sorted(set(batch_sizes), reverse=True) == [5, 4, 3, 2, 1]
@@ -532,12 +557,12 @@ def test_all_zero_restart_stops_collapsed():
     # restart 1 reaches all-zero stacks at sweep 6, a fixed point of the
     # sweep; until then it runs as in a search capped at 5 sweeps
     cfg = dict(dims=(1, 1, 1), rank=1, seed=3, restarts=2, snap_grid=(0, 1, -1))
-    first, second = als._run_restarts(SearchConfig(**cfg))
+    first, second = als._run_batch(SearchConfig(**cfg), range(2))
     assert (first.outcome, first.sweeps) == ("converged", 17)
-    assert first.trace == als._run_restarts(SearchConfig(**dict(cfg, restarts=1)))[0].trace
+    assert first.trace == als._run_batch(SearchConfig(**dict(cfg, restarts=1)), [0])[0].trace
     assert (second.outcome, second.sweeps) == ("collapsed", 6)
     assert second.trace[-1][1] == 1.0
-    capped = als._run_restarts(SearchConfig(**dict(cfg, max_sweeps=5)))[1]
+    capped = als._run_batch(SearchConfig(**dict(cfg, max_sweeps=5)), range(2))[1]
     assert capped.outcome == "exhausted"
     assert second.trace[:5] == capped.trace
     assert second.best_res == capped.best_res == second.trace[0][1]
@@ -606,7 +631,7 @@ def test_plateau_exit_keeps_a_restart_that_finds_a_scheme():
     # and then converges to a verified scheme: STALL_SWEEPS must stay above
     # the longest gap measured in a restart that leads to a scheme
     cfg = SearchConfig((2, 2, 2), 7, seed=1858194101, snap_grid=(0, 1, -1))
-    out, = als._run_batch(cfg, [12], als._grid_arrays(cfg.snap_grid)[1])
+    out, = als._run_batch(cfg, [12])
     assert (out.outcome, out.sweeps) == ("converged", 1584)
     best_res, best_sweep, gap = math.inf, 0, 0
     for sweep, res, _ in out.trace:
