@@ -27,9 +27,10 @@ exactly, by scale * d_i * e_j.  Laurent operands are cleared the same
 way and run on object arrays.  Only the first level may carry a support
 mask, and A must then be zero in the blocks the mask excludes (single
 entries for a one-level schedule).
-epsilon_error_scan substitutes each epsilon into the nonzero Laurent
-entries and runs the same evaluator on float64 arrays, then fits the
-error decay slope.
+epsilon_error_scan runs all its epsilon values as one batch of the same
+evaluator on float64 arrays, SCAN_CHUNK values per run: each Laurent
+entry becomes an array of its values, one per epsilon, and each batch
+entry reads its own.  It then fits the error decay slope.
 """
 
 import math
@@ -41,6 +42,10 @@ import numpy as np
 from .matrices import Matrix
 from .scalars import Laurent, eps_power
 from .tensor import RATIONAL, FmmTensor, UnverifiedSchemeError, _cleared, _width, verify_exact
+
+# epsilon values per evaluator run of an error scan: a run's arrays grow
+# with its batch, so a longer list runs in chunks of this many
+SCAN_CHUNK = 64
 
 
 class MultiplicationCounter:
@@ -59,18 +64,23 @@ def _combine(blocks, factors):
     """blocks (K, a, b, X, Y) -> (K*r, X, Y), r = len(factors): for each
     batch entry, one linear combination of its blocks per group of
     (i, j, coefficient) entries, and 0 for an empty group (a masked
-    scheme leaves some output blocks untouched).  A coefficient of 1 or
-    -1, the only kind in the bundled schemes, costs no multiply: its
-    block is added or subtracted (negated when it is the group's first
-    piece).  On Python ints a multiply costs about as much as an
-    addition; on floats -x and a - x are bit-identical to (-1.0) * x and
-    a + (-1.0) * x."""
+    scheme leaves some output blocks untouched).  A coefficient is a
+    scalar, or a float64 array of shape (K, 1, 1) that gives each batch
+    entry its own (an error scan's Laurent entry at each epsilon).  A
+    scalar coefficient of 1 or -1, the only kind in the bundled schemes,
+    costs no multiply: its block is added or subtracted (negated when it
+    is the group's first piece).  On Python ints a multiply costs about
+    as much as an addition; on floats -x and a - x are bit-identical to
+    (-1.0) * x and a + (-1.0) * x, so an array coefficient is always
+    multiplied in."""
     K, _, _, X, Y = blocks.shape
     out = np.empty((K, len(factors), X, Y), dtype=blocks.dtype)
     for group, entries in enumerate(factors):
         acc = None
         for i, j, v in entries:
             x = blocks[:, i, j]
+            if isinstance(v, np.ndarray):
+                x, v = v * x, 1
             if acc is None:
                 acc = x if v == 1 else -x if v == -1 else v * x
             elif v == 1:
@@ -86,10 +96,16 @@ def _combine(blocks, factors):
 def _evaluate(levels, A, B):
     """A @ B through a schedule of _grouped levels, outer level first.
 
-    A and B are 2-D arrays of the schedule's composite dimensions.
-    Returns the product and the number of leaf products formed.
+    A and B are arrays of the schedule's composite dimensions, (..., M, N)
+    and (..., N, P), with the same leading batch axes; a 2-D pair is a
+    batch of one.  Each batch entry is its own product, and a coefficient
+    array (see _combine) gives each its own coefficient; its length is
+    the batch's, so only a one-level schedule may carry one.  Returns the
+    products, with A's leading axes, and the number of leaf products
+    formed over the whole batch.
     """
-    a, b = A[None], B[None]
+    lead = A.shape[:-2]
+    a, b = A.reshape(-1, *A.shape[-2:]), B.reshape(-1, *B.shape[-2:])
     for (m, n, p), (P, Q, _) in levels:
         K, M, N = a.shape
         Mi, Ni, Pi = M // m, N // n, b.shape[2] // p
@@ -102,7 +118,7 @@ def _evaluate(levels, A, B):
         K, Mi, Pi = c.shape[0] // r, c.shape[1], c.shape[2]
         c = _combine(c.reshape(K, r, 1, Mi, Pi), S).reshape(K, m, p, Mi, Pi)
         c = c.transpose(0, 1, 3, 2, 4).reshape(K, m * Mi, p * Pi)
-    return c[0], leaves
+    return c.reshape(lead + c.shape[1:]), leaves
 
 
 def _require_verified(t, what):
@@ -294,41 +310,40 @@ class ErrorScan:
         return "\n".join(lines)
 
 
-def _at_each_eps(t):
-    """t as a level with float coefficients, and a function that sets its
-    Laurent entries to their values at a given eps.  Each coefficient is
-    converted to float once, and each distinct power of eps is taken once
-    per eps; an entry's value is Laurent.evaluate's, bit for bit."""
-    level = _grouped(t, [[(term, i, j, v if isinstance(v, Laurent) else float(v))
-                          for term, factor in enumerate(slot) for i, j, v in factor.nonzeros]
-                         for slot in zip(*t.terms)])
-    laurent = [(entries, index, i, j, [(k, float(q)) for k, q in v.terms.items()])
-               for groups in level[1] for entries in groups
-               for index, (i, j, v) in enumerate(entries) if isinstance(v, Laurent)]
-    exponents = {k for *_, terms in laurent for k, _ in terms}
-
-    def set_eps(eps):
-        power = {k: eps_power(eps, k) for k in exponents}
-        for entries, index, i, j, terms in laurent:
-            total = 0.0
-            for k, q in terms:
-                total += q * power[k]
-            entries[index] = (i, j, total)
-
-    return level, set_eps
+def _at_eps(level, eps_values):
+    """level with each Laurent coefficient replaced by a float64 array of
+    shape (K, 1, 1), its values at the K eps_values.  Each distinct power
+    of eps is taken once per eps, with eps_power, and each Laurent object
+    is evaluated once, summing its terms in their order; so every value
+    is Laurent.evaluate's bit for bit."""
+    dims, slots = level
+    # the level holds every Laurent, so its id names it for the whole call
+    laurent = {id(v): v for groups in slots for entries in groups
+               for _, _, v in entries if isinstance(v, Laurent)}
+    powers = {k: np.array([eps_power(e, k) for e in eps_values])[:, None, None]
+              for k in {k for v in laurent.values() for k in v.terms}}
+    values = {}
+    for key, v in laurent.items():
+        values[key] = total = np.zeros((len(eps_values), 1, 1))
+        for k, q in v.terms.items():
+            total += float(q) * powers[k]
+    return dims, tuple(tuple([(i, j, values.get(id(v), v)) for i, j, v in entries]
+                             for entries in groups) for groups in slots)
 
 
 def epsilon_error_scan(t, A, B, eps_values):
     """Relative error of the scheme at concrete epsilon values.
 
-    For each eps the Laurent factors are evaluated numerically and the
-    bilinear scheme applied to A and B; the sample records the Frobenius
-    error relative to the true product.  The slope of log(error) against
-    log(eps) is fitted over samples above 100x machine epsilon, where
-    rounding noise does not drown the signal; for a valid scheme it
-    approximates the discrepancy order.  Non-finite evaluations (the
-    negative-power coefficients overflow for tiny eps) yield an inf
-    sample that the fit ignores.
+    The scheme runs once per SCAN_CHUNK epsilon values, as one batch in
+    which each eps has its own values of the Laurent entries (_at_eps)
+    and its own product of A and B; the sample records the Frobenius
+    error relative to the true product (relative to 1 when that is
+    zero).  A sample does not depend on the chunk it runs in.  The slope
+    of log(error) against log(eps) is fitted over samples above 100x
+    machine epsilon, where rounding noise does not drown the signal; for
+    a valid scheme it approximates the discrepancy order.  Non-finite
+    evaluations (the negative-power coefficients overflow for tiny eps)
+    yield an inf sample that the fit ignores.
     """
     eps_values = [float(e) for e in eps_values]
     if not eps_values:
@@ -343,7 +358,10 @@ def epsilon_error_scan(t, A, B, eps_values):
     if A.shape != (m, n) or B.shape != (n, p):
         raise ValueError("expected A %dx%d and B %dx%d" % (m, n, n, p))
     _check_mask_zeros(t, A)
-    level, set_eps = _at_each_eps(t)
+    # each coefficient converted to float once; Laurent entries stay exact
+    level = _grouped(t, [[(term, i, j, v if isinstance(v, Laurent) else float(v))
+                          for term, factor in enumerate(slot) for i, j, v in factor.nonzeros]
+                         for slot in zip(*t.terms)])
     target = A @ B
     target_norm = float(np.linalg.norm(target))
     if target_norm == 0.0:
@@ -351,13 +369,14 @@ def epsilon_error_scan(t, A, B, eps_values):
 
     samples = []
     with np.errstate(over="ignore", invalid="ignore"):
-        for eps in eps_values:
-            set_eps(eps)
-            C, _ = _evaluate([level], A, B)
-            err = float(np.linalg.norm(C - target)) / target_norm
-            if not math.isfinite(err):
-                err = math.inf
-            samples.append((eps, err))
+        for start in range(0, len(eps_values), SCAN_CHUNK):
+            chunk = eps_values[start:start + SCAN_CHUNK]
+            K = len(chunk)
+            C, _ = _evaluate([_at_eps(level, chunk)], np.broadcast_to(A, (K, m, n)),
+                             np.broadcast_to(B, (K, n, p)))
+            for eps, c in zip(chunk, C):
+                err = float(np.linalg.norm(c - target)) / target_norm
+                samples.append((eps, err if math.isfinite(err) else math.inf))
 
     floor = 100.0 * np.finfo(float).eps
     xs = [math.log(e) for e, r in samples if math.isfinite(r) and r > floor]

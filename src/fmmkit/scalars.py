@@ -127,7 +127,9 @@ class Laurent:
         return self * self.denominator
 
     def evaluate(self, eps):
-        """Numerical value at a concrete float eps (for error scans).
+        """Numerical value at a concrete float eps.  An error scan
+        (evaluate.epsilon_error_scan) computes the same value, bit for bit,
+        as one array over its epsilons.
 
         A power of eps too large for a float counts as infinite, so the
         value is then inf or nan rather than an OverflowError.

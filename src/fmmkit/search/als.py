@@ -86,6 +86,19 @@ best residual), "exhausted" (ran max_sweeps), "nonfinite"
 keeps)."""
 
 
+def _integral(field, value):
+    """value as an int; ValueError naming field when int() would change
+    it, so that a fractional or non-numeric value is refused, not
+    truncated."""
+    try:
+        whole = int(value)
+    except (TypeError, ValueError, OverflowError):
+        whole = None
+    if whole is None or whole != value:
+        raise ValueError("%s must be an integer, got %r" % (field, value))
+    return whole
+
+
 @dataclass(frozen=True)
 class SearchConfig:
     dims: tuple
@@ -97,14 +110,14 @@ class SearchConfig:
     allow_large: bool = False
 
     def __post_init__(self):
-        dims = Dims(*(int(d) for d in self.dims))
+        dims = Dims(*(_integral("dims", d) for d in self.dims))
         if any(d < 1 for d in dims):
             raise ValueError("dims must be positive, got %r" % (tuple(self.dims),))
         object.__setattr__(self, "dims", dims)
         volume = math.prod(dims)
-        if int(self.rank) < 1:
+        object.__setattr__(self, "rank", _integral("rank", self.rank))
+        if self.rank < 1:
             raise ValueError("rank must be positive, got %r" % (self.rank,))
-        object.__setattr__(self, "rank", int(self.rank))
         # the classical scheme has rank m*n*p; above it, r x r Gram matrices only grow
         if self.rank > volume:
             raise ValueError("rank %d exceeds the classical rank %d of <%d,%d,%d>"
@@ -118,16 +131,16 @@ class SearchConfig:
         if Fraction(0) not in grid:
             raise ValueError("snap_grid must contain 0")
         object.__setattr__(self, "snap_grid", grid)
-        object.__setattr__(self, "max_sweeps", int(self.max_sweeps))
+        object.__setattr__(self, "max_sweeps", _integral("max_sweeps", self.max_sweeps))
         if self.max_sweeps < 1:
             raise ValueError("max_sweeps must be positive")
         if self.max_sweeps > SWEEP_LIMIT and not self.allow_large:
             raise ValueError(
                 "max_sweeps %d exceeds the sweep limit %d; set allow_large=True to proceed"
                 % (self.max_sweeps, SWEEP_LIMIT))
-        if int(self.restarts) < 1:
+        object.__setattr__(self, "restarts", _integral("restarts", self.restarts))
+        if self.restarts < 1:
             raise ValueError("restarts must be positive")
-        object.__setattr__(self, "restarts", int(self.restarts))
         if not self.allow_large:
             if self.restarts > RESTART_LIMIT:
                 raise ValueError(
@@ -138,7 +151,7 @@ class SearchConfig:
                     "restarts * max_sweeps %d exceeds the restart limit's %d sweeps; "
                     "set allow_large=True to proceed"
                     % (self.restarts * self.max_sweeps, RESTART_LIMIT * 2000))
-        object.__setattr__(self, "seed", int(self.seed))
+        object.__setattr__(self, "seed", _integral("seed", self.seed))
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
         if volume > DESK_LIMIT:

@@ -505,6 +505,31 @@ def test_error_scan_matches_the_reference_bit_for_bit(teps):
         assert math.isinf(got[-1][1])
 
 
+def test_error_scan_chunks_match_the_reference_bit_for_bit(teps):
+    # two full chunks and one value over, ending in an overflowing eps
+    t100 = embed_and_add(teps, classical_tensor((3, 3, 5)), mask_embedding(teps))
+    eps_values = [float(e) for e in np.geomspace(0.5, 1e-15, 2 * evaluate.SCAN_CHUNK)] + [1e-200]
+    assert all(a > b for a, b in zip(eps_values, eps_values[1:]))
+    for t, seed in ((teps, 26), (t100, 27)):
+        rng = np.random.default_rng(seed)
+        A, B = rng.uniform(-1, 1, (5, 5)), rng.uniform(-1, 1, (5, 5))
+        for i, j in t.masked_out():
+            A[i, j] = 0.0
+        got = epsilon_error_scan(t, A, B, eps_values).samples
+        want = reference_error_samples(t, A, B, eps_values)
+        assert [(e, r.hex()) for e, r in got] == [(e, r.hex()) for e, r in want]
+        assert math.isinf(got[-1][1])
+
+
+def test_error_scan_of_a_zero_product_reads_zero(teps):
+    # A = 0: the error is measured against a norm of 1, not 0
+    eps_values = [3e-2, 1e-2, 3e-3, 1e-3, 3e-4]
+    B = np.random.default_rng(28).uniform(-1, 1, (5, 5))
+    scan = epsilon_error_scan(teps, np.zeros((5, 5)), B, eps_values)
+    assert scan.samples == tuple((eps, 0.0) for eps in eps_values)
+    assert scan.fitted_slope is None
+
+
 def test_count_multiplications_products(strassen, t58):
     assert count_multiplications([strassen]) == 7
     assert count_multiplications([strassen, strassen, strassen]) == 343

@@ -167,6 +167,19 @@ def test_search_config_validation():
         SearchConfig((1, 1, 1), 1, snap_grid=(0, 10**400))  # no finite float
     with pytest.raises(ValueError, match="seed must be non-negative"):
         SearchConfig((2, 2, 2), 7, seed=-5)
+    # a value int() would change is refused by name, not truncated
+    for field, kwargs in (("dims", dict(dims=(2.7, 2, 2))), ("rank", dict(rank=7.9)),
+                          ("max_sweeps", dict(max_sweeps=10.5)),
+                          ("restarts", dict(restarts=2.5)), ("seed", dict(seed=1.9)),
+                          ("seed", dict(seed="1")), ("rank", dict(rank=math.inf))):
+        with pytest.raises(ValueError, match="%s must be an integer" % field):
+            SearchConfig(**{"dims": (2, 2, 2), "rank": 7, **kwargs})
+    with pytest.raises(ValueError, match="dims must be an integer"):
+        SearchConfig((2.7, 2, 2), 7.9, max_sweeps=10.5, restarts=2.5, seed=1.9)
+    cfg = SearchConfig((2.0, 2, Fraction(2)), 7.0, max_sweeps=10.0, restarts=np.int64(2), seed=1.0)
+    assert (cfg.dims, cfg.rank, cfg.max_sweeps, cfg.restarts, cfg.seed) == ((2, 2, 2), 7, 10, 2, 1)
+    assert all(type(x) is int for x in (*cfg.dims, cfg.rank, cfg.max_sweeps, cfg.restarts,
+                                         cfg.seed))
     cfg = SearchConfig((2, 2, 2), 7, snap_grid=(0, 1, -1, 1))
     assert cfg.snap_grid == (Fraction(-1), Fraction(0), Fraction(1))
 
@@ -434,6 +447,25 @@ def test_singular_and_nonfinite_restarts_leave_the_batch_alone(monkeypatch):
     records = search(cfg).restarts
     assert [rec.outcome for rec in records] == ["exhausted", "singular", "nonfinite", "exhausted"]
     assert [rec.sweeps for rec in records] == [40, 19, 30, 40]
+
+
+def test_a_batch_whose_every_restart_turns_singular_ends_them_all(monkeypatch, capsys):
+    def block_solve(*args):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(kernels, "block_solve", block_solve)
+    out = search(SearchConfig((2, 2, 2), 7, restarts=3, seed=1, max_sweeps=50))
+    assert out.restarts == (RestartRecord("singular", 0, 0, math.inf),) * 3
+    assert out.best_residual == math.inf
+    assert out.trace == ()
+    assert out.rationalized is None
+    assert cli.main(["search", "--dims", "2", "2", "2", "--rank", "7", "--restarts", "3",
+                     "--seed", "1", "--max-sweeps", "50"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "no verified decomposition; best residual inf\n"
+    assert [line for line in captured.err.splitlines() if line.startswith("restart ")] == [
+        "restart %d singular residual inf after 0 sweeps" % i for i in range(3)]
+    assert "exhausted" not in captured.err
 
 
 # -- structured kernels ---------------------------------------------------------
