@@ -6,11 +6,12 @@ pulling the iterate toward snap-grid models with a decaying ridge weight
 so that a converged solution usually rounds to exact rational factors.
 
 Factor stacks are plain float arrays: P is r x (m*n), Q is r x (n*p),
-S is r x (p*m), each row the row-major vectorization of one factor.  The
-restarts of a search run as one batch that stacks their factor stacks row
-block by row block (see kernels); a restart's trace is the same bit for
-bit in any batch, and alone.  Each restart is one _Descent, which once
-it leaves is the record search builds its RestartRecord and line from.
+S is r x (p*m), each row the row-major vectorization of one factor.
+_descend runs restarts from given starts as one batch that stacks their
+factor stacks row block by row block (see kernels); search draws the
+starts per (seed, restart) with _starts.  A restart's trace is the same
+bit for bit in any batch, and alone.  Each restart is one _Descent, the
+record search builds its RestartRecord and line from once it leaves.
 
 No step reads a dense target: a right-hand side is one matrix product
 per term, and a sweep reads its residual from the Grams and products it
@@ -53,6 +54,12 @@ SWEEP_LIMIT = 100_000
 # so beyond this many restarts, or this many times 2000 sweeps (the
 # default max_sweeps) over all restarts, its memory stops being desk-sized
 RESTART_LIMIT = 1000
+
+# each snap builds a float64 difference of every grid value against every
+# entry of the batch, so its memory grows with the grid.  100 restarts of
+# <2,2,2;7> over 2 sweeps peaked (tracemalloc) at 0.8 MB with 3 values,
+# 2.6 MB with 16, this limit, and 135 MB with 1,001
+GRID_LIMIT = 16
 
 DEFAULT_GRID = (Fraction(-1), Fraction(0), Fraction(1))
 
@@ -130,6 +137,10 @@ class SearchConfig:
             raise ValueError("snap_grid values must be finite floats") from None
         if Fraction(0) not in grid:
             raise ValueError("snap_grid must contain 0")
+        if len(grid) > GRID_LIMIT and not self.allow_large:
+            raise ValueError(
+                "snap_grid of %d values exceeds the grid limit %d; set allow_large=True to proceed"
+                % (len(grid), GRID_LIMIT))
         object.__setattr__(self, "snap_grid", grid)
         object.__setattr__(self, "max_sweeps", _integral("max_sweeps", self.max_sweeps))
         if self.max_sweeps < 1:
@@ -407,65 +418,64 @@ class _Descent:
         return True
 
 
-def _run_batch(cfg, indices):
-    """Run the restarts numbered in indices as one batch; returns their
-    left _Descents in the same order."""
+def _starts(cfg, indices):
+    """The uniform start of each restart numbered in indices, drawn from
+    its own (seed, restart) stream."""
     m, n, p = cfg.dims
-    r = cfg.rank
-    volume = m * n * p
+    rngs = (np.random.Generator(np.random.PCG64(np.random.SeedSequence((cfg.seed, i))))
+            for i in indices)
+    # draw order P, Q, S is part of the reproducibility contract
+    return [FactorSet(*(rng.uniform(-1.0, 1.0, (cfg.rank, cols)) for cols in (m * n, n * p, p * m)))
+            for rng in rngs]
+
+
+def _descend(cfg, starts):
+    """Run the given factor sets, all of one rank, as one batch of
+    restarts; returns their left _Descents in the same order.  Reads only
+    cfg's dims, max_sweeps and snap_grid."""
+    starts = _stacks(cfg.dims, *starts)
+    r = starts[0].P.shape[0]
+    volume = math.prod(cfg.dims)
     grid_floats = _grid_arrays(cfg.snap_grid)[1]
-    starts = []
-    for i in indices:
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((cfg.seed, i))))
-        # draw order P, Q, S is part of the reproducibility contract
-        starts.append(FactorSet(rng.uniform(-1.0, 1.0, (r, m * n)),
-                                rng.uniform(-1.0, 1.0, (r, n * p)),
-                                rng.uniform(-1.0, 1.0, (r, p * m))))
     f = [np.concatenate(stacks) for stacks in zip(*starts)]
     # the Grams of Q and S that the next sweep reads, one block per live restart
     grams = (kernels.gram(f[1], len(starts)), kernels.gram(f[2], len(starts)))
-    runs = [_Descent(start) for start in starts]
-    live = runs
-    for sweep in range(1, cfg.max_sweeps + 1):
+    runs = live = [_Descent(start) for start in starts]
+    sweep = 1
+    while live:
         # one snap over all three stacks, flattened so that each model
         # comes back as a contiguous block
         models = _split(grid_floats[_snap(f, grid_floats)], [s.shape for s in f])
         lam = np.array([d.lam_eff for d in live])
         try:
-            stacks, grams, res = _sweep(f, models, grams, lam, cfg.dims)
+            f, grams, res = _sweep(f, models, grams, lam, cfg.dims)
         except np.linalg.LinAlgError:
             # numpy raises for the whole stack: sweep the restarts one by
-            # one and drop those that raise again, with their state from
-            # before this sweep
-            keep, parts = [], []
+            # one; those that raise again leave with their state from
+            # before this sweep and the rest run it again, unless none
+            # raised, when sweeping again would only raise again
+            keep = []
             for j, d in enumerate(live):
                 rows = slice(j * r, j * r + r)
                 try:
-                    parts.append(_sweep([s[rows] for s in f], [s[rows] for s in models],
-                                        [G[j:j + 1] for G in grams], lam[j:j + 1], cfg.dims))
+                    _sweep([s[rows] for s in f], [s[rows] for s in models],
+                           [G[j:j + 1] for G in grams], lam[j:j + 1], cfg.dims)
+                    keep.append(j)
                 except np.linalg.LinAlgError:
                     d.leave("singular", r)
-                    continue
-                keep.append(j)
-            if not keep:
-                break
-            live = [live[j] for j in keep]
-            stacks, grams, res = zip(*parts)
-            stacks, grams = (tuple(map(np.concatenate, zip(*x))) for x in (stacks, grams))
-            res = np.concatenate(res)
-        res = res.tolist()
-        keep = [j for j, d in enumerate(live) if d.step(sweep, res[j], stacks, j * r, r, volume)]
-        f = stacks
+            if len(keep) == len(live):
+                raise
+        else:
+            res = res.tolist()
+            keep = [j for j, d in enumerate(live)
+                    if d.step(sweep, res[j], f, j * r, r, volume)
+                    and (sweep < cfg.max_sweeps or d.leave("exhausted", r))]
+            sweep += 1
         if len(keep) < len(live):
-            if not keep:
-                break
             live = [live[j] for j in keep]
-            rows = (np.array(keep)[:, None] * r + np.arange(r)).ravel()
+            rows = (np.array(keep, dtype=np.intp)[:, None] * r + np.arange(r)).ravel()
             f = [s[rows] for s in f]
             grams = [G[keep] for G in grams]
-    else:
-        for d in live:
-            d.leave("exhausted", r)
     return runs
 
 
@@ -475,13 +485,13 @@ def search(cfg, progress=None):
     ascending residual order with ties broken by restart index; the first
     attempt that verifies exactly is reported.  best_residual, factors,
     sweeps_used and trace always describe the lowest-residual restart;
-    restarts holds one RestartRecord per restart.  The restarts run as
-    one batch, yet every restart's numbers are those of a serial run, so
-    the result is fully deterministic for a given config.  progress, when
-    given, is called once the batch ends with one line per restart, in
-    restart order, rendered from its RestartRecord.  The size limits are
-    SearchConfig's, checked when cfg was built."""
-    runs = _run_batch(cfg, range(cfg.restarts))
+    restarts holds one RestartRecord per restart.  One batch runs from the
+    starts _starts draws per (seed, restart), each restart's numbers those
+    of a serial run, so the result is deterministic for a given config.
+    progress, when given, is called once the batch ends with one line per
+    restart, in restart order, rendered from its RestartRecord.  The size
+    limits are SearchConfig's, checked when cfg was built."""
+    runs = _descend(cfg, _starts(cfg, range(cfg.restarts)))
     records = tuple(RestartRecord(d.outcome, d.sweeps, d.resets, d.best_res) for d in runs)
     if progress is not None:
         for i, rec in enumerate(records):

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import tracemalloc
 import warnings
@@ -10,6 +11,7 @@ from fmmkit import cli
 from fmmkit.search import (
     DESK_LIMIT,
     FactorSet,
+    GRID_LIMIT,
     RESTART_LIMIT,
     RestartRecord,
     SearchConfig,
@@ -224,6 +226,18 @@ def test_search_restart_limit():
         assert (cfg.restarts, cfg.max_sweeps) == (restarts, sweeps)
 
 
+def test_search_grid_limit():
+    grid = tuple(range(GRID_LIMIT))
+    assert len(SearchConfig((2, 2, 2), 7, snap_grid=grid).snap_grid) == GRID_LIMIT
+    # a repeated value counts once, as the config keeps it once
+    assert SearchConfig((2, 2, 2), 7, snap_grid=grid + grid).snap_grid == tuple(map(Fraction, grid))
+    wide = tuple(range(GRID_LIMIT + 1))
+    with pytest.raises(ValueError, match="snap_grid of 17 values exceeds the grid limit 16; "
+                                         "set allow_large=True to proceed"):
+        SearchConfig((2, 2, 2), 7, snap_grid=wide)
+    assert len(SearchConfig((2, 2, 2), 7, snap_grid=wide, allow_large=True).snap_grid) == 17
+
+
 def test_search_trivial_problem_succeeds():
     cfg = SearchConfig((1, 1, 1), 1, seed=3, snap_grid=(0, 1, -1))
     out = search(cfg)
@@ -341,11 +355,17 @@ def _serial_restart(cfg, index):
     return best_res, best, len(trace), tuple(trace), resets
 
 
+def _run(cfg, indices):
+    """The left descents of the restarts numbered in indices, from their
+    drawn starts, as one batch."""
+    return als._descend(cfg, als._starts(cfg, indices))
+
+
 def _per_restart(cfg, width):
     """Every restart's record, run in batches of `width` consecutive
     restarts."""
     return [out for start in range(0, cfg.restarts, width)
-            for out in als._run_batch(cfg, range(start, min(start + width, cfg.restarts)))]
+            for out in _run(cfg, range(start, min(start + width, cfg.restarts)))]
 
 
 def _same_bits(a, b):
@@ -399,7 +419,7 @@ def _recorded_call(kernel_name, cfg, index, call, arg):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(kernels, kernel_name, record)
-        als._run_batch(cfg, [index])
+        _run(cfg, [index])
     return seen[call]
 
 
@@ -432,7 +452,7 @@ def test_singular_and_nonfinite_restarts_leave_the_batch_alone(monkeypatch):
 
     monkeypatch.setattr(kernels, "block_solve", block_solve)
     monkeypatch.setattr(kernels, "residual", residual)
-    batched = als._run_batch(cfg, range(cfg.restarts))
+    batched = _run(cfg, range(cfg.restarts))
     for index in (0, 3):
         assert batched[index].trace == alone[index].trace
         assert batched[index].outcome == alone[index].outcome == "exhausted"
@@ -466,6 +486,99 @@ def test_a_batch_whose_every_restart_turns_singular_ends_them_all(monkeypatch, c
     assert [line for line in captured.err.splitlines() if line.startswith("restart ")] == [
         "restart %d singular residual inf after 0 sweeps" % i for i in range(3)]
     assert "exhausted" not in captured.err
+
+
+def test_a_stack_error_that_no_restart_raises_alone_is_raised_again(monkeypatch):
+    # the batch must not sweep again and again when only the whole stack
+    # raises: with no restart to drop, the error goes to the caller
+    real_solve = kernels.block_solve
+    calls = []
+
+    def block_solve(A, B, model, lam, GA, GB, a):
+        calls.append(len(lam))
+        if len(lam) > 1:
+            raise np.linalg.LinAlgError("Singular matrix")
+        return real_solve(A, B, model, lam, GA, GB, a)
+
+    monkeypatch.setattr(kernels, "block_solve", block_solve)
+    with pytest.raises(np.linalg.LinAlgError):
+        search(SearchConfig((2, 2, 2), 7, restarts=3, seed=1, max_sweeps=50))
+    assert calls == [3, 1, 1, 1, 1, 1, 1, 1, 1, 1]
+
+
+# -- descents from given starts --------------------------------------------------
+
+
+def _noisy(f, sigma, rng):
+    return FactorSet(*(x + rng.normal(0.0, sigma, x.shape) for x in f))
+
+
+def test_descend_recovers_strassen_from_noisy_starts(strassen):
+    cfg = SearchConfig(strassen.dims, strassen.rank)
+    rng = np.random.default_rng(0)
+    f = factor_set_from_tensor(strassen)
+    runs = als._descend(cfg, [_noisy(f, 0.3, rng) for _ in range(10)])
+    assert [d.outcome for d in runs] == ["converged"] * 10
+    for d in runs:
+        t = rationalize(d.factors, cfg.dims, cfg.snap_grid)
+        assert t is not None and verify_exact(t).passed
+
+
+def test_descend_recovers_the_bundled_58_from_a_noisy_start(t58):
+    # the paper's <3,5,5;58> has 75 output coordinates, past the desk limit
+    with pytest.warns(UserWarning, match="desk limit"):
+        cfg = SearchConfig(t58.dims, t58.rank, allow_large=True)
+    start = _noisy(factor_set_from_tensor(t58), 0.05, np.random.default_rng(0))
+    d, = als._descend(cfg, [start])
+    assert d.outcome == "converged"
+    t = rationalize(d.factors, cfg.dims, cfg.snap_grid)
+    assert t == t58
+    assert verify_exact(t).passed
+
+
+def test_descend_refuses_starts_of_another_shape(strassen):
+    cfg = SearchConfig(strassen.dims, strassen.rank, max_sweeps=5)
+    f = factor_set_from_tensor(strassen)
+    dropped = FactorSet(*(x[1:] for x in f))
+    with pytest.raises(ValueError, match=r"P stack must have shape \(7, 4\), got \(6, 4\)"):
+        als._descend(cfg, [f, dropped])
+    with pytest.raises(ValueError, match=r"Q stack must have shape \(7, 4\), got \(7, 5\)"):
+        als._descend(cfg, [f._replace(Q=np.zeros((7, 5)))])
+
+
+def test_descend_takes_its_rank_from_the_starts(strassen):
+    # Strassen with one term dropped runs at rank 6 under a rank-7 config
+    cfg = SearchConfig(strassen.dims, strassen.rank, max_sweeps=50)
+    f = factor_set_from_tensor(strassen)
+    starts = [FactorSet(*(np.delete(x, term, axis=0) for x in f)) for term in (0, 3)]
+    runs = als._descend(cfg, starts)
+    assert [(d.outcome, d.sweeps) for d in runs] == [("exhausted", 50)] * 2
+    assert all(stack.shape == (6, 4) for d in runs for stack in d.factors)
+    assert all(d.best_res > als.TOL for d in runs)
+
+
+# (exit code, stdout, stderr) of `fmmkit search --dims 2 2 2 --restarts 10`
+# at ranks 7 and 6, seeds 1, 7 and 42.  A change that alters the search's
+# output updates this table and says why in CHANGES.md
+SEARCH_SHA256 = {
+    "7/1": "a1531ee3dd9df6c3b4d7ed6ac2d735c8a89debb50f6fcb8501b457fb01ca5c9d",
+    "7/7": "bbbc92be73130c445698e0cf2cf2f99be46ad9ab41e7fd200cef45cbcbc3e905",
+    "7/42": "80cf843f80dd8e6676d0b8022804f1d1ce3d4165d1e8ba8930fe9aedc9c119c0",
+    "6/1": "8da91d0c40608e3bb562c9a1f315d41f99f8bd323b5171a1dea7cfdc8f107727",
+    "6/7": "48d407b1882a2e1f84be27c75420a88dc3d2a19d1b13961b51e49e1f9f7f2472",
+    "6/42": "ce152fabcd868fdad450244ea05c56c3d67bb7d9b8e01703599af78275ac4d5b",
+}
+
+
+def test_search_output_is_pinned(capsys):
+    got = {}
+    for key in SEARCH_SHA256:
+        rank, seed = key.split("/")
+        code = cli.main(["search", "--dims", "2", "2", "2", "--rank", rank,
+                         "--restarts", "10", "--seed", seed])
+        out, err = capsys.readouterr()
+        got[key] = hashlib.sha256(repr((code, out, err)).encode()).hexdigest()
+    assert got == SEARCH_SHA256
 
 
 # -- structured kernels ---------------------------------------------------------
@@ -561,7 +674,7 @@ def test_carried_grams_follow_the_live_restarts(monkeypatch):
         return real_solve(A, B, model, lam, GA, GB, a)
 
     monkeypatch.setattr(kernels, "block_solve", block_solve)
-    records = als._run_batch(cfg, range(cfg.restarts))
+    records = _run(cfg, range(cfg.restarts))
     assert [out.outcome for out in records] == ["converged"] * 5
     assert len(set(out.sweeps for out in records)) == 5
     assert sorted(set(batch_sizes), reverse=True) == [5, 4, 3, 2, 1]
@@ -589,12 +702,12 @@ def test_all_zero_restart_stops_collapsed():
     # restart 1 reaches all-zero stacks at sweep 6, a fixed point of the
     # sweep; until then it runs as in a search capped at 5 sweeps
     cfg = dict(dims=(1, 1, 1), rank=1, seed=3, restarts=2, snap_grid=(0, 1, -1))
-    first, second = als._run_batch(SearchConfig(**cfg), range(2))
+    first, second = _run(SearchConfig(**cfg), range(2))
     assert (first.outcome, first.sweeps) == ("converged", 17)
-    assert first.trace == als._run_batch(SearchConfig(**dict(cfg, restarts=1)), [0])[0].trace
+    assert first.trace == _run(SearchConfig(**dict(cfg, restarts=1)), [0])[0].trace
     assert (second.outcome, second.sweeps) == ("collapsed", 6)
     assert second.trace[-1][1] == 1.0
-    capped = als._run_batch(SearchConfig(**dict(cfg, max_sweeps=5)), range(2))[1]
+    capped = _run(SearchConfig(**dict(cfg, max_sweeps=5)), range(2))[1]
     assert capped.outcome == "exhausted"
     assert second.trace[:5] == capped.trace
     assert second.best_res == capped.best_res == second.trace[0][1]
@@ -663,7 +776,7 @@ def test_plateau_exit_keeps_a_restart_that_finds_a_scheme():
     # and then converges to a verified scheme: STALL_SWEEPS must stay above
     # the longest gap measured in a restart that leads to a scheme
     cfg = SearchConfig((2, 2, 2), 7, seed=1858194101, snap_grid=(0, 1, -1))
-    out, = als._run_batch(cfg, [12])
+    out, = _run(cfg, [12])
     assert (out.outcome, out.sweeps) == ("converged", 1584)
     best_res, best_sweep, gap = math.inf, 0, 0
     for sweep, res, _ in out.trace:
