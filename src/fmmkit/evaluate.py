@@ -211,11 +211,11 @@ def _level(t):
     operand is zero) and each cleared coefficient.
     """
     cleared = _cleared(t)
-    level = _grouped(t, [[(term, i, j, c) for term, i, j, _, c in monomials]
-                         for _, monomials in cleared])
+    level = _grouped(t, [list(zip(term.tolist(), row.tolist(), col.tolist(), num.tolist()))
+                         for _, term, row, col, _, num in cleared])
     norm = math.prod(max(1, *(sum(abs(c) for *_, c in group) for group in groups))
                      for groups in level[1])
-    return level, math.prod(d for d, _ in cleared), norm
+    return level, math.prod(slot[0] for slot in cleared), norm
 
 
 def _cleared_operand(X, by_rows):
@@ -311,23 +311,24 @@ class ErrorScan:
 
 
 def _at_eps(level, eps_values):
-    """level with each Laurent coefficient replaced by a float64 array of
-    shape (K, 1, 1), its values at the K eps_values.  Each distinct power
-    of eps is taken once per eps, with eps_power, and each Laurent object
-    is evaluated once, summing its terms in their order; so every value
-    is Laurent.evaluate's bit for bit."""
+    """level with float coefficients: each rational one as its float, and
+    each Laurent one as a float64 array of shape (K, 1, 1), its values at
+    the K eps_values.  Each distinct coefficient object is converted once;
+    each distinct power of eps is taken once per eps, with eps_power, and
+    each Laurent sums its terms in their order, so every value is
+    Laurent.evaluate's bit for bit."""
     dims, slots = level
-    # the level holds every Laurent, so its id names it for the whole call
-    laurent = {id(v): v for groups in slots for entries in groups
-               for _, _, v in entries if isinstance(v, Laurent)}
+    # the level holds every coefficient, so its id names it for the whole call
+    distinct = {id(v): v for groups in slots for entries in groups for _, _, v in entries}
+    laurent = {key: v for key, v in distinct.items() if isinstance(v, Laurent)}
     powers = {k: np.array([eps_power(e, k) for e in eps_values])[:, None, None]
               for k in {k for v in laurent.values() for k in v.terms}}
-    values = {}
+    values = {key: float(v) for key, v in distinct.items() if key not in laurent}
     for key, v in laurent.items():
         values[key] = total = np.zeros((len(eps_values), 1, 1))
         for k, q in v.terms.items():
             total += float(q) * powers[k]
-    return dims, tuple(tuple([(i, j, values.get(id(v), v)) for i, j, v in entries]
+    return dims, tuple(tuple([(i, j, values[id(v)]) for i, j, v in entries]
                              for entries in groups) for groups in slots)
 
 
@@ -358,10 +359,8 @@ def epsilon_error_scan(t, A, B, eps_values):
     if A.shape != (m, n) or B.shape != (n, p):
         raise ValueError("expected A %dx%d and B %dx%d" % (m, n, n, p))
     _check_mask_zeros(t, A)
-    # each coefficient converted to float once; Laurent entries stay exact
-    level = _grouped(t, [[(term, i, j, v if isinstance(v, Laurent) else float(v))
-                          for term, factor in enumerate(slot) for i, j, v in factor.nonzeros]
-                         for slot in zip(*t.terms)])
+    level = _grouped(t, [[(term, i, j, v) for term, factor in enumerate(slot)
+                          for i, j, v in factor.nonzeros] for slot in zip(*t.terms)])
     target = A @ B
     target_norm = float(np.linalg.norm(target))
     if target_norm == 0.0:

@@ -20,15 +20,21 @@ such as `1/2*e^-3+2` are accepted on input.  Matrix files carry a
 `rows cols` header and then row-major rational entries.
 
 A factor stores only its nonzero entries (see matrices), and the parser
-builds it straight from them.  Each distinct cell token is parsed once
-per file, and each distinct row text once per width: a scheme file
-repeats a few hundred row texts and a handful of tokens (0, 1, -1, ...)
-thousands of times, so rows of one text and width share one tuple of
-their nonzero (column, scalar) pairs.  Only successful parses are kept,
-so an error names the line of the first bad occurrence.
+builds it straight from them.  A scheme file repeats a few hundred row
+texts and a handful of cell tokens (0, 1, -1, ...) thousands of times,
+so each distinct token is parsed once per file and each distinct row
+text once per width: the parser keeps one row table per width, from row
+text to the row's nonzero (column, scalar) pairs.  The cursor holds the
+significant lines' numbers and bodies as two parallel lists.  A factor
+takes its rows as one slice of each, looks all its row texts up in its
+width's table with one map, parses only the texts not found, in row
+order, and builds its (row, column, scalar) triples in one
+comprehension.  Only successful parses are kept, so an error names the
+line of the first bad occurrence and reads as parsing that row alone
+would.
 """
 
-from operator import itemgetter
+from itertools import compress
 
 from .matrices import Matrix, _sparse
 from .scalars import ScalarParseError, format_rational, format_scalar, parse_scalar
@@ -48,34 +54,40 @@ def _end_of_file(what):
 
 
 class _Cursor:
-    """Significant-line reader over comment-stripped text."""
+    """Significant-line reader over comment-stripped text: the line numbers
+    and stripped bodies of the lines with a nonempty body, as two parallel
+    lists."""
 
     def __init__(self, text):
         lines = text.splitlines()
         if "#" in text:
             lines = [raw.split("#", 1)[0] for raw in lines]
-        # (line number, stripped body) of every line with a nonempty body
-        self.lines = list(filter(itemgetter(1), enumerate(map(str.strip, lines), start=1)))
+        bodies = list(map(str.strip, lines))
+        self.numbers = list(compress(range(1, len(bodies) + 1), bodies))
+        self.bodies = list(filter(None, bodies))
         self.pos = 0
 
     def peek(self):
-        return self.lines[self.pos] if self.pos < len(self.lines) else (None, None)
+        if self.pos < len(self.bodies):
+            return self.numbers[self.pos], self.bodies[self.pos]
+        return None, None
 
     def next(self, what):
-        if self.pos >= len(self.lines):
+        no, body = self.peek()
+        if body is None:
             raise _end_of_file(what)
-        item = self.lines[self.pos]
         self.pos += 1
-        return item
+        return no, body
 
     def take(self, count):
-        """The next count lines, or all that are left if fewer."""
-        items = self.lines[self.pos:self.pos + count]
-        self.pos += len(items)
-        return items
+        """The line numbers and the bodies of the next count lines, or of
+        all that are left if fewer."""
+        start = self.pos
+        self.pos = stop = min(start + count, len(self.bodies))
+        return self.numbers[start:stop], self.bodies[start:stop]
 
     def done(self):
-        return self.pos >= len(self.lines)
+        return self.pos >= len(self.bodies)
 
 
 def _split_row(body):
@@ -115,27 +127,29 @@ def _parse_row(no, body, width, read, what):
         raise TensorFormatError("%s: %s" % (what, exc), no) from None
 
 
-def _parse_factor(cursor, rows, cols, read, table, what):
-    """The next rows x cols factor.
+def _parse_factor(cursor, rows, cols, read, table, term, slot):
+    """The next rows x cols factor, slot P, Q or S of term `term`.
 
-    table maps each (row text, width) already parsed in the file to the
-    row's nonzero (column, scalar) pairs.  The width is part of the key
-    because the split depends on it (a comma-free text is one scalar at
-    width 1 and whitespace-separated cells at any other width).  Only
+    table is the file's row table for width cols: it maps each row text
+    already parsed at that width to the row's nonzero (column, scalar)
+    pairs.  The width matters because the split depends on it (a
+    comma-free text is one scalar at width 1 and whitespace-separated
+    cells at any other width).  The factor's row texts are looked up in
+    one pass, and only the texts not found are parsed, in row order.  Only
     successful parses are stored, so every error is the one parsing that
     row alone would give, and a row's error comes before the end of file.
     """
-    nonzeros = []
-    lines = cursor.take(rows)
-    for i, (no, body) in enumerate(lines):
-        pairs = table.get((body, cols))
-        if pairs is None:
-            pairs = table[body, cols] = _parse_row(
-                no, body, cols, read, "%s row %d" % (what, i + 1))
-        nonzeros += [(i, j, x) for j, x in pairs]
-    if len(lines) < rows:
-        raise _end_of_file("%s row %d" % (what, len(lines) + 1))
-    return _sparse(rows, cols, nonzeros)
+    numbers, bodies = cursor.take(rows)
+    found = list(map(table.get, bodies))
+    if None in found:
+        for i, body in enumerate(bodies):
+            if body not in table:
+                table[body] = _parse_row(numbers[i], body, cols, read,
+                                         "term %d %s row %d" % (term, slot, i + 1))
+            found[i] = table[body]
+    if len(bodies) < rows:
+        raise _end_of_file("term %d %s row %d" % (term, slot, len(bodies) + 1))
+    return _sparse(rows, cols, [(i, j, x) for i, pairs in enumerate(found) if pairs for j, x in pairs])
 
 
 def parse_tensor(text):
@@ -187,7 +201,7 @@ def parse_tensor(text):
         support = tuple(mask)
 
     read = _scalar_reader(mode == LAURENT)
-    table = {}  # (row text, width) -> its nonzero (column, scalar) pairs
+    tables = {width: {} for width in (n, p, m)}  # per width: row text -> its nonzero pairs
     terms = []
     for idx in range(1, rank + 1):
         no, body = cursor.next("'term %d'" % idx)
@@ -198,9 +212,9 @@ def parse_tensor(text):
                     % (idx, body), no)
             raise TensorFormatError(
                 "rank mismatch: header says %d terms, found %d" % (rank, idx - 1), no)
-        P = _parse_factor(cursor, m, n, read, table, "term %d P" % idx)
-        Q = _parse_factor(cursor, n, p, read, table, "term %d Q" % idx)
-        S = _parse_factor(cursor, p, m, read, table, "term %d S" % idx)
+        P = _parse_factor(cursor, m, n, read, tables[n], idx, "P")
+        Q = _parse_factor(cursor, n, p, read, tables[p], idx, "Q")
+        S = _parse_factor(cursor, p, m, read, tables[m], idx, "S")
         terms.append(Term(P, Q, S))
 
     if not cursor.done():

@@ -206,15 +206,20 @@ class Matrix:
         return -pivot if sign < 0 else pivot
 
 
+# the slots' own setters, which Matrix.__setattr__ does not guard
+_SET_ROWS, _SET_COLS, _SET_NONZEROS = (Matrix.rows.__set__, Matrix.cols.__set__,
+                                       Matrix.nonzeros.__set__)
+
+
 def _sparse(rows, cols, nonzeros):
     """The rows x cols Matrix with the (i, j, value) triples nonzeros.  The
     caller keeps the invariant that equality and hashing rely on: strictly
     row-major positions (distinct, so sorting the triples as tuples never
     compares values) and every value a nonzero Fraction or Laurent."""
     m = object.__new__(Matrix)
-    object.__setattr__(m, "rows", rows)
-    object.__setattr__(m, "cols", cols)
-    object.__setattr__(m, "nonzeros", tuple(nonzeros))
+    _SET_ROWS(m, rows)
+    _SET_COLS(m, cols)
+    _SET_NONZEROS(m, tuple(nonzeros))
     return m
 
 

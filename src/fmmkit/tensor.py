@@ -22,26 +22,30 @@ one builder of its coordinates, _classical_coords; the search reads the
 tensor only through its structure, one matrix product per term.
 
 The expansion runs on integers.  _cleared, the one place a scheme's
-denominators are cleared (the evaluator reads it too), walks the
-nonzero entries each factor found when it was built (``Matrix.nonzeros``)
-once per check, and the tensor keeps no cleared form between checks:
-for each factor slot P, Q, S it takes the lcm d of the slot's
-denominators and records every nonzero monomial c/d * e^k as its term
-index, its row and column, its exponent k (0 in rational mode) and its
-integer numerator c.  With scale d_P * d_Q * d_S, scale times the
-expansion is a sum of integer products p * q * s.  The products are
-formed as per-term outer products of index arrays, sorted once by
-(coordinate, exponent) key and summed with np.add.reduceat; the
-classical target, scale * e^q at each classical coordinate, is
-subtracted the same way, and Python scalars are built only for the
-nonzero coordinates left.
+denominators are cleared (the evaluator reads it too), reads the nonzero
+entries each factor found when it was built (``Matrix.nonzeros``) once
+per check, and the tensor keeps no cleared form between checks: for each
+factor slot P, Q, S it takes the lcm d of the slot's denominators and
+gives, as columns over every nonzero monomial c/d * e^k, its term index,
+row, column, exponent k (0 in rational mode) and integer numerator c.
+The columns come from C-level passes over the slot's nonzeros (zip and
+map, and np.unique over the values' ids): only the distinct scalar
+objects, a handful in a parsed scheme, are split into monomials in
+Python, each once, and every entry gathers its value's monomials as an
+array slice.  With scale d_P * d_Q * d_S, scale times the expansion is a
+sum of integer products p * q * s.  The products are formed as per-term
+outer products of index arrays, sorted once by (coordinate, exponent)
+key and summed with np.add.reduceat; the classical target, scale * e^q
+at each classical coordinate, is subtracted the same way, and Python
+scalars are built only for the nonzero coordinates left.
 
 Nothing rounds.  Sums run in int64 only under a proven bound: every
 partial sum is at most sum_i |P_i|_1 |Q_i|_1 |S_i|_1 + scale in
 magnitude (1-norms over the cleared numerators), and that bound must be
-below 2^63.  Keys are int64 only when (mn)(np)(pm) times the exponent
-span is below 2^63.  Otherwise the same code runs on object arrays of
-Python ints.
+below 2^63.  A slot's cleared numerators are int64 when its 1-norm is,
+which that bound implies.  Keys are int64 only when (mn)(np)(pm) times
+the exponent span is below 2^63.  Otherwise the same code runs on
+object arrays of Python ints.
 """
 
 import math
@@ -49,6 +53,8 @@ from collections import namedtuple
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain, repeat
+from operator import attrgetter, floordiv, itemgetter, mul
 
 import numpy as np
 
@@ -74,23 +80,25 @@ class FmmTensor:
             raise ValueError("dimensions must be positive")
         if field_mode not in (RATIONAL, LAURENT):
             raise ValueError("field_mode must be %r or %r" % (RATIONAL, LAURENT))
+        # e-dependent entries are looked for in one pass over every entry;
+        # before any other error the terms up to it are searched, so the
+        # first error in term order is raised (shapes, then e-dependence,
+        # then zero factors)
+        shape = ((dims.m, dims.n), (dims.n, dims.p), (dims.p, dims.m))
         kept = []
         for idx, term in enumerate(terms, start=1):
             P, Q, S = term
-            if (P.rows, P.cols) != (dims.m, dims.n):
-                raise ValueError("term %d: P is %dx%d, expected %dx%d"
-                                 % (idx, P.rows, P.cols, dims.m, dims.n))
-            if (Q.rows, Q.cols) != (dims.n, dims.p):
-                raise ValueError("term %d: Q is %dx%d, expected %dx%d"
-                                 % (idx, Q.rows, Q.cols, dims.n, dims.p))
-            if (S.rows, S.cols) != (dims.p, dims.m):
-                raise ValueError("term %d: S is %dx%d, expected %dx%d"
-                                 % (idx, S.rows, S.cols, dims.p, dims.m))
-            if field_mode == RATIONAL and not all(f.is_rational() for f in (P, Q, S)):
-                raise ValueError("e-dependent entry in a rational-mode tensor")
-            if not (P and Q and S):
-                raise ValueError("term %d has an all-zero factor" % idx)
+            got = ((P.rows, P.cols), (Q.rows, Q.cols), (S.rows, S.cols))
+            if got != shape:
+                _check_rational(field_mode, kept)
+                name, (rows, cols), want = next(x for x in zip("PQS", got, shape) if x[1] != x[2])
+                raise ValueError("term %d: %s is %dx%d, expected %dx%d"
+                                 % (idx, name, rows, cols, *want))
             kept.append(Term(P, Q, S))
+            if not (P.nonzeros and Q.nonzeros and S.nonzeros):
+                _check_rational(field_mode, kept)
+                raise ValueError("term %d has an all-zero factor" % idx)
+        _check_rational(field_mode, kept)
         if not kept:
             raise ValueError("a tensor needs at least one term")
         if support is not None:
@@ -140,6 +148,15 @@ class FmmTensor:
         return FmmTensor(self.dims, self.field_mode, terms, self.support)
 
 
+def _check_rational(field_mode, terms):
+    """Raise the e-dependent entry error when field_mode is rational and
+    a factor of terms holds a Laurent entry, in one pass over the entries."""
+    if field_mode == RATIONAL:
+        values = map(itemgetter(2), chain.from_iterable(f.nonzeros for term in terms for f in term))
+        if any(issubclass(kind, Laurent) for kind in set(map(type, values))):
+            raise ValueError("e-dependent entry in a rational-mode tensor")
+
+
 def classical_tensor(dims, support=None):
     """The classical scheme: one term per allowed (i, j, k) product, in
     (i, j, k) order, each factor built from its single nonzero.
@@ -161,29 +178,62 @@ _INT64_LIMIT = 2**63
 
 
 def _cleared(t):
-    """t's factor coefficients as integers over one denominator per slot:
-    for each factor slot P, Q, S the pair (d, monomials), d the lcm of the
-    slot's denominators and monomials the (term, i, j, k, c) of every
-    nonzero monomial c/d * e^k at (i, j) of a factor, c an integer, in
-    term order and each factor's ``Matrix.nonzeros`` order (k is 0 in
-    rational mode).  The one place a scheme's denominators are cleared:
-    the verifier and the evaluator both read it.
+    """t's factor coefficients as integers over one denominator per slot.
+
+    For each factor slot P, Q, S the columns (d, term, row, col, exp, num):
+    d is the lcm of the slot's denominators, and each nonzero monomial
+    c/d * e^k at (row, col) of a factor gives its term index, row, column,
+    exponent k (0 for a rational entry) and integer numerator c, in term
+    order and each factor's ``Matrix.nonzeros`` order.  The columns are
+    arrays: term, row and col of indices, exp and num int64 when they fit
+    (num when the slot's 1-norm does) and Python ints otherwise.  They
+    come from passes over the slot's nonzeros, and each distinct scalar
+    object is split into its monomials once: t holds every value for the
+    length of the call, so its id names it.  The one place a scheme's
+    denominators are cleared: the verifier and the evaluator both read it.
     """
     slots = []
     for factors in zip(*t.terms):
-        monomials = [(term, i, j, k, q.numerator, q.denominator)
-                     for term, factor in enumerate(factors) for i, j, v in factor.nonzeros
-                     for k, q in (v.terms.items() if isinstance(v, Laurent) else ((0, v),))]
-        d = math.lcm(*{den for *_, den in monomials})
-        slots.append((d, [(term, i, j, k, num * (d // den))
-                          for term, i, j, k, num, den in monomials]))
+        nonzeros = [f.nonzeros for f in factors]
+        row, col, values = zip(*chain.from_iterable(nonzeros))
+        # the distinct value objects, each value's index among them, and
+        # the distinct values' monomials (k, q) with their cleared numerators
+        ids = np.fromiter(map(id, values), np.uintp, len(values))
+        _, first, which = np.unique(ids, return_index=True, return_inverse=True)
+        monomials = [v.terms.items() if isinstance(v, Laurent) else ((0, v),)
+                     for v in map(values.__getitem__, first.tolist())]
+        exps, qs = zip(*chain.from_iterable(monomials))
+        dens = list(map(attrgetter("denominator"), qs))
+        d = math.lcm(*set(dens))
+        nums = list(map(mul, map(attrgetter("numerator"), qs), map(floordiv, repeat(d), dens)))
+        # each value's run of its distinct value's monomials; the slot's
+        # 1-norm counts a distinct monomial once per use
+        size = np.fromiter(map(len, monomials), np.intp, len(monomials))
+        runs = size[which]
+        pick = np.repeat((np.cumsum(size) - size)[which], runs) + _within(runs)
+        norm = sum(map(mul, map(abs, nums), np.repeat(np.bincount(which), size).tolist()))
+        term = np.repeat(np.arange(len(factors)), list(map(len, nonzeros)))
+        slots.append((d, *(np.repeat(np.array(x), runs) for x in (term, row, col)),
+                      _column(exps, max(map(abs, exps)))[pick], _column(nums, norm)[pick]))
     return tuple(slots)
+
+
+def _within(runs):
+    """Each element's index within its run, for consecutive runs of the
+    given lengths."""
+    return np.arange(runs.sum()) - np.repeat(np.cumsum(runs) - runs, runs)
 
 
 def _width(bound):
     """dtype for values at most `bound` in magnitude: int64 when bound is
     below 2^63, else object (Python ints)."""
     return np.int64 if bound < _INT64_LIMIT else object
+
+
+def _column(values, bound):
+    """The integers values, each at most `bound` in magnitude, as an array
+    of dtype _width(bound)."""
+    return np.fromiter(values, _width(bound), len(values))
 
 
 def _key_dtype(dims, span):
@@ -276,39 +326,40 @@ def _products(t):
     times the scale; then lo, the exponent span and the scale."""
     m, n, p = t.dims
     # per slot: each term's monomial count and first monomial, and the
-    # monomials' flat positions, exponents and cleared numerators; per
-    # term, the product of its cleared factors' 1-norms
-    slots, scale, norms = [], 1, 1
-    for (d, monomials), cols in zip(_cleared(t), (n, p, m)):
-        term, i, j, k, c = zip(*monomials)
+    # monomials' flat positions, exponents above the slot's lowest and
+    # cleared numerators; and each term's cleared factor 1-norm, which
+    # cannot wrap: the numerators are int64 only when the slot's 1-norm
+    # fits.  The bound is at least every slot's 1-norm, so they are int64
+    # whenever the bound allows int64 values.
+    slots, norms, scale, lo, span = [], [], 1, 0, 1
+    for (d, term, row, col, exp, num), cols in zip(_cleared(t), (n, p, m)):
         count = np.bincount(term, minlength=t.rank)
         first = np.cumsum(count) - count
-        nums = np.array(c, dtype=object)
-        slots.append((count, first, np.array(i, dtype=np.int64) * cols + np.array(j, dtype=np.int64),
-                      np.array(k, dtype=object), nums))
+        low, high = int(exp.min()), int(exp.max())
+        exps = exp.astype(_width(max(-low, high, high - low))) - low
+        slots.append((count, first, row * cols + col, exps, num))
         scale *= d
-        norms = norms * np.add.reduceat(np.abs(nums), first)
-    bound = norms.sum() + scale
+        lo += low
+        span += high - low
+        norms.append(np.add.reduceat(np.abs(num), first).tolist())
+    bound = sum(map(math.prod, zip(*norms))) + scale
     counts = [slot[0] for slot in slots]
     per_term = counts[0] * counts[1] * counts[2]
     term = np.repeat(np.arange(t.rank), per_term)
     # a product's index within its term, read as mixed-radix digits: its
     # P monomial, Q monomial and S monomial
-    rest = np.arange(len(term)) - np.repeat(np.cumsum(per_term) - per_term, per_term)
+    rest = _within(per_term)
     radices = (counts[1] * counts[2], counts[2], np.ones_like(counts[2]))
-    lows = [min(slot[3]) for slot in slots]
-    lo = sum(lows)
-    span = sum(max(slot[3]) - low for slot, low in zip(slots, lows)) + 1
     kd, vd = _key_dtype(t.dims, span), _width(bound)
     # key = ((posP * np + posQ) * pm + posS) * span + expP + expQ + expS,
     # summed one slot at a time from per-monomial parts
     strides = (n * p * p * m * span, p * m * span, span)
     key = np.zeros(len(term), dtype=kd)
     num = np.ones(len(term), dtype=vd)
-    for (_, first, pos, exps, nums), radix, stride, low in zip(slots, radices, strides, lows):
+    for (_, first, pos, exps, nums), radix, stride in zip(slots, radices, strides):
         pick, rest = np.divmod(rest, radix[term])
         pick += first[term]
-        key += (pos.astype(kd) * stride + (exps - low).astype(kd))[pick]
+        key += (pos.astype(kd) * stride + exps.astype(kd))[pick]
         num *= nums.astype(vd)[pick]
     return term, key, num, lo, span, scale
 

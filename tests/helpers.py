@@ -140,6 +140,41 @@ def mutate_one_entry(t, rng):
     return t.with_terms(terms)
 
 
+# -- reference clearing and construction ------------------------------------
+
+def reference_cleared(t):
+    """tensor._cleared(t) as the per-monomial walk that once built it: for
+    each factor slot P, Q, S the pair (d, monomials), d the lcm of the
+    slot's denominators and monomials the (term, i, j, k, c) of every
+    nonzero monomial c/d * e^k, in term order and nonzeros order."""
+    slots = []
+    for factors in zip(*t.terms):
+        monomials = [(term, i, j, k, q.numerator, q.denominator)
+                     for term, factor in enumerate(factors) for i, j, v in factor.nonzeros
+                     for k, q in (v.terms.items() if isinstance(v, Laurent) else ((0, v),))]
+        d = math.lcm(*{den for *_, den in monomials})
+        slots.append((d, [(term, i, j, k, num * (d // den))
+                          for term, i, j, k, num, den in monomials]))
+    return tuple(slots)
+
+
+def reference_construction_error(dims, field_mode, terms):
+    """The text of the ValueError FmmTensor raises for these terms, from
+    the term-by-term checks it once made (shapes, then an e-dependent
+    entry in rational mode, then an all-zero factor); None when every
+    term passes."""
+    m, n, p = dims
+    for idx, (P, Q, S) in enumerate(terms, start=1):
+        for name, f, shape in (("P", P, (m, n)), ("Q", Q, (n, p)), ("S", S, (p, m))):
+            if (f.rows, f.cols) != shape:
+                return "term %d: %s is %dx%d, expected %dx%d" % (idx, name, f.rows, f.cols, *shape)
+        if field_mode == RATIONAL and not all(f.is_rational() for f in (P, Q, S)):
+            return "e-dependent entry in a rational-mode tensor"
+        if not (P and Q and S):
+            return "term %d has an all-zero factor" % idx
+    return None if terms else "a tensor needs at least one term"
+
+
 # -- reference verification --------------------------------------------------
 #
 # The dict walk that expand and the two verifiers once ran, one exact
