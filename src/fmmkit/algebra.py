@@ -17,7 +17,7 @@ together, and their result is laurent when any input is.
 from collections import namedtuple
 from dataclasses import dataclass
 
-from .matrices import Matrix, _sparse
+from .matrices import Matrix, _krons, _sparse
 from .tensor import LAURENT, RATIONAL, FmmTensor, Term
 
 AXIS_M = "M"
@@ -136,14 +136,21 @@ def kronecker(t1, t2):
 
     Big matrix index = (outer index) * inner_size + inner index, the
     same convention the recursive evaluator uses for blocking.  The
-    product is laurent when either factor is.
+    product is laurent when either factor is.  The product of each pair
+    of distinct value objects is formed once per call and shared by every
+    entry and slot that meets that pair (matrices._krons), so the result
+    holds at most (value objects of t1) x (value objects of t2) of them.
     """
     _check_unmasked(t1, "kronecker")
     _check_unmasked(t2, "kronecker")
     m, n, p = t1.dims
     u, v, w = t2.dims
-    terms = [Term(a.P.kron(b.P), a.Q.kron(b.Q), a.S.kron(b.S))
-             for a in t1.terms for b in t2.terms]
+    # t1 and t2 hold every value object for the call, so one table keyed
+    # by id serves the three slots
+    products = {}
+    P, Q, S = (_krons(lefts, rights, products)
+               for lefts, rights in zip(zip(*t1.terms), zip(*t2.terms)))
+    terms = list(map(Term, P, Q, S))
     return FmmTensor((m * u, n * v, p * w), _joint_mode(t1, t2), terms)
 
 

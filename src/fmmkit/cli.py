@@ -7,6 +7,7 @@ search trace to stderr.
 """
 
 import argparse
+import functools
 import sys
 from fractions import Fraction
 
@@ -235,7 +236,12 @@ def _cmd_search(args):
     return 0
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser():
+    """The argument parser, built on the first call and kept for the
+    process: parse_args reads it and changes nothing in it, so in-process
+    callers of main (tests, the benchmark) skip rebuilding every
+    subcommand's parser on each call."""
     ap = argparse.ArgumentParser(
         prog="fmmkit",
         description="Workbench for exact and approximate matrix-multiplication tensors.",

@@ -32,6 +32,14 @@ order, and builds its (row, column, scalar) triples in one
 comprehension.  Only successful parses are kept, so an error names the
 line of the first bad occurrence and reads as parsing that row alone
 would.
+
+The writer works from the same nonzeros.  It formats each distinct value
+object once per call: a table local to the call maps id(value) to its
+text, which stays valid because the tensor holds every value while the
+call runs (a table keyed by the value itself is slower, since hashing a
+Fraction costs more than formatting it).  A factor's all-zero rows are
+one shared text per width, and only the rows that hold nonzeros are
+built cell by cell.
 """
 
 from itertools import compress
@@ -240,16 +248,25 @@ def write_tensor(t):
         out.append("support")
         for row in t.support:
             out.append("".join("1" if v else "0" for v in row))
+    # t holds every value for the call, so its id names it
+    texts = {}
+    zero_rows = {width: ", ".join(["0"] * width) for width in t.dims}
     for idx, term in enumerate(t.terms, start=1):
         out.append("term %d" % idx)
-        for factor in (term.P, term.Q, term.S):
-            cells = [["0"] * factor.cols for _ in range(factor.rows)]
+        for factor in term:
+            cols = factor.cols
+            lines = [zero_rows[cols]] * factor.rows
+            cells, last = None, None
             for i, j, x in factor.nonzeros:
-                cells[i][j] = format_scalar(x)
-            out.extend(map(", ".join, cells))
+                if i != last:
+                    if cells is not None:
+                        lines[last] = ", ".join(cells)
+                    cells, last = ["0"] * cols, i
+                cells[j] = texts.get(id(x)) or texts.setdefault(id(x), format_scalar(x))
+            lines[last] = ", ".join(cells)  # a factor is never all zero
+            out += lines
             out.append("")
-    if out[-1] == "":
-        out.pop()
+    out.pop()
     return "\n".join(out) + "\n"
 
 

@@ -10,6 +10,9 @@ triples (``nonzeros``); ``data``, the dense rows with each zero the shared
 and Laurent entries are kept, any other x becomes Fraction(x)), and every
 matrix built from other entries (``kron``, ``transpose``, ``zeros``, a
 placed or parsed factor) comes straight from its triples via ``_sparse``.
+A Kronecker product forms the product of each pair of distinct value
+objects once per call (``_krons``), so a composition of parsed schemes
+shares a handful of value objects as the parsed schemes do.
 
 Rank, determinant and inverse share one fraction-free (Bareiss)
 elimination, exact in any integral domain and so over the Laurent
@@ -24,6 +27,7 @@ fails exactly when the inverse leaves the ring.
 
 import operator
 from fractions import Fraction
+from itertools import repeat
 
 from .scalars import Laurent, exact_div
 
@@ -155,13 +159,10 @@ class Matrix:
         """Kronecker product; big row index = (outer row)*(inner rows) + inner row.
 
         One product per pair of nonzero entries, itself nonzero: the
-        scalars form an integral domain.
+        scalars form an integral domain.  Each product of a distinct pair
+        of value objects is formed once (see _krons).
         """
-        rows, cols = other.rows, other.cols
-        out = [(i * rows + k, j * cols + l, a * b)
-               for i, j, a in self.nonzeros for k, l, b in other.nonzeros]
-        out.sort()
-        return _sparse(self.rows * rows, self.cols * cols, out)
+        return _krons([self], [other], {})[0]
 
     def _check_same_shape(self, other):
         if (self.rows, self.cols) != (other.rows, other.cols):
@@ -221,6 +222,47 @@ def _sparse(rows, cols, nonzeros):
     _SET_COLS(m, cols)
     _SET_NONZEROS(m, tuple(nonzeros))
     return m
+
+
+def _krons(lefts, rights, products):
+    """[a.kron(b) for a in lefts for b in rights], for matrices of one
+    shape in each list, each product of a distinct pair of value objects
+    formed once.
+
+    Every value object x of lefts meets every value object y of rights,
+    so the products form a table with one row per distinct x, a list over
+    the distinct y of rights.  products carries the rows between the
+    calls that share it: id(x) -> the (column of each id(y), row) pairs
+    formed so far, so a later call reuses a product where it meets the
+    same pair again.  The caller must hold every x and y while products
+    lives, or an id could name a freed object's successor.
+    """
+    rows, cols = rights[0].rows, rights[0].cols
+    ys = {id(y): y for b in rights for _, _, y in b.nonzeros}
+    column = dict(zip(ys, range(len(ys))))
+    table = {}
+    for ix, x in {id(x): x for a in lefts for _, _, x in a.nonzeros}.items():
+        formed = products.get(ix)
+        if formed is None:
+            row = list(map(operator.mul, repeat(x), ys.values()))
+            products[ix] = [(column, row)]
+        else:
+            # a product is nonzero, so only a miss falls through the or
+            row = [next((r[c[iy]] for c, r in formed if iy in c), None) or x * y
+                   for iy, y in ys.items()]
+            formed.append((column, row))
+        table[ix] = row
+    spots = [[(k, l, column[id(y)]) for k, l, y in b.nonzeros] for b in rights]
+    out = []
+    for a in lefts:
+        # each entry's offset in the product and its row of the table
+        blocks = [(i * rows, j * cols, table[id(x)]) for i, j, x in a.nonzeros]
+        big_rows, big_cols = a.rows * rows, a.cols * cols
+        for right in spots:
+            cells = [(r + k, c + l, row[at]) for r, c, row in blocks for k, l, at in right]
+            cells.sort()
+            out.append(_sparse(big_rows, big_cols, cells))
+    return out
 
 
 def _eliminate(a, pivot_cols, jordan=False):

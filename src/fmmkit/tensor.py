@@ -309,8 +309,9 @@ def _run_starts(a):
 def _sum_by_key(key, num, span):
     """Sum the values of equal keys coordinate * span + exponent offset,
     dropping zero sums; returns the coord, exp and num arrays sorted by
-    key."""
-    order = np.argsort(key, kind="stable")
+    key.  The sums are exact, so the order within a key cannot matter and
+    the sort need not be stable."""
+    order = np.argsort(key)
     key = key[order]
     first = _run_starts(key)
     num = np.add.reduceat(num[order], first)

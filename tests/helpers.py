@@ -5,8 +5,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from fmmkit.matrices import Matrix
-from fmmkit.scalars import Laurent, laurent_order
+from fmmkit.algebra import _check_unmasked, _joint_mode
+from fmmkit.matrices import Matrix, _sparse
+from fmmkit.scalars import Laurent, format_scalar, laurent_order
 from fmmkit.tensor import (
     LAURENT,
     RATIONAL,
@@ -138,6 +139,57 @@ def mutate_one_entry(t, rng):
     terms = list(t.terms)
     terms[i] = new_term
     return t.with_terms(terms)
+
+
+def fresh_copy(t):
+    """t with every entry a new value object of its own, mask kept."""
+    def copy(v):
+        return Laurent(v.terms) if isinstance(v, Laurent) else Fraction(v.numerator, v.denominator)
+
+    return t.with_terms([Term(*(_sparse(f.rows, f.cols, [(i, j, copy(v)) for i, j, v in f.nonzeros])
+                                for f in term)) for term in t.terms])
+
+
+def distinct_share(t):
+    """(distinct value objects, nonzero entries) over t's factors."""
+    values = [v for term in t.terms for f in term for _, _, v in f.nonzeros]
+    return len({id(v) for v in values}), len(values)
+
+
+# -- reference writing and composition ---------------------------------------
+
+def reference_write_tensor(t):
+    """io.write_tensor(t) as the dense writer that formats every cell."""
+    out = ["fmm 1", "dims %d %d %d" % t.dims, "rank %d" % t.rank, "field %s" % t.field_mode]
+    if t.support is not None:
+        out.append("support")
+        out += ["".join("1" if v else "0" for v in row) for row in t.support]
+    for idx, term in enumerate(t.terms, start=1):
+        out.append("term %d" % idx)
+        for factor in term:
+            out += [", ".join(map(format_scalar, row)) for row in factor.data]
+            out.append("")
+    out.pop()
+    return "\n".join(out) + "\n"
+
+
+def reference_kron(a, b):
+    """a.kron(b) as the walk that forms a new product for every pair of
+    nonzero entries."""
+    rows, cols = b.rows, b.cols
+    return _sparse(a.rows * rows, a.cols * cols,
+                   sorted((i * rows + k, j * cols + l, x * y)
+                          for i, j, x in a.nonzeros for k, l, y in b.nonzeros))
+
+
+def reference_kronecker(t1, t2):
+    """algebra.kronecker(t1, t2) built term pair by term pair with
+    reference_kron."""
+    _check_unmasked(t1, "kronecker")
+    _check_unmasked(t2, "kronecker")
+    dims = [x * y for x, y in zip(t1.dims, t2.dims)]
+    return FmmTensor(dims, _joint_mode(t1, t2),
+                     [Term(*map(reference_kron, a, b)) for a in t1.terms for b in t2.terms])
 
 
 # -- reference clearing and construction ------------------------------------

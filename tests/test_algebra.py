@@ -20,6 +20,7 @@ from fmmkit.matrices import ZERO, Matrix
 from fmmkit.scalars import Laurent
 from fmmkit.tensor import (
     LAURENT,
+    RATIONAL,
     FmmTensor,
     Term,
     classical_tensor,
@@ -29,7 +30,14 @@ from fmmkit.tensor import (
     verify_exact,
 )
 
-from helpers import laurent_copy, rand_invertible
+from helpers import (
+    distinct_share,
+    fresh_copy,
+    laurent_copy,
+    rand_invertible,
+    rand_tensor,
+    reference_kronecker,
+)
 
 
 def test_direct_sum_axis_m(strassen):
@@ -119,6 +127,34 @@ def test_kronecker_checks(strassen, teps):
         assert verify_approximate(mixed).valid
     with pytest.raises(ValueError):
         kronecker(teps, teps)
+
+
+def test_kronecker_matches_the_reference_walk(strassen, t58, teps):
+    t100 = embed_and_add(teps, classical_tensor((3, 3, 5)), mask_embedding(teps))
+    # halves and thirds in every slot, and factors with all-zero rows
+    mixed = FmmTensor((2, 3, 1), RATIONAL, [
+        Term(Matrix([[Fraction(1, 2), 0, 0], [0, 0, 0]]), Matrix([[0], [Fraction(-2, 3)], [3]]),
+             Matrix([[Fraction(5, 6), Fraction(1, 2)]])),
+        Term(Matrix([[0, 0, 0], [1, Fraction(1, 3), 0]]), Matrix([[Fraction(1, 4)], [0], [0]]),
+             Matrix([[0, -1]]))])
+    pairs = [(t58, strassen), (strassen, t58), (t100, strassen), (mixed, t100),
+             (fresh_copy(t58), fresh_copy(strassen)), (mixed, mixed)]
+    rng = random.Random(29)
+    pairs += [(rand_tensor(rng, allow_support=False), rand_tensor(rng, allow_support=False))
+              for _ in range(40)]
+    for t1, t2 in pairs:
+        # tensor equality compares the field modes and every entry
+        assert kronecker(t1, t2) == reference_kronecker(t1, t2)
+
+
+def test_kronecker_forms_each_product_of_distinct_value_objects_once(strassen, t58):
+    k = kronecker(t58, strassen)
+    assert distinct_share(k)[0] <= distinct_share(t58)[0] * distinct_share(strassen)[0]
+    # one object per distinct value across the three slots: 1 and -1 times 1 and -1
+    assert distinct_share(k)[0] == 4
+    # fresh inputs give one product per pair of objects, each met once
+    distinct, total = distinct_share(kronecker(fresh_copy(t58), fresh_copy(strassen)))
+    assert distinct == total == distinct_share(k)[1]
 
 
 def test_symmetry_rotation(strassen):

@@ -16,12 +16,18 @@ def load_tool():
     return tool
 
 
-def record(path, metrics, failed=0):
+KINDS = ("verify_small", "verify_large", "compose")
+
+
+def record(path, metrics, failed=0, passes=((0.01, 0.01, 0.01),), probes=((0.001,),)):
     """A perfbench/run.py --out record of one prove run with these
-    end-to-end metrics and three jobs, `failed` of them not ok."""
-    jobs = [["verify_large", 0.01, {"ok": k >= failed}] for k in range(3)]
+    end-to-end metrics and three jobs of the KINDS per pass, `failed` of
+    each pass's jobs not ok: passes gives each pass's job seconds and
+    probes its probe seconds."""
+    runs = [[[kind, s, {"ok": k >= failed}] for k, (kind, s) in enumerate(zip(KINDS, seconds))]
+            for seconds in passes]
     path.write_text(json.dumps({"runs": {"prove": {
-        "metrics": metrics, "passes": [jobs], "traced_passes": []}}}))
+        "metrics": metrics, "passes": runs, "probes": probes, "traced_passes": []}}}))
     return str(path)
 
 
@@ -39,7 +45,7 @@ def test_paired_records_are_compared_per_metric(tmp_path, capsys):
     assert tool.main(parents + ["--"] + changes) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "workload prove: 2 pairs; failed jobs: parent 0 of 6, change 1 of 6"
-    rows = {line.split()[0]: line.split() for line in lines[2:]}
+    rows = {line.split()[0]: line.split() for line in lines[2:] if not line.startswith("  job")}
     # (ratio of medians, pairs won, within the bound)
     got = {name: (row[-4], row[-3], row[-1]) for name, row in rows.items()}
     assert got == {
@@ -66,6 +72,28 @@ def test_a_change_better_in_every_run_resolves_a_wide_spread(tmp_path, capsys):
     assert tool.main(parents + ["--"] + changes) == 0
     setup = next(line for line in capsys.readouterr().out.splitlines() if "setup_s" in line)
     assert setup.split()[-3:] == ["2/2", "25%", "yes"]
+
+
+def test_each_job_position_is_compared_in_probes(tmp_path, capsys):
+    tool = load_tool()
+    m = metrics(0.1, 10.0, 3.0, 40.0, 100.0, 40.0)
+    # a job's probes are its seconds over its pass's median probe, so the
+    # first record's second pass, on probes twice as slow, reads as its first
+    parents = [record(tmp_path / "p0.json", m, passes=[(0.01, 0.02, 0.04), (0.02, 0.04, 0.08)],
+                      probes=[[0.001], [0.002]]),
+               record(tmp_path / "p1.json", m, passes=[(0.01, 0.02, 0.05)])]
+    changes = [record(tmp_path / "c0.json", m, passes=[(0.01, 0.02, 0.02)],
+                      probes=[[0.001, 0.003, 0.002]]),
+               record(tmp_path / "c1.json", m, passes=[(0.01, 0.02, 0.03)])]
+    assert tool.main(parents + ["--"] + changes) == 0
+    jobs = [line.split() for line in capsys.readouterr().out.splitlines()
+            if line.startswith("  job")]
+    # position, kind, parent median, change median, ratio
+    assert [row[1:3] + row[4:9:2] for row in jobs] == [
+        ["1", "verify_small", "10", "7.5", "0.750"],
+        ["2", "verify_large", "20", "15", "0.750"],
+        ["3", "compose", "45", "20", "0.444"],
+    ]
 
 
 @pytest.mark.parametrize("argv", [[], ["a.json"], ["a.json", "--"], ["a.json", "--", "b.json",

@@ -517,3 +517,18 @@ def test_unknown_command_exits_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["bogus"])
     assert exc.value.code == 2
+
+
+def test_the_parser_built_once_reads_each_call_alike(capsys):
+    def usage_error():
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--explain", "-1", STRASSEN])
+        return exc.value.code, capsys.readouterr()
+
+    first = usage_error()
+    assert run(capsys, "verify", STRASSEN) == (0, "PASS 64/64 equations\n", "")
+    assert usage_error() == first
+    code, (out, err) = first
+    assert code == 2 and not out
+    assert "argument --explain: expected a non-negative integer, got '-1'" in err
+    assert cli._build_parser() is cli._build_parser()

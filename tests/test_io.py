@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import random
 from fractions import Fraction
@@ -19,9 +20,9 @@ from fmmkit.io import (
 )
 from fmmkit.matrices import Matrix
 from fmmkit.scalars import Laurent, format_scalar
-from fmmkit.tensor import LAURENT, classical_tensor, verify_exact
+from fmmkit.tensor import LAURENT, FmmTensor, Term, classical_tensor, verify_exact
 
-from helpers import laurent_copy, rand_tensor
+from helpers import fresh_copy, laurent_copy, rand_tensor, reference_write_tensor
 
 TRIVIAL = """\
 fmm 1
@@ -164,6 +165,38 @@ def test_written_text_is_byte_identical(strassen, t58, teps):
     digests = {name: hashlib.sha256(write_tensor(t).encode()).hexdigest()
                for name, t in tensors.items()}
     assert digests == WRITTEN_SHA256
+
+
+def test_writer_matches_the_dense_reference(strassen, t58, teps):
+    t100 = embed_and_add(teps, classical_tensor((3, 3, 5)), mask_embedding(teps))
+    # halves and thirds beside negative exponents, and all-zero first,
+    # middle and last rows
+    v = Laurent({-3: Fraction(1, 2), 0: Fraction(-2, 3), 2: 5})
+    mixed = FmmTensor((3, 2, 1), LAURENT, [
+        Term(Matrix([[0, 0], [Fraction(1, 2), v], [0, 0]]), Matrix([[Fraction(-1, 3)], [0]]),
+             Matrix([[0, v, 0]])),
+        Term(Matrix([[v, 0], [0, 0], [0, Fraction(7, 4)]]), Matrix([[0], [v]]),
+             Matrix([[1, 0, 0]]))])
+    tensors = [strassen, t58, teps, t100, kronecker(t58, strassen), kronecker(t100, strassen),
+               mixed, fresh_copy(t58), fresh_copy(teps)]
+    rng = random.Random(29)
+    tensors += [rand_tensor(rng) for _ in range(40)]
+    for t in tensors:
+        assert write_tensor(t) == reference_write_tensor(t)
+
+
+def test_a_write_keeps_no_table_between_calls(t58):
+    first = fresh_copy(t58)
+    freed = {id(v) for term in first.terms for f in term for _, _, v in f.nonzeros}
+    write_tensor(first)
+    del first
+    gc.collect()
+    # new objects with other values, some at the ids the first write saw
+    second = fresh_copy(t58.with_terms([Term(term.P.scale(3), term.Q.scale(Fraction(1, 2)),
+                                             term.S.scale(Fraction(2, 3)))
+                                        for term in t58.terms]))
+    assert freed & {id(v) for term in second.terms for f in term for _, _, v in f.nonzeros}
+    assert write_tensor(second) == reference_write_tensor(second)
 
 
 def test_comments_blank_lines_and_compact_rows():

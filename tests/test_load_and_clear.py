@@ -18,7 +18,7 @@ from fmmkit.matrices import Matrix
 from fmmkit.scalars import Laurent
 from fmmkit.tensor import LAURENT, RATIONAL, FmmTensor, Term, _cleared, classical_tensor
 
-from helpers import reference_cleared, reference_construction_error
+from helpers import distinct_share, fresh_copy, reference_cleared, reference_construction_error
 
 
 def as_monomials(cleared):
@@ -26,12 +26,6 @@ def as_monomials(cleared):
     slot, each entry a Python int."""
     return tuple((d, list(zip(*(column.tolist() for column in columns))))
                  for d, *columns in cleared)
-
-
-def distinct_share(t):
-    """(distinct value objects, nonzero entries) over t's factors."""
-    values = [v for term in t.terms for f in term for _, _, v in f.nonzeros]
-    return len({id(v) for v in values}), len(values)
 
 
 def assert_cleared_matches_reference(t):
@@ -52,8 +46,8 @@ def test_cleared_matches_the_reference_on_the_bundled_schemes(strassen, t58, tep
 
 
 def test_cleared_matches_the_reference_on_fresh_value_objects(strassen, t58):
-    # every kron entry is a new product object: no two entries share an id
-    t = kronecker(t58, strassen)
+    # every entry copied to a new object: no two entries share an id
+    t = fresh_copy(kronecker(t58, strassen))
     distinct, total = distinct_share(t)
     assert distinct == total
     assert_cleared_matches_reference(t)

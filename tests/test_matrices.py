@@ -103,6 +103,15 @@ def test_kron():
     assert k == Matrix([[0, 1, 0, 2], [0, 3, 0, 4]])
 
 
+def test_kron_forms_each_product_of_distinct_value_objects_once():
+    # a value object that repeats is multiplied once per distinct partner
+    x, y = Fraction(2, 3), Laurent({-1: 1, 2: Fraction(1, 2)})
+    a, b = Matrix([[x, x], [0, x]]), Matrix([[y, 0, y]])
+    k = a.kron(b)
+    assert k == _dense_kron(a, b)
+    assert len({id(v) for _, _, v in k.nonzeros}) == 1
+
+
 def _dense_kron(a, b):
     """Reference product: every cell pair multiplied, row by row."""
     return Matrix([[x * y for x in ra for y in rb] for ra in a.data for rb in b.data])

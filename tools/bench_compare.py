@@ -22,6 +22,14 @@ change is within the metric's bound:
 Each workload's header line also counts the jobs that failed on each
 side.  Quartiles are statistics.quantiles' inclusive ones, which stay
 within the values on few records.
+
+Under the metric lines, one line per job position in the workload's
+pass gives its kind, each side's median time in probes and the change's
+over the parent's.  A job's time in probes is, as in perfbench/run.py,
+its seconds over the median probe time of its pass; a record's value is
+the median over its passes and a side's the median over its records.
+These lines show which job moved a metric that sums or averages over
+several.
 """
 
 import json
@@ -46,6 +54,15 @@ def _failed(record, workload):
     facts = [job[2] for passes in (run["passes"], run["traced_passes"])
              for jobs in passes for job in jobs]
     return sum(not f["ok"] for f in facts), len(facts)
+
+
+def _job_probes(record, workload):
+    """Each job position's kind and its median time in probes over the
+    record's passes of one workload."""
+    run = record["runs"][workload]
+    times = [[s / statistics.median(probes) for _, s, _ in jobs]
+             for jobs, probes in zip(run["passes"], run["probes"])]
+    return [k for k, _, _ in run["passes"][0]], list(map(statistics.median, zip(*times)))
 
 
 def _compare(spec, parent, change):
@@ -87,6 +104,11 @@ def report(parents, changes, metrics, out=sys.stdout):
                 name, spec["better"], "%.6g [%.6g, %.6g]" % p, "%.6g [%.6g, %.6g]" % c,
                 ratio, "%d/%d" % (won, len(parent)), "%g%%" % (100 * spec["bound"]),
                 within), file=out)
+        sides = [[_job_probes(r, workload) for r in records] for records in (parents, changes)]
+        for pos, kind in enumerate(sides[0][0][0]):
+            p, c = (statistics.median(t[pos] for _, t in side) for side in sides)
+            print("  job %-3d %-16s parent %-10.4g change %-10.4g ratio %.3f"
+                  % (pos + 1, kind, p, c, c / p), file=out)
 
 
 def main(argv=None):
