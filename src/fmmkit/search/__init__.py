@@ -1,7 +1,6 @@
 from .als import (
     DEFAULT_GRID,
     DESK_LIMIT,
-    GRID_LIMIT,
     RESTART_LIMIT,
     SWEEP_LIMIT,
     FactorSet,

@@ -4,6 +4,9 @@ The search looks for rank-r float factor stacks whose rank-one expansion
 matches the classical multiplication tensor of the requested dimensions,
 pulling the iterate toward snap-grid models with a decaying ridge weight
 so that a converged solution usually rounds to exact rational factors.
+A snap looks each entry of a stack up among the midpoints of the sorted
+grid's neighbouring values, one stack at a time, so its memory grows
+with the stack and not with the grid (see _snap).
 
 Factor stacks are plain float arrays: P is r x (m*n), Q is r x (n*p),
 S is r x (p*m), each row the row-major vectorization of one factor.
@@ -40,11 +43,10 @@ FactorSet = namedtuple("FactorSet", ["P", "Q", "S"])
 _CYCLE = tuple((i, (i + 1) % 3, (i + 2) % 3) for i in range(3))
 
 # beyond this many output coordinates (m*n*p) a desk run stops being
-# interactive, so larger problems must opt in explicitly.  One restart's
-# sweep takes about 0.43 ms at <2,5,5;40>, what one took at the earlier
-# limit of 36 (<3,3,4;29>, 0.39 ms) before the kernels dropped the dense
-# target; at <3,5,5;58> it takes 0.69 ms, so 2,000 sweeps take 1.4 s
-DESK_LIMIT = 50
+# interactive, so larger problems must opt in explicitly.  75 admits the
+# paper's <3,5,5>: one restart's sweep at <3,5,5;58> takes about 0.28 ms
+# on a 2-core x86-64 machine, so 2,000 sweeps take 0.6 s
+DESK_LIMIT = 75
 
 # beyond this many sweeps a restart's run time and trace (one entry per
 # sweep) stop being desk-sized, so more must opt in explicitly too
@@ -54,12 +56,6 @@ SWEEP_LIMIT = 100_000
 # so beyond this many restarts, or this many times 2000 sweeps (the
 # default max_sweeps) over all restarts, its memory stops being desk-sized
 RESTART_LIMIT = 1000
-
-# each snap builds a float64 difference of every grid value against every
-# entry of the batch, so its memory grows with the grid.  100 restarts of
-# <2,2,2;7> over 2 sweeps peaked (tracemalloc) at 0.8 MB with 3 values,
-# 2.6 MB with 16, this limit, and 135 MB with 1,001
-GRID_LIMIT = 16
 
 DEFAULT_GRID = (Fraction(-1), Fraction(0), Fraction(1))
 
@@ -137,10 +133,6 @@ class SearchConfig:
             raise ValueError("snap_grid values must be finite floats") from None
         if Fraction(0) not in grid:
             raise ValueError("snap_grid must contain 0")
-        if len(grid) > GRID_LIMIT and not self.allow_large:
-            raise ValueError(
-                "snap_grid of %d values exceeds the grid limit %d; set allow_large=True to proceed"
-                % (len(grid), GRID_LIMIT))
         object.__setattr__(self, "snap_grid", grid)
         object.__setattr__(self, "max_sweeps", _integral("max_sweeps", self.max_sweeps))
         if self.max_sweeps < 1:
@@ -220,36 +212,35 @@ def brent_residual(f, dims):
     return float(kernels.residual(S, kernels.products(P, Q, dims.m), G, math.prod(dims))[0])
 
 
-def _grid_arrays(grid):
-    # candidates ordered by (|g|, g) so argmin's first-match tie rule
-    # prefers the smaller magnitude
-    ordered = sorted(grid, key=lambda g: (abs(g), g))
-    return ordered, np.array([float(g) for g in ordered])
+def _grid(grid):
+    """The grid's values in ascending order, their floats, and the bounds
+    _snap sorts entries into: the midpoints of neighbouring floats, each
+    negative one lowered by an ulp so that an entry on it is past it.
+    Values that share a float count once, as the one nearest 0."""
+    nearest = {}
+    for g in sorted(grid, key=abs):
+        nearest.setdefault(float(g), g)
+    floats = np.array(sorted(nearest))
+    values = [nearest[x] for x in floats.tolist()]
+    mids = (floats[:-1] + floats[1:]) / 2
+    return values, floats, np.where(mids < 0, np.nextafter(mids, -np.inf), mids)
 
 
-def _snap(f, grid_floats):
-    """Index of the nearest grid point for every entry of the stacks f, the
-    first one on a tie: one concatenate and one argmin over P's entries,
-    then Q's, then S's.  The grid axis comes first so that numpy's inner
-    loops run along the entries."""
-    return np.abs(np.concatenate(f, axis=None) - grid_floats[:, None]).argmin(axis=0)
-
-
-def _split(flat, shapes):
-    """flat, laid out as _snap lays out three stacks, cut into arrays of
-    the given shapes."""
-    a = math.prod(shapes[0])
-    b = a + math.prod(shapes[1])
-    return FactorSet(flat[:a].reshape(shapes[0]), flat[a:b].reshape(shapes[1]),
-                     flat[b:].reshape(shapes[2]))
+def _snap(x, bounds):
+    """Index of the nearest grid value for every entry of the array x,
+    given the bounds _grid makes: the number of bounds below the entry.
+    An entry on a midpoint goes to the neighbour nearer 0, and an entry
+    past an end of the grid, however far, to that end: +inf to the
+    largest value, -inf to the smallest.  NaN goes to the largest."""
+    return np.searchsorted(bounds, x)
 
 
 def snap_models(f, grid=DEFAULT_GRID):
-    """Nearest-grid-point model stacks for the proximal term.  Distance
-    ties go to the candidate of smaller magnitude."""
-    _, gf = _grid_arrays(grid)
-    f = [np.asarray(stack, dtype=np.float64) for stack in f]
-    return _split(gf[_snap(f, gf)], [stack.shape for stack in f])
+    """Nearest-grid-point model stacks for the proximal term, snapped as
+    _snap snaps: distance ties go to the candidate nearer 0."""
+    _, floats, bounds = _grid(grid)
+    return FactorSet(*(floats[_snap(np.asarray(stack, dtype=np.float64), bounds)]
+                       for stack in f))
 
 
 def _effective_lambda(lam):
@@ -320,12 +311,12 @@ def rationalize(f, dims, snap_grid=DEFAULT_GRID):
     snapped factors fail verification or degenerate to a zero factor."""
     dims = Dims(*dims)
     f, = _stacks(dims, f)
-    gr, gf = _grid_arrays(snap_grid)
-    m, n, p = dims
+    values, _, bounds = _grid(snap_grid)
     r = f.P.shape[0]
-    # each stack row, reshaped, is one factor's grid indices
-    stacks = _split(_snap(f, gf), ((r, m, n), (r, n, p), (r, p, m)))
-    terms = [Term(*(Matrix([[gr[i] for i in row] for row in factor]) for factor in term))
+    # each stack row, reshaped, is one factor's grid indices: P's rows
+    # are m x n, Q's n x p and S's p x m
+    stacks = [_snap(stack, bounds).reshape(r, a, -1) for stack, a in zip(f, dims)]
+    terms = [Term(*(Matrix([[values[i] for i in row] for row in factor]) for factor in term))
              for term in zip(*(stack.tolist() for stack in stacks))]
     try:
         t = FmmTensor(dims, RATIONAL, terms)
@@ -436,16 +427,14 @@ def _descend(cfg, starts):
     starts = _stacks(cfg.dims, *starts)
     r = starts[0].P.shape[0]
     volume = math.prod(cfg.dims)
-    grid_floats = _grid_arrays(cfg.snap_grid)[1]
+    _, grid_floats, bounds = _grid(cfg.snap_grid)
     f = [np.concatenate(stacks) for stacks in zip(*starts)]
     # the Grams of Q and S that the next sweep reads, one block per live restart
     grams = (kernels.gram(f[1], len(starts)), kernels.gram(f[2], len(starts)))
     runs = live = [_Descent(start) for start in starts]
     sweep = 1
     while live:
-        # one snap over all three stacks, flattened so that each model
-        # comes back as a contiguous block
-        models = _split(grid_floats[_snap(f, grid_floats)], [s.shape for s in f])
+        models = [grid_floats[_snap(s, bounds)] for s in f]
         lam = np.array([d.lam_eff for d in live])
         try:
             f, grams, res = _sweep(f, models, grams, lam, cfg.dims)

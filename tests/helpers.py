@@ -303,3 +303,11 @@ def classical_dense(dims):
     T = np.zeros((m * n, n * p, p * m))
     T.flat[_classical_coords(dims, None, np.intp)] = 1.0
     return T
+
+
+def argmin_snap(x, grid):
+    """Each entry of the float array x snapped to the grid value at the
+    least rounded distance |x - g|, the first in (|g|, g) order on a tie:
+    an argmin reference, independent of the search's midpoint snap."""
+    ordered = np.array([float(g) for g in sorted(grid, key=lambda g: (abs(g), g))])
+    return ordered[np.abs(x[..., None] - ordered).argmin(axis=-1)]

@@ -474,14 +474,15 @@ def test_search_too_many_restarts_exits_two_at_once(capsys):
     assert err.startswith("error: restarts 1001 exceeds the restart limit")
 
 
-def test_search_grid_past_the_grid_limit_exits_two(capsys):
-    grid = ",".join(str(v) for v in range(17))
+def test_search_one_value_grid_exits_one(capsys):
+    # the grid (0,) has no midpoints to snap by; the search collapses and
+    # reports no verified decomposition, the normal failure
     code, out, err = run(capsys, "search", "--dims", "2", "2", "2", "--rank", "7",
-                         "--grid", grid)
-    assert code == 2
-    assert out == ""
-    assert err == ("error: snap_grid of 17 values exceeds the grid limit 16; "
-                   "set allow_large=True to proceed\n")
+                         "--grid", "0")
+    assert code == 1
+    assert out.startswith("no verified decomposition; best residual ")
+    assert "restart 0 collapsed" in err
+    assert "Traceback" not in err
 
 
 def test_search_rank_above_the_classical_rank_exits_two_at_once(capsys):

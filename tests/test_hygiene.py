@@ -4,8 +4,9 @@ or constant is referenced somewhere in the package, only matrices.py
 names the shared zero ``ZERO``, ``lcm`` is named only where a scheme's
 coefficients, the evaluator's operands or a Laurent scalar are cleared,
 the search names no dense classical target, every name the benchmark's
-tracer wraps exists, and every restart outcome the search assigns is
-documented.
+tracer wraps exists, every restart outcome the search assigns is
+documented, and every upper-case constant the README names in backticks
+is defined in the package.
 
 A package __init__.py imports names to re-export them, so it is exempt
 from the first check.
@@ -13,6 +14,7 @@ from the first check.
 
 import ast
 import importlib.util
+import re
 from pathlib import Path
 
 import pytest
@@ -227,3 +229,13 @@ def test_every_restart_outcome_is_documented():
                          if par.startswith("The search minimizes")]
     assert [o for o in outcomes if '"%s"' % o not in RestartRecord.__doc__] == []
     assert [o for o in outcomes if "`%s`" % o not in search_paragraph] == []
+
+
+def test_readme_constants_are_defined():
+    # the README names the search's limits and schedule constants; a
+    # constant it names must still exist for a reader to set or look up
+    named = set(re.findall(r"`([A-Z][A-Z0-9_]*)`", (ROOT / "README.md").read_text()))
+    defined = {t.id for p in SOURCES for node in ast.parse(p.read_text()).body
+               if isinstance(node, ast.Assign) for t in node.targets if isinstance(t, ast.Name)}
+    assert named
+    assert sorted(named - defined) == []

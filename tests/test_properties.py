@@ -1,4 +1,4 @@
-"""Four randomized suites, 1000 cases each under the fixed profile.
+"""Five randomized suites, 1000 cases each under the fixed profile.
 
 Each case derives a private random.Random from the hypothesis-drawn seed,
 so the generators stay simple and the suite replays identically."""
@@ -17,7 +17,7 @@ from fmmkit.scalars import Laurent, exact_div, laurent_order, value_at
 from fmmkit.search import FactorSet, als_block_solve, als_objective, snap_models
 from fmmkit.tensor import classical_tensor, verify_exact
 
-from helpers import rand_invertible, rand_laurent
+from helpers import argmin_snap, rand_invertible, rand_laurent
 
 SEEDS = st.integers(min_value=0, max_value=2**48 - 1)
 
@@ -106,3 +106,24 @@ def test_als_block_descent_is_monotone(seed):
         nxt = als_objective(f, models, lam, dims)
         assert nxt <= obj * (1 + 1e-9) + 1e-12
         obj = nxt
+
+
+@settings(max_examples=1000)
+@given(SEEDS)
+def test_snap_models_is_an_argmin_over_the_grid(seed):
+    # on quarter-integer grids that hold 0, at entries below 1e15 in
+    # magnitude, the rounded distances |x - g| keep their exact order, so
+    # an argmin over them picks the nearest value, ties going nearer 0
+    rng = np.random.default_rng(seed)
+    grid = {Fraction(0)} | {Fraction(int(k), 4) for k in rng.integers(-400, 401, rng.integers(0, 8))}
+    floats = np.array(sorted(float(g) for g in grid))
+    mids = (floats[:-1] + floats[1:]) / 2
+    x = np.concatenate([mids, np.nextafter(mids, np.inf), np.nextafter(mids, -np.inf), floats,
+                        rng.uniform(-1, 1, 40) * 10.0 ** rng.uniform(-300, 15, 40),
+                        rng.uniform(-110, 110, 40)])
+    rng.shuffle(x)
+    a, b = sorted(rng.integers(0, len(x), 2))
+    f = FactorSet(x[None, :a], x[None, a:b], x[None, b:])
+    models = snap_models(f, tuple(grid))
+    for stack, model in zip(f, models):
+        assert model.tolist() == argmin_snap(stack, grid).tolist()

@@ -11,7 +11,6 @@ from fmmkit import cli
 from fmmkit.search import (
     DESK_LIMIT,
     FactorSet,
-    GRID_LIMIT,
     RESTART_LIMIT,
     RestartRecord,
     SearchConfig,
@@ -28,7 +27,7 @@ from fmmkit.search import (
 )
 from fmmkit.search import als, kernels
 from fmmkit.tensor import LAURENT, FmmTensor, verify_exact
-from helpers import classical_dense
+from helpers import argmin_snap, classical_dense
 
 
 def test_classical_dense_layout():
@@ -100,6 +99,64 @@ def test_snap_models_custom_grid():
     f = FactorSet(np.array([[0.6]]), np.array([[0.6]]), np.array([[0.6]]))
     coarse = snap_models(f, grid=(Fraction(0), Fraction(1), Fraction(-1)))
     assert coarse.P.tolist() == [[1.0]]
+
+
+# the grids the snap's edges are pinned on: 0, 1 and -1; the halves from
+# -2 to 2; and one whose midpoints are not all floats
+SNAP_GRIDS = ((0, 1, -1), tuple(Fraction(k, 2) for k in range(-4, 5)),
+              (0, 1, -1, 3, Fraction(-1, 3)))
+
+
+def _snapped(x, grid):
+    stack = np.array([x], dtype=np.float64)
+    return snap_models(FactorSet(stack, stack, stack), grid).P[0]
+
+
+@pytest.mark.parametrize("grid", SNAP_GRIDS, ids=["unit", "halves", "thirds"])
+def test_snap_matches_argmin_at_the_midpoints(grid):
+    # each midpoint of neighbouring grid floats and one ulp either side of
+    # it, and both zeros: a midpoint itself goes to the neighbour nearer 0
+    floats = np.array(sorted(float(g) for g in grid))
+    mids = (floats[:-1] + floats[1:]) / 2
+    x = np.concatenate([[0.0, -0.0], mids, np.nextafter(mids, np.inf),
+                        np.nextafter(mids, -np.inf)])
+    got = _snapped(x, grid)
+    assert got.tolist() == argmin_snap(x, grid).tolist()
+    on_mid = got[2:2 + len(mids)]
+    assert (np.abs(on_mid) == np.minimum(np.abs(floats[:-1]), np.abs(floats[1:]))).all()
+    assert got[:2].tolist() == [0.0, 0.0]
+
+
+@pytest.mark.parametrize("grid", SNAP_GRIDS, ids=["unit", "halves", "thirds"])
+def test_snap_sends_far_and_nonfinite_entries_to_an_end(grid):
+    # every rounded distance ties at these entries, where an argmin took
+    # the candidate nearest 0; the snap takes the end each one lies past,
+    # and NaN to the largest value
+    lo, hi = float(min(grid)), float(max(grid))
+    x = np.array([np.inf, -np.inf, np.nan, 1e17, -1e17, 1e300, -1e300])
+    assert _snapped(x, grid).tolist() == [hi, lo, hi, hi, lo, hi, lo]
+    assert argmin_snap(x, grid).tolist() == [0.0] * len(x)
+
+
+def test_grid_values_that_share_a_float_snap_as_the_one_nearest_0(strassen):
+    # 1 + 10**-30 is 1.0 as a float: entries near +-1 snap to +-1 whichever
+    # side of 1.0 they lie, so the noisy Strassen rationalizes back to itself
+    f = factor_set_from_tensor(strassen)
+    noisy = FactorSet(f.P + 1e-9, f.Q - 1e-9, f.S)
+    near = Fraction(1) + Fraction(1, 10**30)
+    grid = (0, 1, -1, near, -near)
+    assert rationalize(noisy, strassen.dims, grid) == strassen
+    assert snap_models(noisy, grid).P.tolist() == f.P.tolist()
+
+
+def test_one_value_grid_collapses_the_search():
+    # every model is 0, so the ridge pulls each restart to the all-zero
+    # fixed point and nothing rationalizes
+    out = search(SearchConfig((2, 2, 2), 7, snap_grid=(0,), restarts=2))
+    assert [rec.outcome for rec in out.restarts] == ["collapsed"] * 2
+    assert out.rationalized is None
+    zeros = np.zeros((2, 4))
+    assert snap_models(FactorSet(zeros + 0.7, zeros - 3, zeros), (0,)).P.tolist() == zeros.tolist()
 
 
 def test_als_sweep_fixed_point_at_exact_solution(strassen):
@@ -187,7 +244,8 @@ def test_search_config_validation():
 
 
 def test_search_desk_limit():
-    big = (4, 4, 4)  # volume 64 over the limit
+    assert math.prod((3, 5, 5)) == DESK_LIMIT  # the paper's <3,5,5;58> runs at the desk
+    big = (3, 5, 6)  # volume 90 over the limit
     assert big[0] * big[1] * big[2] > DESK_LIMIT
     # the config refuses, or warns, when it is built
     with pytest.raises(ValueError, match="desk limit"):
@@ -226,16 +284,21 @@ def test_search_restart_limit():
         assert (cfg.restarts, cfg.max_sweeps) == (restarts, sweeps)
 
 
-def test_search_grid_limit():
-    grid = tuple(range(GRID_LIMIT))
-    assert len(SearchConfig((2, 2, 2), 7, snap_grid=grid).snap_grid) == GRID_LIMIT
+def test_search_takes_a_wide_grid():
+    # each snap sorts into the grid's midpoints, so its memory does not
+    # grow with the grid and no grid size needs allow_large
+    grid = tuple(range(-500, 501))
+    cfg = SearchConfig((2, 2, 2), 7, snap_grid=grid, restarts=100, max_sweeps=2)
+    assert len(cfg.snap_grid) == 1001
     # a repeated value counts once, as the config keeps it once
     assert SearchConfig((2, 2, 2), 7, snap_grid=grid + grid).snap_grid == tuple(map(Fraction, grid))
-    wide = tuple(range(GRID_LIMIT + 1))
-    with pytest.raises(ValueError, match="snap_grid of 17 values exceeds the grid limit 16; "
-                                         "set allow_large=True to proceed"):
-        SearchConfig((2, 2, 2), 7, snap_grid=wide)
-    assert len(SearchConfig((2, 2, 2), 7, snap_grid=wide, allow_large=True).snap_grid) == 17
+    tracemalloc.start()
+    try:
+        search(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
 
 
 def test_search_trivial_problem_succeeds():
@@ -303,10 +366,6 @@ def _serial_restart(cfg, index):
     Gram formed where it is read and scalar bookkeeping.  The reference the
     batched search must match bit for bit."""
     m, n, p = cfg.dims
-    _, grid = als._grid_arrays(cfg.snap_grid)
-
-    def snap(x):
-        return grid[np.argmin(np.abs(x[..., None] - grid), axis=-1)]
 
     def products(A, B, a):
         # row t is vec((A_t B_t)^T), A_t being a x b and B_t b x c
@@ -329,7 +388,7 @@ def _serial_restart(cfg, index):
     best_res, best, prev_res, guard, resets = math.inf, (P, Q, S), math.inf, 0, 0
     best_sweep = 0
     for sweep in range(1, cfg.max_sweeps + 1):
-        mP, mQ, mS = snap(P), snap(Q), snap(S)
+        mP, mQ, mS = (argmin_snap(x, cfg.snap_grid) for x in (P, Q, S))
         lam_eff = lam + als.JITTER if lam < als.JITTER else lam
         P = solve(Q, S, n, lam_eff, mP)
         Q = solve(S, P, p, lam_eff, mQ)
@@ -525,9 +584,8 @@ def test_descend_recovers_strassen_from_noisy_starts(strassen):
 
 
 def test_descend_recovers_the_bundled_58_from_a_noisy_start(t58):
-    # the paper's <3,5,5;58> has 75 output coordinates, past the desk limit
-    with pytest.warns(UserWarning, match="desk limit"):
-        cfg = SearchConfig(t58.dims, t58.rank, allow_large=True)
+    # the paper's <3,5,5;58> has 75 output coordinates, the desk limit
+    cfg = SearchConfig(t58.dims, t58.rank)
     start = _noisy(factor_set_from_tensor(t58), 0.05, np.random.default_rng(0))
     d, = als._descend(cfg, [start])
     assert d.outcome == "converged"
