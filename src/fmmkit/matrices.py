@@ -5,7 +5,8 @@ a few tens of rows), so the algorithms favour exactness and clarity.
 
 A Matrix stores one form, its nonzero entries as row-major (i, j, value)
 triples (``nonzeros``); ``data``, the dense rows with each zero the shared
-``ZERO``, is built on demand for the operations that walk every cell.
+``ZERO``, is built on demand for the operations that walk every cell;
+an entry lookup (binary search) and the elimination read the triples.
 ``Matrix(data)`` is the one place that settles an entry's type (Fraction
 and Laurent entries are kept, any other x becomes Fraction(x)), and every
 matrix built from other entries (``kron``, ``transpose``, ``zeros``, a
@@ -16,18 +17,22 @@ shares a handful of value objects as the parsed schemes do.
 
 Rank, determinant and inverse share one fraction-free (Bareiss)
 elimination, exact in any integral domain and so over the Laurent
-scalars too.  Nothing is lifted: the division is chosen per matrix,
-``/`` when every entry is a Fraction and ``scalars.exact_div`` (either
-form) when any is a Laurent.  The rank is the number of pivots, the
-determinant the last pivot times the sign of the row swaps, and the
-inverse a Gauss-Jordan pass on [M | I] whose right half is divided
-exactly by the last pivot; over the Laurent scalars that division
-fails exactly when the inverse leaves the ring.
+scalars too.  It runs over the nonzeros only: each row a {column: value}
+dict, all-zero rows left out, the next row in order the pivot row and
+its lowest column the pivot column.  Nothing is lifted: the division is
+chosen per matrix, ``/`` when every entry is a Fraction and
+``scalars.exact_div`` (either form) when any is a Laurent.  The rank is
+the number of pivots, the determinant the last pivot times the sign of
+the permutation from the rows to their pivot columns, and the inverse a
+Gauss-Jordan pass on [M | I] whose right half is divided exactly by the
+last pivot; over the Laurent scalars that division fails exactly when
+the inverse leaves the ring.
 """
 
 import operator
+from bisect import bisect_left
 from fractions import Fraction
-from itertools import repeat
+from itertools import combinations, repeat
 
 from .scalars import Laurent, exact_div
 
@@ -95,8 +100,16 @@ class Matrix:
         return hash((self.rows, self.cols, self.nonzeros))
 
     def __getitem__(self, key):
+        """The entry at (i, j), indexed as a tuple of rows would be:
+        negative indices count from the end, others out of range raise
+        IndexError."""
         i, j = key
-        return self.data[i][j]
+        i, j = range(self.rows)[i], range(self.cols)[j]
+        # (i, j) sorts just before the triple at (i, j), so no value is compared
+        at = bisect_left(self.nonzeros, (i, j))
+        if at < len(self.nonzeros) and self.nonzeros[at][:2] == (i, j):
+            return self.nonzeros[at][2]
+        return ZERO
 
     def __repr__(self):
         return "Matrix(%r)" % (list(map(list, self.data)),)
@@ -175,7 +188,7 @@ class Matrix:
 
     def rank(self):
         """Exact rank over Q (rational entries) or over the field Q(e)."""
-        return _eliminate([list(row) for row in self.data], self.cols)[0]
+        return len(_eliminate(self._sparse_rows(), self.cols)[0])
 
     def inverse(self):
         """Exact inverse of a square matrix.
@@ -186,13 +199,17 @@ class Matrix:
         if self.rows != self.cols:
             raise ValueError("only square matrices invert")
         n = self.rows
-        eye = Matrix.identity(n).data
-        a = [list(row + e) for row, e in zip(self.data, eye)]
-        rank, pivot, _ = _eliminate(a, n, jordan=True)
-        if rank < n:
+        rows = [{} for _ in range(n)]
+        for i, j, x in self.nonzeros:
+            rows[i][j] = x
+        for i, row in enumerate(rows):
+            row[n + i] = Fraction(1)
+        cols, pivot = _eliminate(rows, n, jordan=True)
+        if len(cols) < n:
             raise ValueError("singular matrix")
         try:
-            return Matrix([[exact_div(x, pivot) for x in row[n:]] for row in a])
+            return _sparse(n, n, sorted((c, j - n, exact_div(x, pivot))
+                                        for c, row in zip(cols, rows) for j, x in row.items()))
         except ValueError:
             raise ValueError(
                 "inverse exists over Q(e) but leaves the Laurent scalars"
@@ -201,10 +218,18 @@ class Matrix:
     def determinant(self):
         if self.rows != self.cols:
             raise ValueError("determinant needs a square matrix")
-        rank, pivot, sign = _eliminate([list(row) for row in self.data], self.cols)
-        if rank < self.rows:
+        cols, pivot = _eliminate(self._sparse_rows(), self.cols)
+        if len(cols) < self.rows:
             return Fraction(0)
-        return -pivot if sign < 0 else pivot
+        inversions = sum(a > b for a, b in combinations(cols, 2))
+        return -pivot if inversions % 2 else pivot
+
+    def _sparse_rows(self):
+        """The nonzero rows in order, each a {column: value} dict."""
+        rows = {}
+        for i, j, x in self.nonzeros:
+            rows.setdefault(i, {})[j] = x
+        return list(rows.values())
 
 
 # the slots' own setters, which Matrix.__setattr__ does not guard
@@ -265,45 +290,56 @@ def _krons(lefts, rights, products):
     return out
 
 
-def _eliminate(a, pivot_cols, jordan=False):
-    """Fraction-free (Bareiss) elimination of the rows ``a``, in place.
+def _eliminate(rows, pivot_cols, jordan=False):
+    """Fraction-free (Bareiss) elimination of the sparse rows ``rows``, in
+    place: each row a {column: value} dict of its nonzero entries.
 
-    Column by column over the first ``pivot_cols`` columns, the first row
-    at or below the current one with a nonzero entry is swapped up as the
-    pivot.  Every other row below it (and above it too when ``jordan``)
-    becomes (pivot * row - row[c] * pivot_row) / previous pivot; the
-    division is exact because each entry is then a minor of the input.
-    Only the columns right of the pivot are kept up to date.
+    Each step takes the next row in order that still has an entry in the
+    first ``pivot_cols`` columns as the pivot row, and its lowest such
+    column c as the pivot column; a row left without one is passed over.
+    Every other row after it (before it too when ``jordan``) becomes
+    (pivot * row - row[c] * pivot_row) / previous pivot over the union of
+    the two rows' columns, zeros dropped, and the pivot row drops its
+    pivot entry.  A row without an entry in c is only rescaled by
+    pivot / previous pivot, which is skipped while the two are equal, and
+    no division is made while the previous pivot is 1.  Pivoting on any
+    row and column order keeps the division exact: each entry is still a
+    minor of the input.
 
-    Returns (rank, last pivot, sign of the row permutation).  For a full
-    rank square matrix the last pivot is the determinant up to that sign;
-    after a Gauss-Jordan pass on [M | I] the right half is that pivot
-    times the inverse.
+    Returns (the pivot column of each pivot row in order, the last pivot).
+    The rank is the number of pivots.  For a full rank square matrix the
+    pivot rows are all rows in order, and the last pivot is the
+    determinant times the sign of the permutation taking row k to its
+    pivot column; after a Gauss-Jordan pass on [M | I] pivot row k holds
+    that pivot times row (pivot column of k) of the inverse.
     """
-    rows, width = len(a), len(a[0])
-    laurent = any(isinstance(x, Laurent) for row in a for x in row)
+    laurent = any(isinstance(x, Laurent) for row in rows for x in row.values())
     div = exact_div if laurent else operator.truediv
-    prev = Fraction(1)
-    rank, sign = 0, 1
-    for c in range(pivot_cols):
-        if rank == rows:
-            break
-        p = next((r for r in range(rank, rows) if a[r][c]), None)
-        if p is None:
+    prev, unit = Fraction(1), True
+    cols = []
+    for k, prow in enumerate(rows):
+        c = min(prow, default=pivot_cols)
+        if c >= pivot_cols:
             continue
-        if p != rank:
-            a[rank], a[p] = a[p], a[rank]
-            sign = -sign
-        prow = a[rank]
-        piv = prow[c]
-        others = range(rows) if jordan else range(rank + 1, rows)
-        for i in others:
-            row = a[i]
-            f = row[c]
-            if i == rank or (not f and piv == prev):
+        piv = prow.pop(c)
+        cols.append(c)
+        for i in range(0 if jordan else k + 1, len(rows)):
+            row = rows[i]
+            f = row.pop(c, None)
+            if f is None:
+                if i != k and piv != prev:
+                    for j, x in row.items():
+                        row[j] = piv * x if unit else div(piv * x, prev)
                 continue
-            for j in range(c + 1, width):
-                row[j] = div(piv * row[j] - f * prow[j], prev)
-        prev = piv
-        rank += 1
-    return rank, prev, sign
+            g = -f
+            new = {}
+            for j, y in prow.items():
+                x = row.pop(j, None)
+                v = g * y if x is None else piv * x + g * y
+                if v:
+                    new[j] = v if unit else div(v, prev)
+            for j, x in row.items():
+                new[j] = piv * x if unit else div(piv * x, prev)
+            rows[i] = new
+        prev, unit = piv, piv == 1
+    return cols, prev

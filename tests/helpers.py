@@ -1,13 +1,14 @@
 """Shared randomized generators and mutation operators for the tests."""
 
 import math
+import operator
 from fractions import Fraction
 
 import numpy as np
 
 from fmmkit.algebra import _check_unmasked, _joint_mode
 from fmmkit.matrices import Matrix, _sparse
-from fmmkit.scalars import Laurent, format_scalar, laurent_order
+from fmmkit.scalars import Laurent, exact_div, format_scalar, laurent_order
 from fmmkit.tensor import (
     LAURENT,
     RATIONAL,
@@ -77,19 +78,26 @@ def rand_tensor(rng, max_dim=3, max_rank=4, allow_support=True):
     return FmmTensor((m, n, p), mode, terms, support=support)
 
 
-def rand_invertible(rng, n):
-    """Random invertible rational matrix built from triangular factors."""
+def rand_invertible(rng, n, mode=RATIONAL):
+    """Random invertible matrix built from triangular factors.  In laurent
+    mode the diagonal entries are monomials, units of the Laurent ring, so
+    the inverse keeps Laurent entries."""
     diag_pool = (Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 2), Fraction(-1, 2))
+
+    def diagonal():
+        q = rng.choice(diag_pool)
+        return Laurent.monomial(q, rng.randint(-2, 2)) if mode == LAURENT else q
+
     low = [[Fraction(0)] * n for _ in range(n)]
     up = [[Fraction(0)] * n for _ in range(n)]
     for i in range(n):
-        low[i][i] = rng.choice(diag_pool)
-        up[i][i] = rng.choice(diag_pool)
+        low[i][i] = diagonal()
+        up[i][i] = diagonal()
         for j in range(i):
             if rng.random() < 0.5:
-                low[i][j] = rand_fraction(rng)
+                low[i][j] = rand_scalar(rng, mode)
             if rng.random() < 0.5:
-                up[j][i] = rand_fraction(rng)
+                up[j][i] = rand_scalar(rng, mode)
     perm = list(range(n))
     rng.shuffle(perm)
     pmat = [[Fraction(1) if j == perm[i] else Fraction(0) for j in range(n)] for i in range(n)]
@@ -225,6 +233,72 @@ def reference_construction_error(dims, field_mode, terms):
         if not (P and Q and S):
             return "term %d has an all-zero factor" % idx
     return None if terms else "a tensor needs at least one term"
+
+
+# -- reference elimination ---------------------------------------------------
+
+def reference_eliminate(a, pivot_cols, jordan=False):
+    """matrices._eliminate as the dense Bareiss elimination of the rows
+    ``a`` (lists of every cell), in place.
+
+    Column by column over the first ``pivot_cols`` columns, the first row
+    at or below the current one with a nonzero entry is swapped up as the
+    pivot.  Every other row below it (and above it too when ``jordan``)
+    becomes (pivot * row - row[c] * pivot_row) / previous pivot; the
+    division is exact because each entry is then a minor of the input.
+    Only the columns right of the pivot are kept up to date.
+
+    Returns (rank, last pivot, sign of the row permutation).  For a full
+    rank square matrix the last pivot is the determinant up to that sign;
+    after a Gauss-Jordan pass on [M | I] the right half is that pivot
+    times the inverse.
+    """
+    rows, width = len(a), len(a[0])
+    laurent = any(isinstance(x, Laurent) for row in a for x in row)
+    div = exact_div if laurent else operator.truediv
+    prev = Fraction(1)
+    rank, sign = 0, 1
+    for c in range(pivot_cols):
+        if rank == rows:
+            break
+        p = next((r for r in range(rank, rows) if a[r][c]), None)
+        if p is None:
+            continue
+        if p != rank:
+            a[rank], a[p] = a[p], a[rank]
+            sign = -sign
+        prow = a[rank]
+        piv = prow[c]
+        others = range(rows) if jordan else range(rank + 1, rows)
+        for i in others:
+            row = a[i]
+            f = row[c]
+            if i == rank or (not f and piv == prev):
+                continue
+            for j in range(c + 1, width):
+                row[j] = div(piv * row[j] - f * prow[j], prev)
+        prev = piv
+        rank += 1
+    return rank, prev, sign
+
+
+def reference_rank(m):
+    """m.rank() by reference_eliminate over the dense rows."""
+    return reference_eliminate([list(row) for row in m.data], m.cols)[0]
+
+
+def reference_inverse(m):
+    """m.inverse() by a dense Gauss-Jordan pass of reference_eliminate on
+    [M | I], raising the ValueError texts Matrix.inverse raises."""
+    n = m.rows
+    a = [list(row + e) for row, e in zip(m.data, Matrix.identity(n).data)]
+    rank, pivot, _ = reference_eliminate(a, n, jordan=True)
+    if rank < n:
+        raise ValueError("singular matrix")
+    try:
+        return Matrix([[exact_div(x, pivot) for x in row[n:]] for row in a])
+    except ValueError:
+        raise ValueError("inverse exists over Q(e) but leaves the Laurent scalars") from None
 
 
 # -- reference verification --------------------------------------------------

@@ -3,6 +3,7 @@ referenced in it, every module-level private (_name) function, class
 or constant is referenced somewhere in the package, only matrices.py
 names the shared zero ``ZERO``, ``lcm`` is named only where a scheme's
 coefficients, the evaluator's operands or a Laurent scalar are cleared,
+``exact_div`` only in the one elimination and the inverse,
 the search names no dense classical target, every name the benchmark's
 tracer wraps exists, every restart outcome the search assigns is
 documented, and every upper-case constant the README names in backticks
@@ -168,6 +169,15 @@ def test_only_tensor_clears_denominators():
             for name in functions_mentioning(p.read_text(), "lcm")] == [
         ("evaluate.py", "_cleared_operand"), ("scalars.py", "denominator"),
         ("tensor.py", "_cleared")]
+
+
+def test_only_the_elimination_divides_exactly():
+    # one fraction-free elimination serves rank, determinant and inverse,
+    # and the inverse divides its result by the last pivot; any other
+    # exact_div would be a second elimination
+    assert [(p.relative_to(PACKAGE).as_posix(), name) for p in SOURCES
+            for name in functions_mentioning(p.read_text(), "exact_div")] == [
+        ("matrices.py", "<module>"), ("matrices.py", "inverse"), ("matrices.py", "_eliminate")]
 
 
 def test_search_names_no_dense_target():

@@ -12,7 +12,13 @@ from fmmkit.matrices import ZERO, Matrix
 from fmmkit.scalars import Laurent
 from fmmkit.tensor import LAURENT, RATIONAL, FmmTensor, Term, classical_tensor
 
-from helpers import rand_factor, rand_invertible, rand_scalar
+from helpers import (
+    rand_factor,
+    rand_invertible,
+    rand_scalar,
+    reference_inverse,
+    reference_rank,
+)
 
 
 def test_constructor_and_shape():
@@ -225,6 +231,102 @@ def test_elimination_matches_leibniz_in_both_domains():
                 m.inverse()
         seen[mode, kind] = seen.get((mode, kind), 0) + 1
     assert min(seen.values()) >= 20 and len(seen) == 5, seen
+
+
+def _rand_elimination_input(rng, rows, cols, mode):
+    """A random rows x cols matrix: sparse or dense, of full or low rank
+    (a product through a narrower inner size), with some rows and columns
+    zeroed.  Laurent entries of products are mostly not monomials."""
+    if rng.random() < 0.4:
+        inner = rng.randint(1, max(1, min(rows, cols) - 1))
+        data = (rand_factor(rng, rows, inner, mode) @ rand_factor(rng, inner, cols, mode)).data
+    else:
+        density = rng.choice((0.25, 0.5, 1.0))
+        data = [[rand_scalar(rng, mode, zero_ok=False) if rng.random() < density else 0
+                 for _ in range(cols)] for _ in range(rows)]
+    dead_rows = {i for i in range(rows) if rng.random() < 0.15}
+    dead_cols = {j for j in range(cols) if rng.random() < 0.15}
+    return Matrix([[0 if i in dead_rows or j in dead_cols else x for j, x in enumerate(row)]
+                   for i, row in enumerate(data)])
+
+
+def test_rank_matches_the_dense_reference():
+    rng = random.Random(31)
+    seen = set()
+    for trial in range(400):
+        mode = (RATIONAL, LAURENT)[trial % 2]
+        m = _rand_elimination_input(rng, rng.randint(1, 7), rng.randint(1, 7), mode)
+        rank = m.rank()
+        assert rank == reference_rank(m) == m.transpose().rank(), m
+        seen.add((mode, rank == min(m.rows, m.cols), m.rows == m.cols))
+        if not m.is_rational():
+            seen.add("non-monomial" if any(isinstance(x, Laurent) and not x.is_monomial()
+                                           for _, _, x in m.nonzeros) else "monomial")
+    assert len(seen) == 10, seen
+
+
+def test_determinant_matches_leibniz_up_to_5x5():
+    rng = random.Random(32)
+    for trial in range(150):
+        mode = (RATIONAL, LAURENT)[trial % 2]
+        n = rng.randint(1, 5)
+        m = _rand_elimination_input(rng, n, n, mode)
+        assert m.determinant() == _leibniz(m), m
+
+
+def test_determinant_sign_follows_the_pivot_columns():
+    # row k pivots on column perm[k]; the sign is that permutation's
+    for perm in itertools.permutations(range(4)):
+        m = Matrix([[int(j == perm[i]) * (i + 2) for j in range(4)] for i in range(4)])
+        assert m.determinant() == _leibniz(m) != 0
+
+
+def _inverse_or_error(inverse, m):
+    try:
+        return inverse(m)
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_inverse_matches_the_dense_reference():
+    rng = random.Random(33)
+    seen = {}
+    for trial in range(240):
+        mode = (RATIONAL, LAURENT)[trial % 2]
+        n = rng.randint(1, 6)
+        if trial % 3 == 0:
+            m = rand_invertible(rng, n, mode)
+        elif trial % 3 == 1:
+            m = _rand_elimination_input(rng, n, n, mode)
+        else:
+            # dense: a Laurent one is mostly invertible over Q(e) only, and
+            # its minors grow fast, so it stays at 4x4
+            n = n if mode == RATIONAL else min(n, 4)
+            m = Matrix([[rand_scalar(rng, mode, zero_ok=False) for _ in range(n)]
+                        for _ in range(n)])
+        got = _inverse_or_error(Matrix.inverse, m)
+        assert got == _inverse_or_error(reference_inverse, m), m
+        kind = got if isinstance(got, str) else "inverse"
+        if kind == "inverse":
+            assert m @ got == Matrix.identity(n), m
+        seen[mode, kind] = seen.get((mode, kind), 0) + 1
+    assert min(seen.values()) >= 15 and len(seen) == 5, seen
+
+
+def test_entry_lookup_matches_the_dense_rows():
+    rng = random.Random(34)
+    for trial in range(40):
+        mode = (RATIONAL, LAURENT)[trial % 2]
+        rows, cols = rng.randint(1, 5), rng.randint(1, 5)
+        m = _rand_elimination_input(rng, rows, cols, mode)
+        for i in range(-rows, rows):
+            for j in range(-cols, cols):
+                assert m[(i, j)] == m.data[i][j]
+                assert type(m[(i, j)]) is type(m.data[i][j])
+        for key in ((rows, 0), (0, cols), (-rows - 1, 0), (0, -cols - 1)):
+            with pytest.raises(IndexError):
+                m[key]
+    assert Matrix.zeros(2, 2)[(1, 1)] is ZERO
 
 
 def test_lifted_and_has_laurent():

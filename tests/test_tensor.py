@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import fmmkit.tensor as tensor_module
-from fmmkit.algebra import direct_sum, embed_and_add, mask_embedding
+from fmmkit.algebra import direct_sum, embed_and_add, kronecker, mask_embedding
 from fmmkit.matrices import Matrix
 from fmmkit.scalars import Laurent
 from fmmkit.tensor import (
@@ -26,7 +26,14 @@ from fmmkit.tensor import (
     verify_exact,
 )
 
-from helpers import classical_dense, laurent_copy, mutate_one_entry, third_of_one_term
+from helpers import (
+    classical_dense,
+    laurent_copy,
+    mutate_one_entry,
+    rand_tensor,
+    reference_rank,
+    third_of_one_term,
+)
 
 
 def unit_term(dims, i, j, k):
@@ -194,6 +201,21 @@ def test_type_polynomial_examples(strassen):
     classical = type_polynomial(classical_tensor((2, 2, 2)))
     assert classical.as_dict() == {(1, 1, 1): 8}
     assert str(classical) == "8*X*Y*Z"
+
+
+def test_type_polynomial_matches_dense_reference_ranks(strassen, t58, teps):
+    rng = random.Random(35)
+    t100 = embed_and_add(teps, classical_tensor((3, 3, 5)), mask_embedding(teps))
+    product = kronecker(t58, strassen)
+    assert tuple(product.dims) == (6, 10, 10)
+    schemes = [strassen, t58, teps, t100, product]
+    schemes += [rand_tensor(rng, max_dim=4, max_rank=5) for _ in range(40)]
+    for t in schemes:
+        counts = {}
+        for term in t.terms:
+            key = tuple(map(reference_rank, term))
+            counts[key] = counts.get(key, 0) + 1
+        assert type_polynomial(t).as_dict() == counts, t.dims
 
 
 def test_verify_approximate_same_for_a_laurent_copy(strassen, t58):
