@@ -17,7 +17,7 @@ together, and their result is laurent when any input is.
 from collections import namedtuple
 from dataclasses import dataclass
 
-from .matrices import Matrix, _krons, _sparse
+from .matrices import Matrix, _krons, _sparse, _summed
 from .tensor import LAURENT, RATIONAL, FmmTensor, Term
 
 AXIS_M = "M"
@@ -281,18 +281,16 @@ def serendipity_transform(t, group, M):
     ys = [getattr(t.terms[i], partner[0]) for i in idxs]
     zs = [getattr(t.terms[i], partner[1]) for i in idxs]
 
-    def mix(mixer, j, mats):
-        acc = None
-        for k, mat in enumerate(mats):
-            piece = mat.scale(mixer[(j, k)])
-            acc = piece if acc is None else acc + piece
-        return acc
+    def mix(mixer, mats):
+        """[sum_k mixer_{jk} mats[k] for each j], one sum per j."""
+        pieces = [[] for _ in mats]
+        for j, k, a in mixer.nonzeros:
+            pieces[j] += [(r, c, a * y) for r, c, y in mats[k].nonzeros]
+        return [_summed(mats[0].rows, mats[0].cols, p) for p in pieces]
 
     new_terms = list(t.terms)
-    for j, i in enumerate(idxs):
-        # alpha_j = sum_k (M^T)_{jk} Y_k ; beta_j = sum_k (M^-1)_{jk} Z_k
-        alpha = mix(Mt, j, ys)
-        beta = mix(M_inv, j, zs)
+    # alpha_j = sum_k (M^T)_{jk} Y_k ; beta_j = sum_k (M^-1)_{jk} Z_k
+    for i, alpha, beta in zip(idxs, mix(Mt, ys), mix(M_inv, zs)):
         if not (alpha and beta):
             raise ValueError("recombination would zero a factor of term %d "
                              "(dependent factors under this mixing matrix)" % i)

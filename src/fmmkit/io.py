@@ -44,7 +44,7 @@ built cell by cell.
 
 from itertools import compress
 
-from .matrices import Matrix, _sparse
+from .matrices import _settled, _sparse
 from .scalars import ScalarParseError, format_rational, format_scalar, parse_scalar
 from .tensor import LAURENT, RATIONAL, FmmTensor, Term
 
@@ -309,8 +309,7 @@ def parse_matrix(text):
             values.append(read(tok))
         except ScalarParseError as exc:
             raise TensorFormatError(str(exc), no) from None
-    data = [values[r * cols:(r + 1) * cols] for r in range(rows)]
-    return Matrix(data)
+    return _settled(rows, cols, [(k // cols, k % cols, x) for k, x in enumerate(values)])
 
 
 def write_matrix(mat):

@@ -4,16 +4,16 @@ Everything here is immutable and pure.  Sizes stay at desk scale (at most
 a few tens of rows), so the algorithms favour exactness and clarity.
 
 A Matrix stores one form, its nonzero entries as row-major (i, j, value)
-triples (``nonzeros``); ``data``, the dense rows with each zero the shared
-``ZERO``, is built on demand for the operations that walk every cell;
-an entry lookup (binary search) and the elimination read the triples.
-``Matrix(data)`` is the one place that settles an entry's type (Fraction
-and Laurent entries are kept, any other x becomes Fraction(x)), and every
-matrix built from other entries (``kron``, ``transpose``, ``zeros``, a
-placed or parsed factor) comes straight from its triples via ``_sparse``.
+triples (``nonzeros``), and every operation reads and builds them; the
+dense rows, ``data``, are only a read-out view for files and ``repr``.
+``_settled`` is the one place that settles an entry's type (Fraction and
+Laurent entries are kept, any other x becomes Fraction(x)) and then drops
+the zeros; ``_summed`` is the one cell-wise sum, for ``+``, ``-``, ``@``
+and the serendipity mixing.  ``map`` visits the nonzeros only, so it
+needs fn(0) == 0.  Entries already settled and nonzero (``kron``,
+``transpose``, a placed or parsed factor) go straight to ``_sparse``.
 A Kronecker product forms the product of each pair of distinct value
-objects once per call (``_krons``), so a composition of parsed schemes
-shares a handful of value objects as the parsed schemes do.
+objects once per call (``_krons``), as the parsed schemes share them.
 
 Rank, determinant and inverse share one fraction-free (Bareiss)
 elimination, exact in any integral domain and so over the Laurent
@@ -51,10 +51,8 @@ class Matrix:
             raise ValueError("matrix needs at least one row and one column")
         if len(set(map(len, data))) != 1:
             raise ValueError("ragged rows")
-        settled = ((x if type(x) is Fraction or isinstance(x, Laurent) else Fraction(x)
-                    for x in row) for row in data)
-        return _sparse(len(data), len(data[0]), [(i, j, x) for i, row in enumerate(settled)
-                                                 for j, x in enumerate(row) if x])
+        return _settled(len(data), len(data[0]), [(i, j, x) for i, row in enumerate(data)
+                                                  for j, x in enumerate(row)])
 
     def __setattr__(self, name, value):
         raise AttributeError("matrices are immutable")
@@ -76,10 +74,9 @@ class Matrix:
 
     @staticmethod
     def unit(rows, cols, i, j, value=Fraction(1)):
-        """Single nonzero entry at 0-based (i, j)."""
-        return Matrix(
-            [[value if (r, c) == (i, j) else ZERO for c in range(cols)] for r in range(rows)]
-        )
+        """Single entry value at (i, j), indexed as __getitem__ indexes
+        (negative from the end, IndexError out of range)."""
+        return _settled(rows, cols, [(range(rows)[i], range(cols)[j], value)])
 
     # -- basic structure ----------------------------------------------------
 
@@ -127,33 +124,27 @@ class Matrix:
         return not any(isinstance(x, Laurent) for _, _, x in self.nonzeros)
 
     def map(self, fn):
-        return Matrix([[fn(x) for x in row] for row in self.data])
+        """fn of each entry; fn visits the nonzeros only, so fn(0) must be 0."""
+        if _settled(1, 1, [(0, 0, fn(ZERO))]):
+            raise ValueError("map visits the nonzero entries only, so fn(0) must be 0")
+        return _settled(self.rows, self.cols, [(i, j, fn(x)) for i, j, x in self.nonzeros])
 
     # -- arithmetic -----------------------------------------------------------
 
     def __add__(self, other):
-        self._check_same_shape(other)
-        return Matrix(
-            [
-                [a + b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.data, other.data)
-            ]
-        )
+        if (self.rows, self.cols) != (other.rows, other.cols):
+            raise ValueError("shape mismatch: %dx%d vs %dx%d"
+                             % (self.rows, self.cols, other.rows, other.cols))
+        return _summed(self.rows, self.cols, self.nonzeros + other.nonzeros)
 
     def __sub__(self, other):
-        self._check_same_shape(other)
-        return Matrix(
-            [
-                [a - b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.data, other.data)
-            ]
-        )
+        return self + -other
 
     def __neg__(self):
-        return self.map(lambda x: -x)
+        return _settled(self.rows, self.cols, [(i, j, -x) for i, j, x in self.nonzeros])
 
     def scale(self, s):
-        return self.map(lambda x: s * x)
+        return _settled(self.rows, self.cols, [(i, j, s * x) for i, j, x in self.nonzeros])
 
     def __matmul__(self, other):
         if self.cols != other.rows:
@@ -161,9 +152,9 @@ class Matrix:
                 "shape mismatch for product: %dx%d @ %dx%d"
                 % (self.rows, self.cols, other.rows, other.cols)
             )
-        cols = list(zip(*other.data))
-        return Matrix([[sum(a * b for a, b in zip(row, col)) for col in cols]
-                       for row in self.data])
+        rows = other._sparse_rows()
+        return _summed(self.rows, other.cols, [(i, k, x * y) for i, j, x in self.nonzeros
+                                               if j in rows for k, y in rows[j].items()])
 
     def transpose(self):
         return _sparse(self.cols, self.rows, sorted((j, i, x) for i, j, x in self.nonzeros))
@@ -177,18 +168,11 @@ class Matrix:
         """
         return _krons([self], [other], {})[0]
 
-    def _check_same_shape(self, other):
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError(
-                "shape mismatch: %dx%d vs %dx%d"
-                % (self.rows, self.cols, other.rows, other.cols)
-            )
-
     # -- elimination ------------------------------------------------------------
 
     def rank(self):
         """Exact rank over Q (rational entries) or over the field Q(e)."""
-        return len(_eliminate(self._sparse_rows(), self.cols)[0])
+        return len(_eliminate(list(self._sparse_rows().values()), self.cols)[0])
 
     def inverse(self):
         """Exact inverse of a square matrix.
@@ -199,11 +183,8 @@ class Matrix:
         if self.rows != self.cols:
             raise ValueError("only square matrices invert")
         n = self.rows
-        rows = [{} for _ in range(n)]
-        for i, j, x in self.nonzeros:
-            rows[i][j] = x
-        for i, row in enumerate(rows):
-            row[n + i] = Fraction(1)
+        sparse = self._sparse_rows()
+        rows = [{**sparse.get(i, {}), n + i: Fraction(1)} for i in range(n)]
         cols, pivot = _eliminate(rows, n, jordan=True)
         if len(cols) < n:
             raise ValueError("singular matrix")
@@ -218,18 +199,18 @@ class Matrix:
     def determinant(self):
         if self.rows != self.cols:
             raise ValueError("determinant needs a square matrix")
-        cols, pivot = _eliminate(self._sparse_rows(), self.cols)
+        cols, pivot = _eliminate(list(self._sparse_rows().values()), self.cols)
         if len(cols) < self.rows:
             return Fraction(0)
         inversions = sum(a > b for a, b in combinations(cols, 2))
         return -pivot if inversions % 2 else pivot
 
     def _sparse_rows(self):
-        """The nonzero rows in order, each a {column: value} dict."""
+        """The nonzero rows in order, row index -> {column: value}."""
         rows = {}
         for i, j, x in self.nonzeros:
             rows.setdefault(i, {})[j] = x
-        return list(rows.values())
+        return rows
 
 
 # the slots' own setters, which Matrix.__setattr__ does not guard
@@ -247,6 +228,26 @@ def _sparse(rows, cols, nonzeros):
     _SET_COLS(m, cols)
     _SET_NONZEROS(m, tuple(nonzeros))
     return m
+
+
+def _settled(rows, cols, triples):
+    """The rows x cols Matrix of the row-major (i, j, x) triples at distinct
+    positions, each x settled first (a Fraction or Laurent is kept, any
+    other x becomes Fraction(x)) and then dropped if zero."""
+    settled = ((i, j, x if type(x) is Fraction or isinstance(x, Laurent) else Fraction(x))
+               for i, j, x in triples)
+    return _sparse(rows, cols, [t for t in settled if t[2]])
+
+
+def _summed(rows, cols, pieces):
+    """The rows x cols Matrix whose (i, j) entry sums the x of the pieces
+    (i, j, x), given in any order; zero sums are dropped."""
+    cells = {}
+    for i, j, x in pieces:
+        at = i, j
+        cells[at] = cells[at] + x if at in cells else x
+    # the keys are distinct, so sorting the items never compares values
+    return _settled(rows, cols, [(i, j, x) for (i, j), x in sorted(cells.items())])
 
 
 def _krons(lefts, rights, products):

@@ -235,6 +235,43 @@ def reference_construction_error(dims, field_mode, terms):
     return None if terms else "a tensor needs at least one term"
 
 
+# -- reference arithmetic ----------------------------------------------------
+#
+# The dense walks Matrix's arithmetic once ran: every cell, zeros included,
+# rebuilt through Matrix(data).
+
+def _check_same_shape(a, b):
+    if (a.rows, a.cols) != (b.rows, b.cols):
+        raise ValueError("shape mismatch: %dx%d vs %dx%d" % (a.rows, a.cols, b.rows, b.cols))
+
+
+def reference_add(a, b):
+    """a + b, cell by cell."""
+    _check_same_shape(a, b)
+    return Matrix([[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a.data, b.data)])
+
+
+def reference_sub(a, b):
+    """a - b, cell by cell."""
+    _check_same_shape(a, b)
+    return Matrix([[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a.data, b.data)])
+
+
+def reference_matmul(a, b):
+    """a @ b, each cell the sum over a row of a and a column of b."""
+    if a.cols != b.rows:
+        raise ValueError("shape mismatch for product: %dx%d @ %dx%d"
+                         % (a.rows, a.cols, b.rows, b.cols))
+    cols = list(zip(*b.data))
+    return Matrix([[sum(x * y for x, y in zip(row, col)) for col in cols] for row in a.data])
+
+
+def reference_map(a, fn):
+    """a.map(fn) with fn applied to every cell, zeros included; a.scale(s)
+    and -a are the maps by s * x and -x."""
+    return Matrix([[fn(x) for x in row] for row in a.data])
+
+
 # -- reference elimination ---------------------------------------------------
 
 def reference_eliminate(a, pivot_cols, jordan=False):

@@ -3,7 +3,8 @@ referenced in it, every module-level private (_name) function, class
 or constant is referenced somewhere in the package, only matrices.py
 names the shared zero ``ZERO``, ``lcm`` is named only where a scheme's
 coefficients, the evaluator's operands or a Laurent scalar are cleared,
-``exact_div`` only in the one elimination and the inverse,
+``exact_div`` only in the one elimination and the inverse, a Matrix's
+dense ``data`` only where a file, a repr or the search reads it out,
 the search names no dense classical target, every name the benchmark's
 tracer wraps exists, every restart outcome the search assigns is
 documented, and every upper-case constant the README names in backticks
@@ -178,6 +179,17 @@ def test_only_the_elimination_divides_exactly():
     assert [(p.relative_to(PACKAGE).as_posix(), name) for p in SOURCES
             for name in functions_mentioning(p.read_text(), "exact_div")] == [
         ("matrices.py", "<module>"), ("matrices.py", "inverse"), ("matrices.py", "_eliminate")]
+
+
+def test_only_read_outs_name_the_dense_rows():
+    # a Matrix computes over its nonzeros; its dense rows are a view for
+    # the matrix writer, repr, pickling and the search's float cast, and
+    # the constructor's argument.  A dense walk in map, the arithmetic or
+    # algebra would show up here.
+    assert [(p.relative_to(PACKAGE).as_posix(), name) for p in SOURCES
+            for name in functions_mentioning(p.read_text(), "data")] == [
+        ("io.py", "write_matrix"), ("matrices.py", "__new__"), ("matrices.py", "__reduce__"),
+        ("matrices.py", "__repr__"), ("search/als.py", "factor_set_from_tensor")]
 
 
 def test_search_names_no_dense_target():

@@ -1,4 +1,5 @@
 import itertools
+import operator
 import random
 from fractions import Fraction
 
@@ -6,18 +7,34 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fmmkit.algebra import AXIS_M, AXIS_N, AXIS_P, direct_sum, embed_and_add, mask_embedding
+from fmmkit.algebra import (
+    AXIS_M,
+    AXIS_N,
+    AXIS_P,
+    IsotropyElement,
+    direct_sum,
+    embed_and_add,
+    isotropy_apply,
+    mask_embedding,
+    serendipity_find,
+    serendipity_transform,
+)
 from fmmkit.io import parse_tensor, write_tensor
 from fmmkit.matrices import ZERO, Matrix
 from fmmkit.scalars import Laurent
 from fmmkit.tensor import LAURENT, RATIONAL, FmmTensor, Term, classical_tensor
 
 from helpers import (
+    laurent_copy,
     rand_factor,
     rand_invertible,
     rand_scalar,
+    reference_add,
     reference_inverse,
+    reference_map,
+    reference_matmul,
     reference_rank,
+    reference_sub,
 )
 
 
@@ -38,6 +55,15 @@ def test_static_builders():
     assert eye[(0, 0)] == 1 and eye[(0, 1)] == 0
     u = Matrix.unit(2, 2, 0, 1, value=Fraction(5))
     assert u[(0, 1)] == 5 and u[(1, 0)] == 0
+
+
+def test_unit_indexes_as_the_entry_lookup():
+    # negative indices count from the end; others out of range raise
+    assert Matrix.unit(2, 2, -1, 0) == Matrix.unit(2, 2, 1, 0) == Matrix([[0, 0], [1, 0]])
+    assert Matrix.unit(2, 3, 0, -1, value=-2) == Matrix([[0, 0, -2], [0, 0, 0]])
+    for i, j in ((5, 5), (2, 0), (0, 3), (-3, 0)):
+        with pytest.raises(IndexError):
+            Matrix.unit(2, 3, i, j)
 
 
 def test_equality_and_hash():
@@ -100,6 +126,72 @@ def test_arithmetic():
         a + Matrix([[1, 2, 3]])
     with pytest.raises(ValueError):
         a @ Matrix([[1, 2, 3]])
+
+
+def _operand(rng, rows, cols, mode):
+    """A rows x cols matrix of _cell entries: ints and zeros in every
+    form among rational or Laurent scalars."""
+    return Matrix([[_cell(rng, mode) for _ in range(cols)] for _ in range(rows)])
+
+
+def _cancelling(rng, a, mode):
+    """A matrix of a's shape whose cells are often -a's or a's there, so
+    that a + it or a - it cancels to zero in those cells."""
+    def cell(i, j):
+        kind = rng.random()
+        return (-a[(i, j)] if kind < 0.3 else a[(i, j)] if kind < 0.6
+                else _cell(rng, mode))
+    return Matrix([[cell(i, j) for j in range(a.cols)] for i in range(a.rows)])
+
+
+def _cancelling_product(rng, a, cols, mode):
+    """A matrix b with a.cols rows such that a @ b often cancels to zero
+    in a cell: for a row i of a with nonzeros at j1 and j2, column k of b
+    takes a[i, j2] * t at j1 and -a[i, j1] * t at j2."""
+    b = [[_cell(rng, mode) for _ in range(cols)] for _ in range(a.cols)]
+    for i in range(a.rows):
+        nonzero = [j for j in range(a.cols) if a[(i, j)]]
+        if len(nonzero) >= 2 and rng.random() < 0.5:
+            j1, j2 = rng.sample(nonzero, 2)
+            k, t = rng.randrange(cols), rand_scalar(rng, mode, zero_ok=False)
+            b[j1][k], b[j2][k] = a[(i, j2)] * t, -a[(i, j1)] * t
+    return Matrix(b)
+
+
+@settings(max_examples=300)
+@given(st.integers(min_value=0, max_value=2**48 - 1))
+def test_arithmetic_matches_the_dense_reference(seed):
+    rng = random.Random(seed)
+    modes = (RATIONAL, LAURENT)
+    rows, cols, inner = (rng.randint(1, 5) for _ in range(3))
+    a = _operand(rng, rows, cols, rng.choice(modes))
+    b = _cancelling(rng, a, rng.choice(modes))
+    c = _cancelling_product(rng, a, inner, rng.choice(modes))
+    s = rng.choice((0, 1, -1, 3, rand_scalar(rng, rng.choice(modes))))
+    results = [(a + b, reference_add(a, b)), (a - b, reference_sub(a, b)),
+               (b - b, Matrix.zeros(rows, cols)), (a @ c, reference_matmul(a, c)),
+               (a.scale(s), reference_map(a, lambda x: s * x)),
+               (-a, reference_map(a, operator.neg))]
+    # fns that return scalars, ints and zeros, "0" among them: truthy, but
+    # settled to a zero
+    for fn in (lambda x: x * x, lambda x: int(x == 1), lambda x: 0 * x, lambda x: x + x,
+               lambda x: "0" if x == 1 else x):
+        results.append((a.map(fn), reference_map(a, fn)))
+    for got, want in results:
+        assert got == want and hash(got) == hash(want)
+        _assert_stored_form(got)
+
+    wrong = _operand(rng, cols + 1, cols + rng.randint(1, 2), rng.choice(modes))
+    for op, reference in ((operator.add, reference_add), (operator.sub, reference_sub),
+                          (operator.matmul, reference_matmul)):
+        with pytest.raises(ValueError):
+            reference(a, wrong)
+        with pytest.raises(ValueError):
+            op(a, wrong)
+    # map visits the nonzeros only, so an fn that moves zero is refused
+    for fn in (lambda x: x + 1, lambda x: 1, lambda x: "1"):
+        with pytest.raises(ValueError):
+            a.map(fn)
 
 
 def test_kron():
@@ -384,6 +476,9 @@ def test_built_factors_keep_the_stored_form(seed):
     a = rand_factor(rng, rng.randint(1, 3), rng.randint(1, 3), rng.choice(modes))
     b = rand_factor(rng, rng.randint(1, 3), rng.randint(1, 3), rng.choice(modes))
     built = [a.kron(b), b.kron(a), a.transpose(), Matrix.zeros(a.rows, a.cols)]
+    d = rand_factor(rng, a.rows, a.cols, rng.choice(modes))
+    built += [a + d, a - d, a - a, -a, a.scale(rand_scalar(rng, rng.choice(modes))),
+              a.map(lambda x: x * x), a @ rand_factor(rng, a.cols, 2, rng.choice(modes))]
 
     dims = [rng.randint(1, 3) for _ in range(3)]
     axis = rng.randrange(3)
@@ -404,7 +499,16 @@ def test_built_factors_keep_the_stored_form(seed):
     completed = embed_and_add(partial, block, mask_embedding(partial))
     parsed = parse_tensor(write_tensor(summed))
     assert parsed == summed
-    for t in (summed, completed, parsed, partial, classical_tensor(dims)):
+    # a classical tensor turned by an isotropy keeps its groups of terms
+    # that share a factor, each mixable by any invertible matrix
+    mode = rng.choice(modes)
+    turned_dims = dims[:2] + [max(dims[2], 2)]
+    turned = classical_tensor(turned_dims)
+    turned = isotropy_apply(laurent_copy(turned) if mode == LAURENT else turned, IsotropyElement(
+        *(rand_invertible(rng, k, mode) for k in turned_dims)))
+    group = rng.choice(serendipity_find(turned))
+    mixed = serendipity_transform(turned, group, rand_invertible(rng, len(group.term_indices), mode))
+    for t in (summed, completed, parsed, partial, classical_tensor(dims), turned, mixed):
         built += [factor for term in t.terms for factor in term]
     for x in built:
         _assert_stored_form(x)
