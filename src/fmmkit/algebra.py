@@ -94,12 +94,6 @@ def _placed_terms(t, e, dims):
             for term in t.terms]
 
 
-def _rotate_once(t):
-    m, n, p = t.dims
-    return FmmTensor((n, p, m), t.field_mode,
-                     [Term(term.Q, term.S, term.P) for term in t.terms])
-
-
 def direct_sum(t1, t2, axis=AXIS_M):
     """Block sum <..+..> along one axis; ranks add.
 
@@ -160,24 +154,23 @@ def symmetry_apply(t, rotation=0, transpose=False):
     rotation 1: (P,Q,S) -> (Q,S,P) on <n,p,m>; applied `rotation` times.
     transpose: (P,Q,S) -> (S^T,Q^T,P^T) on <m,p,n>, applied after the
     rotation.  Both preserve verification; a masked tensor admits only
-    the identity.
+    the identity.  The image is one construction from t's rotated slots.
     """
     if rotation not in (0, 1, 2):
         raise ValueError("rotation must be 0, 1 or 2")
     if t.support is not None and (rotation != 0 or transpose):
         raise ValueError("symmetry_apply on a masked tensor must be the identity")
-    out = t
-    for _ in range(rotation):
-        out = _rotate_once(out)
+    # the rotated tensor's slots P, Q, S are t's slots a, b, c
+    a, b, c = rotation, (rotation + 1) % 3, (rotation + 2) % 3
+    m, n, p = t.dims[a], t.dims[b], t.dims[c]
     if transpose:
-        m, n, p = out.dims
-        out = FmmTensor((m, p, n), out.field_mode,
-                        [Term(term.S.transpose(), term.Q.transpose(),
-                              term.P.transpose())
-                         for term in out.terms])
-    if out is t:
-        out = FmmTensor(t.dims, t.field_mode, list(t.terms), t.support)
-    return out
+        dims = m, p, n
+        terms = [Term(term[c].transpose(), term[b].transpose(), term[a].transpose())
+                 for term in t.terms]
+    else:
+        dims = m, n, p
+        terms = [Term(term[a], term[b], term[c]) for term in t.terms] if rotation else t.terms
+    return FmmTensor(dims, t.field_mode, terms, t.support)
 
 
 def isotropy_apply(t, g):

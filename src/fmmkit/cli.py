@@ -134,11 +134,9 @@ def _cmd_compose(args):
             )
         _require(args, ["mix"])
         out = serendipity_transform(t, groups[args.group - 1], load_matrix(args.mix))
-    elif args.op == "embed":
+    else:  # embed: argparse's choices admit no other --op
         partial, block = two()
         out = embed_and_add(partial, block, mask_embedding(partial))
-    else:
-        raise ValueError("unknown --op %r" % args.op)
 
     print(_signature(out))
     if args.out:

@@ -118,7 +118,7 @@ def check_dataset(name, t=None):
             problems.append("approximate verification failed: %s" % report)
         elif report.discrepancy_order != info["discrepancy_order"]:
             problems.append(
-                "discrepancy order %d != expected %d"
+                "discrepancy order %s != expected %d"
                 % (report.discrepancy_order, info["discrepancy_order"])
             )
         masked = len(t.masked_out())

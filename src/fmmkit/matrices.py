@@ -4,16 +4,17 @@ Everything here is immutable and pure.  Sizes stay at desk scale (at most
 a few tens of rows), so the algorithms favour exactness and clarity.
 
 A Matrix stores one form, its nonzero entries as row-major (i, j, value)
-triples (``nonzeros``), and every operation reads and builds them; the
-dense rows, ``data``, are only a read-out view for files and ``repr``.
-``_settled`` is the one place that settles an entry's type (Fraction and
-Laurent entries are kept, any other x becomes Fraction(x)) and then drops
-the zeros; ``_summed`` is the one cell-wise sum, for ``+``, ``-``, ``@``
-and the serendipity mixing.  ``map`` visits the nonzeros only, so it
-needs fn(0) == 0.  Entries already settled and nonzero (``kron``,
-``transpose``, a placed or parsed factor) go straight to ``_sparse``.
-A Kronecker product forms the product of each pair of distinct value
-objects once per call (``_krons``), as the parsed schemes share them.
+triples (``nonzeros``), and every operation and pickling read and build
+them; the dense rows, ``data``, are only a read-out view for files and
+``repr``.  ``_settled`` is the one place that settles an entry's type
+(Fraction and Laurent entries are kept, a float is refused, any other x
+becomes Fraction(x)) and then drops the zeros; ``_summed`` is the one
+cell-wise sum, for ``+``, ``-``, ``@`` and the serendipity mixing.
+``map`` visits the nonzeros only, so it needs fn(0) == 0.  Entries
+already settled and nonzero (``kron``, ``transpose``, a placed, parsed
+or snapped factor) go straight to ``_sparse``.  A Kronecker product
+forms the product of each pair of distinct value objects once per call
+(``_krons``), as the parsed schemes share them.
 
 Rank, determinant and inverse share one fraction-free (Bareiss)
 elimination, exact in any integral domain and so over the Laurent
@@ -58,7 +59,7 @@ class Matrix:
         raise AttributeError("matrices are immutable")
 
     def __reduce__(self):
-        return (Matrix, (self.data,))
+        return (_sparse, (self.rows, self.cols, self.nonzeros))
 
     # -- constructors ------------------------------------------------------
 
@@ -232,11 +233,18 @@ def _sparse(rows, cols, nonzeros):
 
 def _settled(rows, cols, triples):
     """The rows x cols Matrix of the row-major (i, j, x) triples at distinct
-    positions, each x settled first (a Fraction or Laurent is kept, any
-    other x becomes Fraction(x)) and then dropped if zero."""
-    settled = ((i, j, x if type(x) is Fraction or isinstance(x, Laurent) else Fraction(x))
+    positions, each x settled first (a Fraction or Laurent is kept, a float
+    refused, any other x becomes Fraction(x)) and then dropped if zero."""
+    settled = ((i, j, x if type(x) is Fraction or isinstance(x, Laurent) else _exact(x))
                for i, j, x in triples)
     return _sparse(rows, cols, [t for t in settled if t[2]])
+
+
+def _exact(x):
+    """Fraction(x); a float's binary value is rarely the number meant."""
+    if isinstance(x, float):
+        raise ValueError("inexact float entry %r; give an int, a Fraction or a string" % (x,))
+    return Fraction(x)
 
 
 def _summed(rows, cols, pieces):

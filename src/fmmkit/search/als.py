@@ -32,7 +32,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from ..matrices import Matrix
+from ..matrices import _sparse
 from ..tensor import RATIONAL, Dims, FmmTensor, Term, verify_exact
 from . import kernels
 
@@ -196,10 +196,12 @@ def factor_set_from_tensor(t):
     """Cast an exact tensor's factors to float stacks (rational mode only)."""
     if t.field_mode != RATIONAL:
         raise ValueError("only exact rational tensors cast to float factor stacks")
-    # a factor's rows, flattened in order, are its row of the stack
-    return FactorSet(*(np.array([[float(v) for row in factor.data for v in row]
-                                 for factor in factors])
-                       for factors in zip(*t.terms)))
+    stacks = FactorSet(*(np.zeros((t.rank, f.rows * f.cols)) for f in t.terms[0]))
+    for k, term in enumerate(t.terms):
+        for stack, f in zip(stacks, term):
+            for i, j, x in f.nonzeros:
+                stack[k, i * f.cols + j] = x
+    return stacks
 
 
 def brent_residual(f, dims):
@@ -213,12 +215,12 @@ def brent_residual(f, dims):
 
 
 def _grid(grid):
-    """The grid's values in ascending order, their floats, and the bounds
-    _snap sorts entries into: the midpoints of neighbouring floats, each
-    negative one lowered by an ulp so that an entry on it is past it.
-    Values that share a float count once, as the one nearest 0."""
+    """The grid's values as Fractions in ascending order, their floats, and
+    the bounds _snap sorts entries into: the midpoints of neighbouring
+    floats, each negative one lowered by an ulp so that an entry on it is
+    past it.  Values that share a float count once, as the one nearest 0."""
     nearest = {}
-    for g in sorted(grid, key=abs):
+    for g in sorted(map(Fraction, grid), key=abs):
         nearest.setdefault(float(g), g)
     floats = np.array(sorted(nearest))
     values = [nearest[x] for x in floats.tolist()]
@@ -308,22 +310,27 @@ def als_sweep(f, models, lam, dims):
 def rationalize(f, dims, snap_grid=DEFAULT_GRID):
     """Snap float stacks to the nearest grid rationals, rebuild an exact
     tensor and verify it.  Returns the tensor on success, None when the
-    snapped factors fail verification or degenerate to a zero factor."""
+    snapped factors fail verification or degenerate to a zero factor.
+    Each factor is built from its entries that snap to a nonzero value."""
     dims = Dims(*dims)
     f, = _stacks(dims, f)
     values, _, bounds = _grid(snap_grid)
-    r = f.P.shape[0]
-    # each stack row, reshaped, is one factor's grid indices: P's rows
-    # are m x n, Q's n x p and S's p x m
-    stacks = [_snap(stack, bounds).reshape(r, a, -1) for stack, a in zip(f, dims)]
-    terms = [Term(*(Matrix([[values[i] for i in row] for row in factor]) for factor in term))
-             for term in zip(*(stack.tolist() for stack in stacks))]
+    nonzero = np.array(values, dtype=bool)
+    slots = []
+    # a stack row is one factor's cells, row-major (P m x n, Q n x p, S p x m),
+    # so np.nonzero lists the nonzero cells term by term, each in row-major order
+    for stack, (rows, cols) in zip(f, ((dims.m, dims.n), (dims.n, dims.p), (dims.p, dims.m))):
+        snapped = _snap(stack, bounds)
+        term, cell = np.nonzero(nonzero[snapped])
+        nonzeros = list(zip(*(x.tolist() for x in np.divmod(cell, cols)),
+                            map(values.__getitem__, snapped[term, cell].tolist())))
+        ends = np.searchsorted(term, np.arange(len(stack) + 1)).tolist()
+        slots.append([_sparse(rows, cols, nonzeros[a:b]) for a, b in zip(ends, ends[1:])])
     try:
-        t = FmmTensor(dims, RATIONAL, terms)
+        t = FmmTensor(dims, RATIONAL, list(map(Term, *slots)))
     except ValueError:
         return None
-    report = verify_exact(t)
-    return t if report.passed else None
+    return t if verify_exact(t).passed else None
 
 
 class _Descent:

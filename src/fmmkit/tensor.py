@@ -80,25 +80,27 @@ class FmmTensor:
             raise ValueError("dimensions must be positive")
         if field_mode not in (RATIONAL, LAURENT):
             raise ValueError("field_mode must be %r or %r" % (RATIONAL, LAURENT))
-        # e-dependent entries are looked for in one pass over every entry;
-        # before any other error the terms up to it are searched, so the
-        # first error in term order is raised (shapes, then e-dependence,
-        # then zero factors)
+        # one walk up to the first shape or all-zero factor error, then one
+        # pass over the terms walked for e-dependent entries: the first error
+        # in term order is raised (shapes, then e-dependence, then zero factors)
         shape = ((dims.m, dims.n), (dims.n, dims.p), (dims.p, dims.m))
-        kept = []
-        for idx, term in enumerate(terms, start=1):
-            P, Q, S = term
+        kept, error = [], None
+        for idx, (P, Q, S) in enumerate(terms, start=1):
             got = ((P.rows, P.cols), (Q.rows, Q.cols), (S.rows, S.cols))
             if got != shape:
-                _check_rational(field_mode, kept)
                 name, (rows, cols), want = next(x for x in zip("PQS", got, shape) if x[1] != x[2])
-                raise ValueError("term %d: %s is %dx%d, expected %dx%d"
-                                 % (idx, name, rows, cols, *want))
+                error = "term %d: %s is %dx%d, expected %dx%d" % (idx, name, rows, cols, *want)
+                break
             kept.append(Term(P, Q, S))
             if not (P.nonzeros and Q.nonzeros and S.nonzeros):
-                _check_rational(field_mode, kept)
-                raise ValueError("term %d has an all-zero factor" % idx)
-        _check_rational(field_mode, kept)
+                error = "term %d has an all-zero factor" % idx
+                break
+        if field_mode == RATIONAL:
+            values = map(itemgetter(2), chain.from_iterable(f.nonzeros for t in kept for f in t))
+            if any(issubclass(kind, Laurent) for kind in set(map(type, values))):
+                raise ValueError("e-dependent entry in a rational-mode tensor")
+        if error is not None:
+            raise ValueError(error)
         if not kept:
             raise ValueError("a tensor needs at least one term")
         if support is not None:
@@ -146,15 +148,6 @@ class FmmTensor:
 
     def with_terms(self, terms):
         return FmmTensor(self.dims, self.field_mode, terms, self.support)
-
-
-def _check_rational(field_mode, terms):
-    """Raise the e-dependent entry error when field_mode is rational and
-    a factor of terms holds a Laurent entry, in one pass over the entries."""
-    if field_mode == RATIONAL:
-        values = map(itemgetter(2), chain.from_iterable(f.nonzeros for term in terms for f in term))
-        if any(issubclass(kind, Laurent) for kind in set(map(type, values))):
-            raise ValueError("e-dependent entry in a rational-mode tensor")
 
 
 def classical_tensor(dims, support=None):

@@ -9,15 +9,18 @@ import numpy as np
 from fmmkit.algebra import _check_unmasked, _joint_mode
 from fmmkit.matrices import Matrix, _sparse
 from fmmkit.scalars import Laurent, exact_div, format_scalar, laurent_order
+from fmmkit.search.als import DEFAULT_GRID, FactorSet, _grid, _snap, _stacks
 from fmmkit.tensor import (
     LAURENT,
     RATIONAL,
     ApproxReport,
+    Dims,
     FmmTensor,
     Term,
     VerificationReport,
     _classical_coords,
     classical_map,
+    verify_exact,
 )
 
 
@@ -233,6 +236,66 @@ def reference_construction_error(dims, field_mode, terms):
         if not (P and Q and S):
             return "term %d has an all-zero factor" % idx
     return None if terms else "a tensor needs at least one term"
+
+
+# -- reference builders ------------------------------------------------------
+#
+# The symmetry images as the chain of tensors, and the search's float cast
+# and snap as the dense walks over every cell, that they were once built by.
+
+def reference_rotate_once(t):
+    """(P,Q,S) -> (Q,S,P) on <n,p,m>, built and checked as a tensor."""
+    m, n, p = t.dims
+    return FmmTensor((n, p, m), t.field_mode, [Term(term.Q, term.S, term.P) for term in t.terms])
+
+
+def reference_symmetry_apply(t, rotation=0, transpose=False):
+    """algebra.symmetry_apply(t, rotation, transpose) as rotation
+    reference_rotate_once steps, then a transposed tensor, and a copy for
+    the identity: each one built and checked."""
+    if rotation not in (0, 1, 2):
+        raise ValueError("rotation must be 0, 1 or 2")
+    if t.support is not None and (rotation != 0 or transpose):
+        raise ValueError("symmetry_apply on a masked tensor must be the identity")
+    out = t
+    for _ in range(rotation):
+        out = reference_rotate_once(out)
+    if transpose:
+        m, n, p = out.dims
+        out = FmmTensor((m, p, n), out.field_mode,
+                        [Term(term.S.transpose(), term.Q.transpose(), term.P.transpose())
+                         for term in out.terms])
+    if out is t:
+        out = FmmTensor(t.dims, t.field_mode, list(t.terms), t.support)
+    return out
+
+
+def reference_factor_set(t):
+    """als.factor_set_from_tensor(t) as the cast of every cell of the
+    dense rows, a factor's rows flattened in order into its stack row."""
+    if t.field_mode != RATIONAL:
+        raise ValueError("only exact rational tensors cast to float factor stacks")
+    return FactorSet(*(np.array([[float(v) for row in factor.data for v in row]
+                                 for factor in factors])
+                       for factors in zip(*t.terms)))
+
+
+def reference_rationalize(f, dims, snap_grid=DEFAULT_GRID):
+    """als.rationalize as the dense build: each stack row reshaped to its
+    factor's rows, every cell snapped and each factor settled through
+    Matrix(rows), zero cells included."""
+    dims = Dims(*dims)
+    f, = _stacks(dims, f)
+    values, _, bounds = _grid(snap_grid)
+    r = f.P.shape[0]
+    stacks = [_snap(stack, bounds).reshape(r, a, -1) for stack, a in zip(f, dims)]
+    terms = [Term(*(Matrix([[values[i] for i in row] for row in factor]) for factor in term))
+             for term in zip(*(stack.tolist() for stack in stacks))]
+    try:
+        t = FmmTensor(dims, RATIONAL, terms)
+    except ValueError:
+        return None
+    return t if verify_exact(t).passed else None
 
 
 # -- reference arithmetic ----------------------------------------------------

@@ -6,6 +6,7 @@ import pytest
 from fmmkit.algebra import (
     BlockEmbedding,
     IsotropyElement,
+    SerendipityGroup,
     direct_sum,
     embed_and_add,
     hopcroft_rank_bound,
@@ -428,3 +429,26 @@ def test_hopcroft_bound_values():
     assert hopcroft_rank_bound(5, 3) == 25
     with pytest.raises(ValueError):
         hopcroft_rank_bound(0, 3)
+
+
+ONE = Matrix([[1]])
+# one term twice: its two terms share every factor, so any two are dependent
+TWICE = FmmTensor((1, 1, 1), RATIONAL, [Term(ONE, ONE, ONE)] * 2)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: serendipity_transform(TWICE, SerendipityGroup("P", ONE, (0, 2)),
+                                   Matrix.identity(2)),
+     "group indices out of range"),
+    (lambda: serendipity_transform(TWICE, SerendipityGroup("P", ONE, (1, 1)),
+                                   Matrix.identity(2)),
+     "group indices out of range"),
+    (lambda: serendipity_transform(TWICE, serendipity_find(TWICE)[0], Matrix([[1, 0], [-1, 1]])),
+     "recombination would zero a factor of term 0 (dependent factors under this mixing matrix)"),
+    (lambda: mask_embedding(FmmTensor((1, 1, 1), RATIONAL, TWICE.terms, [[True]])),
+     "support mask has an empty complement"),
+], ids=["index past the rank", "repeated index", "zeroed factor", "mask allows every entry"])
+def test_refusals(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message

@@ -533,3 +533,24 @@ def test_the_parser_built_once_reads_each_call_alike(capsys):
     assert code == 2 and not out
     assert "argument --explain: expected a non-negative integer, got '-1'" in err
     assert cli._build_parser() is cli._build_parser()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["compose", "--op", "rotate", "--inputs", STRASSEN + "," + STRASSEN],
+     "--op rotate takes exactly one input file"),
+    (["compose", "--op", "serendipity", "--inputs", STRASSEN, "--group", "1"],
+     "--group 1 out of range; tensor has 0 groups"),
+    (["search", "--dims", "2", "2", "2", "--rank", "7", "--grid", ","],
+     "--grid needs at least one rational value"),
+], ids=["rotate two inputs", "group out of range", "empty grid"])
+def test_input_errors_exit_two(capsys, argv, message):
+    assert run(capsys, *argv) == (2, "", "error: %s\n" % message)
+
+
+def test_unknown_compose_op_exits_two(capsys):
+    # argparse refuses it before any compose code runs
+    with pytest.raises(SystemExit) as exc:
+        main(["compose", "--op", "bogus", "--inputs", STRASSEN])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert not out and "argument --op: invalid choice: 'bogus'" in err

@@ -5,7 +5,9 @@ import pytest
 
 from fmmkit import datasets
 from fmmkit.io import write_tensor
-from fmmkit.tensor import type_polynomial, verify_approximate, verify_exact
+from fmmkit.matrices import Matrix
+from fmmkit.scalars import Laurent
+from fmmkit.tensor import LAURENT, FmmTensor, Term, type_polynomial, verify_approximate, verify_exact
 
 
 def test_dataset_names():
@@ -90,3 +92,36 @@ def test_approx_tensor_contents(teps):
     report = verify_approximate(teps)
     assert report.valid and report.discrepancy_order == 1
     assert type_polynomial(teps).total() == 55
+
+
+ONE = Matrix([[1]])
+
+
+def at_one(*factors):
+    """The laurent <1,1,1> tensor with one term per given P factor."""
+    return FmmTensor((1, 1, 1), LAURENT, [Term(P, ONE, ONE) for P in factors])
+
+
+def e_to(k):
+    return Matrix([[Laurent.monomial(1, k)]])
+
+
+@pytest.mark.parametrize("name, build, problem", [
+    ("teps", lambda t: datasets.load_dataset("strassen"), "field mode rational != expected laurent"),
+    ("teps", lambda t: at_one(ONE, ONE),
+     "approximate verification failed: INVALID discrepancy_order 0"),
+    ("teps", lambda t: at_one(ONE, e_to(2)), "discrepancy order 2 != expected 1"),
+    ("teps", lambda t: at_one(ONE), "discrepancy order inf != expected 1"),
+    ("teps", lambda t: at_one(ONE, e_to(1)), "masked entries 0 != expected 9"),
+], ids=["field mode", "invalid", "order 2", "exact", "unmasked"])
+def test_check_dataset_reports_each_mismatch(name, build, problem):
+    assert problem in datasets.check_dataset(name, build(datasets.load_dataset(name)))
+
+
+@pytest.mark.parametrize("read", [datasets.expected_info, datasets.dataset_text,
+                                  datasets.load_dataset, datasets.check_dataset])
+def test_unknown_dataset_is_refused(read):
+    with pytest.raises(KeyError) as exc:
+        read("nope")
+    assert exc.value.args == ("unknown dataset 'nope'; bundled: %s"
+                              % ", ".join(datasets.dataset_names()),)

@@ -651,3 +651,11 @@ def test_epsilon_error_scan_validation(teps):
     bad = [[1.0] * 5 for _ in range(5)]
     with pytest.raises(ValueError):
         epsilon_error_scan(teps, bad, B, [1e-1])
+
+
+@pytest.mark.parametrize("a, b", [((5, 4), (5, 5)), ((5, 5), (4, 5)), ((5,), (5, 5))],
+                         ids=["A", "B", "A a vector"])
+def test_error_scan_refuses_operands_of_the_wrong_shape(a, b, teps):
+    with pytest.raises(ValueError) as exc:
+        epsilon_error_scan(teps, np.ones(a), np.ones(b), [1e-2])
+    assert str(exc.value) == "expected A 5x5 and B 5x5"

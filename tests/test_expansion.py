@@ -8,6 +8,7 @@ import random
 from fractions import Fraction
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -165,3 +166,16 @@ def test_exponent_span_sides():
         t = unit(Laurent({k: 1, 0: 1}), LAURENT)
         assert expand(t).coord.dtype == dtype
         assert_matches_reference(t)
+
+
+@pytest.mark.parametrize("key", [
+    (0, 0), "abc", None, ((0, 0), (0, 0)), ((0, 0, 0), (0, 0), (0, 0)),
+    ((2, 0), (0, 0), (0, 0)), ((0, 0), (0, 2), (0, 0)), ((0, 0), (0, 0), (0, -1)),
+], ids=["pair", "string", "none", "two pairs", "triple in a pair", "i out of range",
+        "k out of range", "negative i"])
+def test_expansion_refuses_a_malformed_or_out_of_range_key(key):
+    coefficients = expand(classical_tensor((2, 2, 2)))
+    with pytest.raises(KeyError) as exc:
+        coefficients[key]
+    assert exc.value.args == (key,)
+    assert key not in coefficients

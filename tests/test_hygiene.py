@@ -4,11 +4,11 @@ or constant is referenced somewhere in the package, only matrices.py
 names the shared zero ``ZERO``, ``lcm`` is named only where a scheme's
 coefficients, the evaluator's operands or a Laurent scalar are cleared,
 ``exact_div`` only in the one elimination and the inverse, a Matrix's
-dense ``data`` only where a file, a repr or the search reads it out,
-the search names no dense classical target, every name the benchmark's
-tracer wraps exists, every restart outcome the search assigns is
-documented, and every upper-case constant the README names in backticks
-is defined in the package.
+dense ``data`` only where a file or a repr reads it out, no function in
+algebra.py builds more than one tensor, the search names no dense
+classical target, every name the benchmark's tracer wraps exists, every
+restart outcome the search assigns is documented, and every upper-case
+constant the README names in backticks is defined in the package.
 
 A package __init__.py imports names to re-export them, so it is exempt
 from the first check.
@@ -182,14 +182,40 @@ def test_only_the_elimination_divides_exactly():
 
 
 def test_only_read_outs_name_the_dense_rows():
-    # a Matrix computes over its nonzeros; its dense rows are a view for
-    # the matrix writer, repr, pickling and the search's float cast, and
-    # the constructor's argument.  A dense walk in map, the arithmetic or
-    # algebra would show up here.
+    # a Matrix computes over its nonzeros, and so do pickling, the search's
+    # snap and its float cast; its dense rows are a view for the matrix
+    # writer and repr, and the constructor's argument.  A dense walk
+    # anywhere else would show up here.
     assert [(p.relative_to(PACKAGE).as_posix(), name) for p in SOURCES
             for name in functions_mentioning(p.read_text(), "data")] == [
-        ("io.py", "write_matrix"), ("matrices.py", "__new__"), ("matrices.py", "__reduce__"),
-        ("matrices.py", "__repr__"), ("search/als.py", "factor_set_from_tensor")]
+        ("io.py", "write_matrix"), ("matrices.py", "__new__"), ("matrices.py", "__repr__")]
+
+
+def constructions(source, name):
+    """(function, count) of each function (methods and nested ones too)
+    whose body calls `name` more than once, in source order."""
+    found = []
+    for fn in ast.walk(ast.parse(source)):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            calls = sum(isinstance(node, ast.Call) and names(node.func, name)
+                        for node in ast.walk(fn))
+            if calls > 1:
+                found.append((fn.lineno, fn.name, calls))
+    return [(fn, calls) for _, fn, calls in sorted(found)]
+
+
+def test_constructions_are_found():
+    source = ("def f(t):\n    return FmmTensor(1) if t else tensor.FmmTensor(2)\n"
+              "def g():\n    FmmTensor\n    return FmmTensor(3)\n"
+              "def h():\n    def k():\n        return FmmTensor(4)\n    return k(), FmmTensor(5)\n")
+    assert constructions(source, "FmmTensor") == [("f", 2), ("h", 2)]
+
+
+def test_each_algebra_function_builds_one_tensor():
+    # each construction builds and checks its result once; a chain of
+    # tensors (a rotation step, then a transpose, then a copy) would build
+    # and check every intermediate too
+    assert constructions((PACKAGE / "algebra.py").read_text(), "FmmTensor") == []
 
 
 def test_search_names_no_dense_target():

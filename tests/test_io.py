@@ -335,3 +335,12 @@ def test_matrix_errors():
             parse_matrix(bad)
     with pytest.raises(ValueError):
         write_matrix(Matrix([[Laurent.monomial(1, 1)]]))
+
+
+@pytest.mark.parametrize("text, message", [
+    ("fmm 1\ndims 2 2 2\nrank 0\nfield rational\n", "line 3: rank must be positive"),
+], ids=["rank 0"])
+def test_header_refusals(text, message):
+    with pytest.raises(TensorFormatError) as exc:
+        parse_tensor(text)
+    assert str(exc.value) == message

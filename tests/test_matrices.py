@@ -3,6 +3,7 @@ import operator
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -520,3 +521,42 @@ def test_parsed_zero_spellings_are_not_stored():
     P, Q, _ = t.terms[0]
     assert P.nonzeros == ((0, 1, 1),) and Q.nonzeros == ((1, 0, 1),)
     assert type(P.nonzeros[0][2]) is Fraction
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: Matrix.zeros(0, 2), "matrix needs at least one row and one column"),
+    (lambda: Matrix.zeros(2, 0), "matrix needs at least one row and one column"),
+    (lambda: Matrix([[1, 2]]).inverse(), "only square matrices invert"),
+    (lambda: Matrix([[1], [2]]).determinant(), "determinant needs a square matrix"),
+], ids=["zeros without rows", "zeros without columns", "inverse of 1x2", "determinant of 2x1"])
+def test_shape_refusals(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("call, entry", [
+    (lambda: Matrix([[0.1]]), 0.1),
+    (lambda: Matrix([[1, float("inf")]]), float("inf")),
+    (lambda: Matrix([[np.float64(0.5)]]), np.float64(0.5)),
+    (lambda: Matrix([[0.0]]), 0.0),
+    (lambda: Matrix.unit(2, 2, 0, 1, 0.25), 0.25),
+    (lambda: Matrix([[1, 2]]).scale(0.1), 0.1),
+    (lambda: Matrix([[1, 2]]).map(lambda x: x / 10.0), 0.0),
+], ids=["Matrix", "inf", "numpy float64", "float zero", "unit", "scale", "map"])
+def test_float_entries_are_refused(call, entry):
+    # a float's binary value is rarely the number meant: Fraction(0.1) is
+    # 3602879701896397/36028797018963968, and inf has no Fraction at all
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == "inexact float entry %r; give an int, a Fraction or a string" % (
+        entry,)
+
+
+def test_exact_entries_settle_as_before():
+    e = Laurent.monomial(Fraction(1, 2), -1)
+    m = Matrix([[3, "1/2", Fraction(2, 3), e], [0, "0", Fraction(0), -1]])
+    assert m.nonzeros == ((0, 0, Fraction(3)), (0, 1, Fraction(1, 2)), (0, 2, Fraction(2, 3)),
+                          (0, 3, e), (1, 3, Fraction(-1)))
+    assert all(type(x) in (Fraction, Laurent) for _, _, x in m.nonzeros)
+    assert m.scale(Fraction(1, 2)) == m.map(lambda x: x * Fraction(1, 2))

@@ -845,3 +845,18 @@ def test_plateau_exit_keeps_a_restart_that_finds_a_scheme():
     assert gap == 486 < als.STALL_SWEEPS
     t = rationalize(out.factors, cfg.dims, cfg.snap_grid)
     assert t is not None and verify_exact(t).passed
+
+
+ONES = FactorSet(np.ones((1, 1)), np.ones((1, 1)), np.ones((1, 1)))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: SearchConfig((2, 2, 2), 7, max_sweeps=0), "max_sweeps must be positive"),
+    (lambda: als_block_solve(ONES, ONES, -0.5, (1, 1, 1), "P"), "lambda must be nonnegative"),
+    (lambda: als_sweep(ONES, ONES, -1e-300, (1, 1, 1)), "lambda must be nonnegative"),
+    (lambda: als_block_solve(ONES, ONES, 0.5, (1, 1, 1), "R"), "slot must be P, Q or S, got 'R'"),
+], ids=["no sweeps", "negative lambda", "tiny negative lambda", "bad slot"])
+def test_refusals(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message
