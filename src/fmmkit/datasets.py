@@ -109,9 +109,12 @@ def check_dataset(name, t=None):
             "field mode %s != expected %s" % (t.field_mode, info["field_mode"])
         )
     if info["verify"] == "exact":
-        report = verify_exact(t)
-        if not report.passed:
-            problems.append("verification failed: %s" % report)
+        # only a rational tensor has an exact check; a Laurent one is
+        # listed by its field mode above
+        if t.field_mode == RATIONAL:
+            report = verify_exact(t)
+            if not report.passed:
+                problems.append("verification failed: %s" % report)
     else:
         report = verify_approximate(t)
         if not report.valid:

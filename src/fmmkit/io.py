@@ -22,16 +22,32 @@ such as `1/2*e^-3+2` are accepted on input.  Matrix files carry a
 A factor stores only its nonzero entries (see matrices), and the parser
 builds it straight from them.  A scheme file repeats a few hundred row
 texts and a handful of cell tokens (0, 1, -1, ...) thousands of times,
-so each distinct token is parsed once per file and each distinct row
-text once per width: the parser keeps one row table per width, from row
-text to the row's nonzero (column, scalar) pairs.  The cursor holds the
-significant lines' numbers and bodies as two parallel lists.  A factor
-takes its rows as one slice of each, looks all its row texts up in its
-width's table with one map, parses only the texts not found, in row
-order, and builds its (row, column, scalar) triples in one
-comprehension.  Only successful parses are kept, so an error names the
-line of the first bad occurrence and reads as parsing that row alone
-would.
+so each distinct token is parsed once per file (the file's scalar
+reader keeps a table from token to value) and each distinct row text
+once per width (one row table per width, from row text to the row's
+nonzero (column, scalar) pairs).  The cursor holds the significant
+lines' numbers and bodies as two parallel lists.  After the header a
+term block is always 1+m+n+p significant lines, so the parser reads the
+file by row position, across all terms at once: bodies[start+o::block]
+holds the text at offset o of every term block, the 'term k' lines at
+offset 0 and one factor row at each other offset.  The 'term' lines are
+checked as one list; each row position's texts are looked up in their
+width's row table, only the texts not found are parsed, and a table
+from each distinct text to its (row, column, scalar) triples, one per
+position, turns them into every term's row with one map.  Each factor
+is then one _sparse over the triples of its rows.
+
+Errors are those of reading the file line by line: the first bad line in
+file order, with the same text and line number, then a missing line,
+then trailing lines.  Reading by position can meet a bad row of a later
+term first, so the read only looks at the terms before the first bad
+line found so far, and no token is parsed twice: the row tables keep
+the rows that parse, and the scalar reader also keeps a bad token's
+error.
+
+A matrix file is read as one flat token list, its entries through the
+file's scalar reader with one map; a bad token's line is worked out
+only after that token fails.
 
 The writer works from the same nonzeros.  It formats each distinct value
 object once per call: a table local to the call maps id(value) to its
@@ -44,7 +60,7 @@ built cell by cell.
 
 from itertools import compress
 
-from .matrices import _settled, _sparse
+from .matrices import _sparse
 from .scalars import ScalarParseError, format_rational, format_scalar, parse_scalar
 from .tensor import LAURENT, RATIONAL, FmmTensor, Term
 
@@ -87,77 +103,71 @@ class _Cursor:
         self.pos += 1
         return no, body
 
-    def take(self, count):
-        """The line numbers and the bodies of the next count lines, or of
-        all that are left if fewer."""
-        start = self.pos
-        self.pos = stop = min(start + count, len(self.bodies))
-        return self.numbers[start:stop], self.bodies[start:stop]
-
-    def done(self):
-        return self.pos >= len(self.bodies)
-
 
 def _split_row(body):
     if "," in body:
-        return [cell.strip() for cell in body.split(",")]
+        return list(map(str.strip, body.split(",")))
     return body.split()
 
 
 def _scalar_reader(laurent):
     """read(cell) -> parse_scalar(cell), each distinct cell parsed once.
 
-    Only successful parses are kept, so a bad cell raises
-    ScalarParseError wherever it occurs.
+    A cell that does not parse raises its ScalarParseError, with the cell
+    as the error's `cell`, wherever it occurs.
     """
-    table = {}
+    table, failed = {}, {}
 
     def read(cell):
         value = table.get(cell)
         if value is None:
-            value = table[cell] = parse_scalar(cell, laurent=laurent)
+            if cell in failed:
+                raise failed[cell]
+            try:
+                value = table[cell] = parse_scalar(cell, laurent=laurent)
+            except ScalarParseError as exc:
+                exc.cell = cell
+                failed[cell] = exc
+                raise
         return value
 
     return read
 
 
-def _parse_row(no, body, width, read, what):
-    """The (column, scalar) pairs of the nonzero entries of row text `body`
-    at line `no`, as a tuple."""
+def _parse_row(body, width, read):
+    """The (column, scalar) pairs of the nonzero entries of row text body,
+    as a tuple.  A text that is not width entries raises a line-less
+    TensorFormatError, a bad entry its ScalarParseError."""
     # a single scalar may contain spaces (' + ' joined monomials)
     cells = [body] if width == 1 and "," not in body else _split_row(body)
     if len(cells) != width:
-        raise TensorFormatError(
-            "%s: expected %d entries, got %d" % (what, width, len(cells)), no)
-    try:
-        return tuple([(j, x) for j, x in enumerate(map(read, cells)) if x])
-    except ScalarParseError as exc:
-        raise TensorFormatError("%s: %s" % (what, exc), no) from None
+        raise TensorFormatError("expected %d entries, got %d" % (width, len(cells)))
+    return tuple([(j, x) for j, x in enumerate(map(read, cells)) if x])
 
 
-def _parse_factor(cursor, rows, cols, read, table, term, slot):
-    """The next rows x cols factor, slot P, Q or S of term `term`.
+def _parse_new(texts, new, table, width, read):
+    """Parse each row text of the set new at width into table, in the
+    order the texts first occur in texts.  Returns None, or the index in
+    texts of the first text that fails and its error."""
+    for k, body in enumerate(texts):
+        if body in new:
+            new.discard(body)
+            try:
+                table[body] = _parse_row(body, width, read)
+            except ValueError as exc:
+                return k, exc
+            if not new:
+                return None
 
-    table is the file's row table for width cols: it maps each row text
-    already parsed at that width to the row's nonzero (column, scalar)
-    pairs.  The width matters because the split depends on it (a
-    comma-free text is one scalar at width 1 and whitespace-separated
-    cells at any other width).  The factor's row texts are looked up in
-    one pass, and only the texts not found are parsed, in row order.  Only
-    successful parses are stored, so every error is the one parsing that
-    row alone would give, and a row's error comes before the end of file.
-    """
-    numbers, bodies = cursor.take(rows)
-    found = list(map(table.get, bodies))
-    if None in found:
-        for i, body in enumerate(bodies):
-            if body not in table:
-                table[body] = _parse_row(numbers[i], body, cols, read,
-                                         "term %d %s row %d" % (term, slot, i + 1))
-            found[i] = table[body]
-    if len(bodies) < rows:
-        raise _end_of_file("term %d %s row %d" % (term, slot, len(bodies) + 1))
-    return _sparse(rows, cols, [(i, j, x) for i, pairs in enumerate(found) if pairs for j, x in pairs])
+
+def _row_name(offset, m, n):
+    """'P row 1' ... 'S row p': the row at offset 1 or more of a term block
+    of a <m,n,p> file."""
+    if offset <= m:
+        return "P row %d" % offset
+    if offset <= m + n:
+        return "Q row %d" % (offset - m)
+    return "S row %d" % (offset - m - n)
 
 
 def parse_tensor(text):
@@ -208,32 +218,69 @@ def parse_tensor(text):
             mask.append(tuple(ch == "1" for ch in body))
         support = tuple(mask)
 
+    # The term blocks: line start + k*block + o of bodies is term k+1's
+    # 'term' line at offset 0 and its row _row_name(o) at offset o.
+    numbers, bodies, start = cursor.numbers, cursor.bodies, cursor.pos
+    block = 1 + m + n + p
+    left = len(bodies) - start
+    count = min(rank, -(-left // block))  # term blocks begun
+    # bad is the index of the first bad line found, and stop the start of
+    # its term block: only the lines before it can hold an earlier error
+    stop = start + count * block
+    bad = message = None
+
+    heads = bodies[start:stop:block]
+    if heads != ["term %d" % k for k in range(1, count + 1)]:
+        for k, body in enumerate(heads, start=1):
+            if body.split() != ["term", str(k)]:
+                bad = stop = start + (k - 1) * block
+                if body.startswith("term"):
+                    message = ("expected 'term %d', got %r (term blocks are consecutive)"
+                               % (k, body))
+                else:
+                    message = "rank mismatch: header says %d terms, found %d" % (rank, k - 1)
+                break
+
     read = _scalar_reader(mode == LAURENT)
     tables = {width: {} for width in (n, p, m)}  # per width: row text -> its nonzero pairs
-    terms = []
-    for idx in range(1, rank + 1):
-        no, body = cursor.next("'term %d'" % idx)
-        if body.split() != ["term", str(idx)]:
-            if body.startswith("term"):
-                raise TensorFormatError(
-                    "expected 'term %d', got %r (term blocks are consecutive)"
-                    % (idx, body), no)
-            raise TensorFormatError(
-                "rank mismatch: header says %d terms, found %d" % (rank, idx - 1), no)
-        P = _parse_factor(cursor, m, n, read, tables[n], idx, "P")
-        Q = _parse_factor(cursor, n, p, read, tables[p], idx, "Q")
-        S = _parse_factor(cursor, p, m, read, tables[m], idx, "S")
-        terms.append(Term(P, Q, S))
+    slots = []
+    at = start + 1  # the first line of the slot's rows
+    for slot, rows, width in (("P", m, n), ("Q", n, p), ("S", p, m)):
+        table = tables[width]
+        positions = []  # per row: each term's (row, column, scalar) triples
+        for r in range(min(rows, len(bodies) - at)):
+            texts = bodies[at + r:stop:block]
+            distinct = set(texts)
+            new = distinct.difference(table)
+            failure = new and _parse_new(texts, new, table, width, read)
+            if failure:
+                k, exc = failure
+                bad, stop = at + r + k * block, start + k * block
+                message = "term %d %s row %d: %s" % (k + 1, slot, r + 1, exc)
+            elif message is None:
+                triples = {body: tuple([(r, j, x) for j, x in table[body]])
+                           for body in distinct}
+                positions.append(list(map(triples.__getitem__, texts)))
+        # at a scheme's few rows per factor, adding the row tuples is a
+        # quicker join than chaining them
+        slots.append([_sparse(rows, width, sum(row, ())) for row in zip(*positions)])
+        at += rows
 
-    if not cursor.done():
-        no, body = cursor.peek()
+    if message is not None:
+        raise TensorFormatError(message, numbers[bad])
+    if left < rank * block:
+        k, offset = divmod(left, block)
+        raise _end_of_file("term %d %s" % (k + 1, _row_name(offset, m, n)) if offset
+                           else "'term %d'" % (k + 1))
+    if left > rank * block:
+        no, body = numbers[stop], bodies[stop]
         if body.split()[:1] == ["term"]:
             raise TensorFormatError(
                 "rank mismatch: header says %d terms but more follow" % rank, no)
         raise TensorFormatError("trailing content %r" % body, no)
 
     try:
-        return FmmTensor((m, n, p), mode, terms, support)
+        return FmmTensor((m, n, p), mode, list(map(Term, *slots)), support)
     except ValueError as exc:
         raise TensorFormatError(str(exc)) from None
 
@@ -281,35 +328,43 @@ def save_tensor(t, path):
         fh.write(text)
 
 
+def _token_line(text, index):
+    """The number of the line that holds token index, counted from 0, of
+    the comment-stripped text."""
+    for no, raw in enumerate(text.splitlines(), start=1):
+        index -= len(raw.split("#", 1)[0].split())
+        if index < 0:
+            return no
+
+
 def parse_matrix(text):
     """Rational matrix file: `rows cols` header then row-major entries."""
-    tokens = []
-    for no, raw in enumerate(text.splitlines(), start=1):
-        body = raw.split("#", 1)[0]
-        tokens.extend((no, tok) for tok in body.split())
+    body = text
+    if "#" in text:
+        body = "\n".join([raw.split("#", 1)[0] for raw in text.splitlines()])
+    tokens = body.split()
     if len(tokens) < 2:
         raise TensorFormatError("matrix file needs a 'rows cols' header")
-    (no_r, rtok), (no_c, ctok) = tokens[0], tokens[1]
+    rtok, ctok = tokens[0], tokens[1]
     if not rtok.isdigit() or not ctok.isdigit():
-        raise TensorFormatError("malformed 'rows cols' header", no_r)
+        raise TensorFormatError("malformed 'rows cols' header", _token_line(text, 0))
     try:
         rows, cols = int(rtok), int(ctok)
     except ValueError as exc:  # more digits than Python converts
-        raise TensorFormatError("matrix header: %s" % exc, no_r) from None
+        raise TensorFormatError("matrix header: %s" % exc, _token_line(text, 0)) from None
     if rows < 1 or cols < 1:
-        raise TensorFormatError("matrix dimensions must be positive", no_r)
-    body = tokens[2:]
-    if len(body) != rows * cols:
+        raise TensorFormatError("matrix dimensions must be positive", _token_line(text, 0))
+    del tokens[:2]
+    if len(tokens) != rows * cols:
         raise TensorFormatError(
-            "expected %d entries, got %d" % (rows * cols, len(body)))
-    read = _scalar_reader(False)
-    values = []
-    for no, tok in body:
-        try:
-            values.append(read(tok))
-        except ScalarParseError as exc:
-            raise TensorFormatError(str(exc), no) from None
-    return _settled(rows, cols, [(k // cols, k % cols, x) for k, x in enumerate(values)])
+            "expected %d entries, got %d" % (rows * cols, len(tokens)))
+    try:
+        values = list(map(_scalar_reader(False), tokens))
+    except ScalarParseError as exc:
+        raise TensorFormatError(str(exc), _token_line(text, 2 + tokens.index(exc.cell))) from None
+    # a rational-mode read gives only Fractions
+    return _sparse(rows, cols, [(i, j, x) for i in range(rows)
+                                for j, x in enumerate(values[i * cols:(i + 1) * cols]) if x])
 
 
 def write_matrix(mat):

@@ -9,6 +9,13 @@ Laurent constructor returns a Fraction for any e-free value, so
 Fractions, and a Fraction never equals a Laurent.
 :func:`laurent_order`, :func:`value_at` and :func:`exact_div` accept
 either form.
+
+:func:`parse_scalar` reads the tokens of tensor and matrix files.  A
+token that is one monomial, which every matrix entry and nearly every
+scheme cell is (a plain rational such as ``-3/4``), is read with one
+full match of the monomial pattern and one Fraction; a sum of monomials
+is read monomial by monomial with the same pattern and the same numeral
+checks, so both kinds give the same error texts.
 """
 
 import math
@@ -213,41 +220,51 @@ class ScalarParseError(ValueError):
     pass
 
 
+def _monomial(m, src, pos, text):
+    """The exponent and the Fraction coefficient of the monomial that m
+    matched at pos of src, the stripped text."""
+    sign, num, den, exp = m.group("sign", "num", "den", "exp")
+    try:
+        num = -int(num) if sign == "-" else int(num)
+        den = int(den) if den else 1
+        k = int(exp) if exp else 0
+    except ValueError as exc:
+        # Python refuses to convert integers of more than 4300 digits
+        raise ScalarParseError("numeral near %r: %s" % (src[pos:pos + 20], exc)) from None
+    if den == 0:
+        raise ScalarParseError("zero denominator in %r" % text)
+    return k, Fraction(num) if den == 1 else Fraction(num, den)
+
+
 def parse_scalar(text, laurent=True):
     """Parse one scalar token; with ``laurent`` false any e-dependence
     is rejected."""
     src = text.strip()
     if not src:
         raise ScalarParseError("empty scalar token")
-    terms = {}
-    pos = 0
-    first = True
-    while pos < len(src):
-        if not first:
-            if src[pos] != "+":
-                raise ScalarParseError(
-                    "expected '+' between monomials in %r" % text
-                )
-            pos += 1
-        m = _MONOMIAL_RE.match(src, pos)
-        if not m or m.start() != pos:
-            raise ScalarParseError("malformed monomial in %r near %r" % (text, src[pos:]))
-        try:
-            num = int(m.group("num"))
-            den = int(m.group("den")) if m.group("den") else 1
-            k = int(m.group("exp")) if m.group("exp") else 0
-        except ValueError as exc:
-            # Python refuses to convert integers of more than 4300 digits
-            raise ScalarParseError("numeral near %r: %s" % (src[pos:pos + 20], exc)) from None
-        if den == 0:
-            raise ScalarParseError("zero denominator in %r" % text)
-        q = Fraction(num, den)
-        if m.group("sign") == "-":
-            q = -q
-        terms[k] = terms.get(k, Fraction(0)) + q
-        pos = m.end()
-        first = False
-    value = Laurent(terms)
+    m = _MONOMIAL_RE.fullmatch(src)
+    if m:
+        # one monomial, most often a plain rational: one match, one Fraction
+        k, value = _monomial(m, src, 0, text)
+        if k:
+            value = Laurent({k: value})
+    else:
+        terms = {}
+        pos = 0
+        while pos < len(src):
+            if pos:
+                if src[pos] != "+":
+                    raise ScalarParseError(
+                        "expected '+' between monomials in %r" % text
+                    )
+                pos += 1
+            m = _MONOMIAL_RE.match(src, pos)
+            if not m:
+                raise ScalarParseError("malformed monomial in %r near %r" % (text, src[pos:]))
+            k, q = _monomial(m, src, pos, text)
+            terms[k] = terms[k] + q if k in terms else q
+            pos = m.end()
+        value = Laurent(terms)
     if not laurent and isinstance(value, Laurent):
         raise ScalarParseError("e-dependent scalar %r in rational mode" % text)
     return value

@@ -126,7 +126,7 @@ class SearchConfig:
             raise ValueError("rank %d exceeds the classical rank %d of <%d,%d,%d>"
                              % ((self.rank, volume) + dims))
         try:
-            grid = tuple(sorted(set(Fraction(g) for g in self.snap_grid)))
+            grid = tuple(sorted(set(map(_grid_value, self.snap_grid))))
             for g in grid:
                 float(g)  # the search snaps to the grid's floats
         except OverflowError:
@@ -214,13 +214,22 @@ def brent_residual(f, dims):
     return float(kernels.residual(S, kernels.products(P, Q, dims.m), G, math.prod(dims))[0])
 
 
+def _grid_value(g):
+    """The grid value g as a Fraction; a float is refused, since its binary
+    value is rarely the number meant (0.1 is not 1/10)."""
+    if isinstance(g, float):
+        raise ValueError("snap_grid value %r is a float; give an int, a Fraction or a string"
+                         % (g,))
+    return Fraction(g)
+
+
 def _grid(grid):
     """The grid's values as Fractions in ascending order, their floats, and
     the bounds _snap sorts entries into: the midpoints of neighbouring
     floats, each negative one lowered by an ulp so that an entry on it is
     past it.  Values that share a float count once, as the one nearest 0."""
     nearest = {}
-    for g in sorted(map(Fraction, grid), key=abs):
+    for g in sorted(map(_grid_value, grid), key=abs):
         nearest.setdefault(float(g), g)
     floats = np.array(sorted(nearest))
     values = [nearest[x] for x in floats.tolist()]

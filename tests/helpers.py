@@ -7,8 +7,16 @@ from fractions import Fraction
 import numpy as np
 
 from fmmkit.algebra import _check_unmasked, _joint_mode
+from fmmkit.io import TensorFormatError, _Cursor, _end_of_file, _split_row
 from fmmkit.matrices import Matrix, _sparse
-from fmmkit.scalars import Laurent, exact_div, format_scalar, laurent_order
+from fmmkit.scalars import (
+    _MONOMIAL_RE,
+    Laurent,
+    ScalarParseError,
+    exact_div,
+    format_scalar,
+    laurent_order,
+)
 from fmmkit.search.als import DEFAULT_GRID, FactorSet, _grid, _snap, _stacks
 from fmmkit.tensor import (
     LAURENT,
@@ -165,6 +173,204 @@ def distinct_share(t):
     """(distinct value objects, nonzero entries) over t's factors."""
     values = [v for term in t.terms for f in term for _, _, v in f.nonzeros]
     return len({id(v) for v in values}), len(values)
+
+
+# -- reference parsing ---------------------------------------------------------
+
+def reference_parse_scalar(text, laurent=True):
+    """scalars.parse_scalar(text, laurent) as the loop that reads every
+    token monomial by monomial and sums the monomials' Fractions."""
+    src = text.strip()
+    if not src:
+        raise ScalarParseError("empty scalar token")
+    terms = {}
+    pos = 0
+    first = True
+    while pos < len(src):
+        if not first:
+            if src[pos] != "+":
+                raise ScalarParseError("expected '+' between monomials in %r" % text)
+            pos += 1
+        m = _MONOMIAL_RE.match(src, pos)
+        if not m or m.start() != pos:
+            raise ScalarParseError("malformed monomial in %r near %r" % (text, src[pos:]))
+        try:
+            num = int(m.group("num"))
+            den = int(m.group("den")) if m.group("den") else 1
+            k = int(m.group("exp")) if m.group("exp") else 0
+        except ValueError as exc:
+            raise ScalarParseError("numeral near %r: %s" % (src[pos:pos + 20], exc)) from None
+        if den == 0:
+            raise ScalarParseError("zero denominator in %r" % text)
+        q = Fraction(num, den)
+        if m.group("sign") == "-":
+            q = -q
+        terms[k] = terms.get(k, Fraction(0)) + q
+        pos = m.end()
+        first = False
+    value = Laurent(terms)
+    if not laurent and isinstance(value, Laurent):
+        raise ScalarParseError("e-dependent scalar %r in rational mode" % text)
+    return value
+
+
+def _reference_reader(laurent):
+    """read(cell) -> reference_parse_scalar(cell), each distinct cell
+    parsed once; only successful parses are kept."""
+    table = {}
+
+    def read(cell):
+        value = table.get(cell)
+        if value is None:
+            value = table[cell] = reference_parse_scalar(cell, laurent=laurent)
+        return value
+
+    return read
+
+
+class _ReferenceCursor(_Cursor):
+    """The significant-line reader, taking the rows of a factor a slice at
+    a time."""
+
+    def take(self, count):
+        """The line numbers and the bodies of the next count lines, or of
+        all that are left if fewer."""
+        start = self.pos
+        self.pos = stop = min(start + count, len(self.bodies))
+        return self.numbers[start:stop], self.bodies[start:stop]
+
+    def done(self):
+        return self.pos >= len(self.bodies)
+
+
+def _reference_parse_row(no, body, width, read, what):
+    cells = [body] if width == 1 and "," not in body else _split_row(body)
+    if len(cells) != width:
+        raise TensorFormatError(
+            "%s: expected %d entries, got %d" % (what, width, len(cells)), no)
+    try:
+        return tuple([(j, x) for j, x in enumerate(map(read, cells)) if x])
+    except ScalarParseError as exc:
+        raise TensorFormatError("%s: %s" % (what, exc), no) from None
+
+
+def _reference_parse_factor(cursor, rows, cols, read, table, term, slot):
+    """The next rows x cols factor, its row texts looked up in the file's
+    table for width cols and the texts not found parsed in row order."""
+    numbers, bodies = cursor.take(rows)
+    found = list(map(table.get, bodies))
+    if None in found:
+        for i, body in enumerate(bodies):
+            if body not in table:
+                table[body] = _reference_parse_row(numbers[i], body, cols, read,
+                                                   "term %d %s row %d" % (term, slot, i + 1))
+            found[i] = table[body]
+    if len(bodies) < rows:
+        raise _end_of_file("term %d %s row %d" % (term, slot, len(bodies) + 1))
+    return _sparse(rows, cols, [(i, j, x) for i, pairs in enumerate(found) if pairs
+                                for j, x in pairs])
+
+
+def reference_parse_tensor(text):
+    """io.parse_tensor(text) as the sequential parser that reads the file
+    line by line, one factor at a time."""
+    cursor = _ReferenceCursor(text)
+    no, body = cursor.next("'fmm 1' header")
+    if body.split() != ["fmm", "1"]:
+        raise TensorFormatError("expected 'fmm 1', got %r" % body, no)
+    no, body = cursor.next("dims header")
+    parts = body.split()
+    if len(parts) != 4 or parts[0] != "dims":
+        raise TensorFormatError("expected 'dims <m> <n> <p>'", no)
+    try:
+        m, n, p = (int(x) for x in parts[1:])
+    except ValueError:
+        raise TensorFormatError("non-integer dimension in %r" % body, no) from None
+    if min(m, n, p) < 1:
+        raise TensorFormatError("dimensions must be positive", no)
+    no, body = cursor.next("rank header")
+    parts = body.split()
+    if len(parts) != 2 or parts[0] != "rank" or not parts[1].isdigit():
+        raise TensorFormatError("expected 'rank <r>'", no)
+    try:
+        rank = int(parts[1])
+    except ValueError as exc:
+        raise TensorFormatError("rank: %s" % exc, no) from None
+    if rank < 1:
+        raise TensorFormatError("rank must be positive", no)
+    no, body = cursor.next("field header")
+    parts = body.split()
+    if len(parts) != 2 or parts[0] != "field" or parts[1] not in (RATIONAL, LAURENT):
+        raise TensorFormatError("expected 'field rational' or 'field laurent'", no)
+    mode = parts[1]
+    support = None
+    no, body = cursor.peek()
+    if body == "support":
+        cursor.next("support keyword")
+        mask = []
+        for r in range(m):
+            no, body = cursor.next("support row %d" % (r + 1))
+            if len(body) != n or any(ch not in "01" for ch in body):
+                raise TensorFormatError(
+                    "support row %d must be %d characters of 0/1" % (r + 1, n), no)
+            mask.append(tuple(ch == "1" for ch in body))
+        support = tuple(mask)
+    read = _reference_reader(mode == LAURENT)
+    tables = {width: {} for width in (n, p, m)}
+    terms = []
+    for idx in range(1, rank + 1):
+        no, body = cursor.next("'term %d'" % idx)
+        if body.split() != ["term", str(idx)]:
+            if body.startswith("term"):
+                raise TensorFormatError(
+                    "expected 'term %d', got %r (term blocks are consecutive)" % (idx, body), no)
+            raise TensorFormatError(
+                "rank mismatch: header says %d terms, found %d" % (rank, idx - 1), no)
+        P = _reference_parse_factor(cursor, m, n, read, tables[n], idx, "P")
+        Q = _reference_parse_factor(cursor, n, p, read, tables[p], idx, "Q")
+        S = _reference_parse_factor(cursor, p, m, read, tables[m], idx, "S")
+        terms.append(Term(P, Q, S))
+    if not cursor.done():
+        no, body = cursor.peek()
+        if body.split()[:1] == ["term"]:
+            raise TensorFormatError(
+                "rank mismatch: header says %d terms but more follow" % rank, no)
+        raise TensorFormatError("trailing content %r" % body, no)
+    try:
+        return FmmTensor((m, n, p), mode, terms, support)
+    except ValueError as exc:
+        raise TensorFormatError(str(exc)) from None
+
+
+def reference_parse_matrix(text):
+    """io.parse_matrix(text) as the parser that pairs every token with its
+    line number."""
+    tokens = []
+    for no, raw in enumerate(text.splitlines(), start=1):
+        body = raw.split("#", 1)[0]
+        tokens.extend((no, tok) for tok in body.split())
+    if len(tokens) < 2:
+        raise TensorFormatError("matrix file needs a 'rows cols' header")
+    (no_r, rtok), (no_c, ctok) = tokens[0], tokens[1]
+    if not rtok.isdigit() or not ctok.isdigit():
+        raise TensorFormatError("malformed 'rows cols' header", no_r)
+    try:
+        rows, cols = int(rtok), int(ctok)
+    except ValueError as exc:
+        raise TensorFormatError("matrix header: %s" % exc, no_r) from None
+    if rows < 1 or cols < 1:
+        raise TensorFormatError("matrix dimensions must be positive", no_r)
+    body = tokens[2:]
+    if len(body) != rows * cols:
+        raise TensorFormatError("expected %d entries, got %d" % (rows * cols, len(body)))
+    read = _reference_reader(False)
+    values = []
+    for no, tok in body:
+        try:
+            values.append(read(tok))
+        except ScalarParseError as exc:
+            raise TensorFormatError(str(exc), no) from None
+    return Matrix([values[i * cols:(i + 1) * cols] for i in range(rows)])
 
 
 # -- reference writing and composition ---------------------------------------

@@ -9,6 +9,8 @@ from fmmkit.matrices import Matrix
 from fmmkit.scalars import Laurent
 from fmmkit.tensor import LAURENT, FmmTensor, Term, type_polynomial, verify_approximate, verify_exact
 
+from helpers import laurent_copy
+
 
 def test_dataset_names():
     assert datasets.dataset_names() == ("strassen", "3x5x5_58", "teps")
@@ -116,6 +118,13 @@ def e_to(k):
 ], ids=["field mode", "invalid", "order 2", "exact", "unmasked"])
 def test_check_dataset_reports_each_mismatch(name, build, problem):
     assert problem in datasets.check_dataset(name, build(datasets.load_dataset(name)))
+
+
+def test_a_laurent_tensor_is_listed_against_an_exact_dataset(strassen):
+    # the exact check needs a rational tensor, so the field mode is the
+    # mismatch reported, not a refusal from verify_exact
+    assert datasets.check_dataset("strassen", laurent_copy(strassen)) == [
+        "field mode laurent != expected rational"]
 
 
 @pytest.mark.parametrize("read", [datasets.expected_info, datasets.dataset_text,

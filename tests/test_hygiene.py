@@ -3,7 +3,8 @@ referenced in it, every module-level private (_name) function, class
 or constant is referenced somewhere in the package, only matrices.py
 names the shared zero ``ZERO``, ``lcm`` is named only where a scheme's
 coefficients, the evaluator's operands or a Laurent scalar are cleared,
-``exact_div`` only in the one elimination and the inverse, a Matrix's
+``exact_div`` only in the one elimination and the inverse, io.py's
+``parse_scalar`` only in the file's scalar reader, a Matrix's
 dense ``data`` only where a file or a repr reads it out, no function in
 algebra.py builds more than one tensor, the search names no dense
 classical target, every name the benchmark's tracer wraps exists, every
@@ -189,6 +190,14 @@ def test_only_read_outs_name_the_dense_rows():
     assert [(p.relative_to(PACKAGE).as_posix(), name) for p in SOURCES
             for name in functions_mentioning(p.read_text(), "data")] == [
         ("io.py", "write_matrix"), ("matrices.py", "__new__"), ("matrices.py", "__repr__")]
+
+
+def test_only_the_scalar_reader_parses_file_tokens():
+    # each file's reader parses a distinct token once and serves every
+    # later occurrence from its table; a parse_scalar call anywhere else in
+    # io.py (besides the import) would parse tokens past that table
+    assert functions_mentioning((PACKAGE / "io.py").read_text(), "parse_scalar") == [
+        "<module>", "_scalar_reader", "read"]
 
 
 def constructions(source, name):

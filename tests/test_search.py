@@ -149,6 +149,22 @@ def test_grid_values_that_share_a_float_snap_as_the_one_nearest_0(strassen):
     assert snap_models(noisy, grid).P.tolist() == f.P.tolist()
 
 
+def test_float_grid_values_are_refused(strassen):
+    # 0.1 is 3602879701896397/36028797018963968 as a float, not 1/10
+    f = factor_set_from_tensor(strassen)
+    for grid in ((-0.1, 0, 0.1), (0, 1, -1.0), (0, np.float64(0.5))):
+        for build in (lambda: SearchConfig((2, 2, 2), 7, snap_grid=grid),
+                      lambda: snap_models(f, grid), lambda: rationalize(f, (2, 2, 2), grid)):
+            with pytest.raises(ValueError, match="snap_grid value .* is a float"):
+                build()
+    exact = (Fraction(-1, 10), 0, "1/10")
+    assert SearchConfig((2, 2, 2), 7, snap_grid=exact).snap_grid == (
+        Fraction(-1, 10), Fraction(0), Fraction(1, 10))
+    assert snap_models(f, exact).P.tolist() == (f.P / 10).tolist()
+    # the CLI reads --grid 0.1 as the string it is, so 1/10
+    assert cli._parse_grid("-0.1,0,0.1") == exact[:2] + (Fraction(1, 10),)
+
+
 def test_one_value_grid_collapses_the_search():
     # every model is 0, so the ridge pulls each restart to the all-zero
     # fixed point and nothing rationalizes
