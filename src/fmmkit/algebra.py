@@ -18,6 +18,7 @@ from collections import namedtuple
 from dataclasses import dataclass
 
 from .matrices import Matrix, _krons, _sparse, _summed
+from .scalars import integral
 from .tensor import LAURENT, RATIONAL, FmmTensor, Term
 
 AXIS_M = "M"
@@ -58,7 +59,7 @@ class BlockEmbedding:
     def __post_init__(self):
         for name, idx in (("a_rows", self.a_rows), ("a_cols", self.a_cols),
                           ("b_cols", self.b_cols)):
-            idx = tuple(int(i) for i in idx)
+            idx = tuple(integral(i, "%s index" % name) for i in idx)
             object.__setattr__(self, name, idx)
             if not idx:
                 raise ValueError("%s must be non-empty" % name)
@@ -156,6 +157,7 @@ def symmetry_apply(t, rotation=0, transpose=False):
     rotation.  Both preserve verification; a masked tensor admits only
     the identity.  The image is one construction from t's rotated slots.
     """
+    rotation = integral(rotation, "rotation")
     if rotation not in (0, 1, 2):
         raise ValueError("rotation must be 0, 1 or 2")
     if t.support is not None and (rotation != 0 or transpose):
@@ -346,6 +348,7 @@ def mask_embedding(t):
 
 def hopcroft_rank_bound(m, n):
     """ceil((3mn + max(m,n)) / 2): multiplications for an <m,2,n> product."""
+    m, n = integral(m, "m"), integral(n, "n")
     if m < 1 or n < 1:
         raise ValueError("dimensions must be positive")
     return -(-(3 * m * n + max(m, n)) // 2)

@@ -9,7 +9,6 @@ search trace to stderr.
 import argparse
 import functools
 import sys
-from fractions import Fraction
 
 from .algebra import (
     IsotropyElement,
@@ -30,7 +29,7 @@ from .io import (
     save_tensor,
     write_matrix,
 )
-from .scalars import format_scalar
+from .scalars import format_scalar, rational
 from .tensor import (
     LAURENT,
     UnverifiedSchemeError,
@@ -199,10 +198,7 @@ def _cmd_errscan(args):
 
 
 def _parse_grid(spec):
-    try:
-        vals = [Fraction(s) for s in spec.split(",") if s]
-    except ZeroDivisionError:
-        raise ValueError("--grid value with a zero denominator in %r" % spec) from None
+    vals = [rational(s, "--grid value") for s in spec.split(",") if s]
     if not vals:
         raise ValueError("--grid needs at least one rational value")
     return tuple(vals)

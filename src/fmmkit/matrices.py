@@ -6,10 +6,10 @@ a few tens of rows), so the algorithms favour exactness and clarity.
 A Matrix stores one form, its nonzero entries as row-major (i, j, value)
 triples (``nonzeros``), and every operation and pickling read and build
 them; the dense rows, ``data``, are only a read-out view for files and
-``repr``.  ``_settled`` is the one place that settles an entry's type
-(Fraction and Laurent entries are kept, a float is refused, any other x
-becomes Fraction(x)) and then drops the zeros; ``_summed`` is the one
-cell-wise sum, for ``+``, ``-``, ``@`` and the serendipity mixing.
+``repr``.  ``_settled`` is the one place that settles an entry (a Laurent
+is kept, any other x goes through ``scalars.rational``, as a ``scale``
+factor does) and then drops the zeros; ``_summed`` is the one cell-wise
+sum, for ``+``, ``-``, ``@`` and the serendipity mixing.
 ``map`` visits the nonzeros only, so it needs fn(0) == 0.  Entries
 already settled and nonzero (``kron``, ``transpose``, a placed, parsed
 or snapped factor) go straight to ``_sparse``.  A Kronecker product
@@ -35,7 +35,7 @@ from bisect import bisect_left
 from fractions import Fraction
 from itertools import combinations, repeat
 
-from .scalars import Laurent, exact_div
+from .scalars import Laurent, exact_div, integral, rational
 
 ZERO = Fraction(0)
 
@@ -65,18 +65,21 @@ class Matrix:
 
     @staticmethod
     def zeros(rows, cols):
+        rows, cols = integral(rows, "rows"), integral(cols, "cols")
         if rows < 1 or cols < 1:
             raise ValueError("matrix needs at least one row and one column")
         return _sparse(rows, cols, ())
 
     @staticmethod
     def identity(n):
+        n = integral(n, "size")
         return Matrix([[Fraction(int(i == j)) for j in range(n)] for i in range(n)])
 
     @staticmethod
     def unit(rows, cols, i, j, value=Fraction(1)):
         """Single entry value at (i, j), indexed as __getitem__ indexes
         (negative from the end, IndexError out of range)."""
+        rows, cols, i, j = map(integral, (rows, cols, i, j), ("rows", "cols", "row", "column"))
         return _settled(rows, cols, [(range(rows)[i], range(cols)[j], value)])
 
     # -- basic structure ----------------------------------------------------
@@ -145,6 +148,8 @@ class Matrix:
         return _settled(self.rows, self.cols, [(i, j, -x) for i, j, x in self.nonzeros])
 
     def scale(self, s):
+        if not isinstance(s, Laurent):
+            s = rational(s, "entry")
         return _settled(self.rows, self.cols, [(i, j, s * x) for i, j, x in self.nonzeros])
 
     def __matmul__(self, other):
@@ -233,18 +238,11 @@ def _sparse(rows, cols, nonzeros):
 
 def _settled(rows, cols, triples):
     """The rows x cols Matrix of the row-major (i, j, x) triples at distinct
-    positions, each x settled first (a Fraction or Laurent is kept, a float
-    refused, any other x becomes Fraction(x)) and then dropped if zero."""
-    settled = ((i, j, x if type(x) is Fraction or isinstance(x, Laurent) else _exact(x))
-               for i, j, x in triples)
+    positions, each x settled first (a Fraction or Laurent is kept, any
+    other x goes through scalars.rational) and then dropped if zero."""
+    settled = ((i, j, x if type(x) is Fraction or isinstance(x, Laurent)
+                else rational(x, "entry")) for i, j, x in triples)
     return _sparse(rows, cols, [t for t in settled if t[2]])
-
-
-def _exact(x):
-    """Fraction(x); a float's binary value is rarely the number meant."""
-    if isinstance(x, float):
-        raise ValueError("inexact float entry %r; give an int, a Fraction or a string" % (x,))
-    return Fraction(x)
 
 
 def _summed(rows, cols, pieces):

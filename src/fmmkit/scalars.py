@@ -10,6 +10,11 @@ Fractions, and a Fraction never equals a Laurent.
 :func:`laurent_order`, :func:`value_at` and :func:`exact_div` accept
 either form.
 
+:func:`rational` (entries, coefficients, grid values) and
+:func:`integral` (exponents, sizes, indices, counts) are the one rule for
+a number a caller passes in: an exact value is kept, anything else is
+refused with a ValueError that names it, never rounded or truncated.
+
 :func:`parse_scalar` reads the tokens of tensor and matrix files.  A
 token that is one monomial, which every matrix entry and nearly every
 scheme cell is (a plain rational such as ``-3/4``), is read with one
@@ -19,17 +24,55 @@ checks, so both kinds give the same error texts.
 """
 
 import math
+import numbers
 import re
+from decimal import Decimal
 from fractions import Fraction
 
 INF = math.inf
 
 
+def rational(x, what):
+    """x as a Fraction: a Fraction is kept, an int, other Rational (numpy
+    ints as Python ints, so no arithmetic wraps), Decimal or string such
+    as "1/10" converted; a float, whose binary value is rarely the number
+    meant, and anything else raise a ValueError that names what and x."""
+    if type(x) is Fraction:
+        return x
+    if type(x) is int:
+        return Fraction(x)
+    if isinstance(x, numbers.Rational):
+        return Fraction(int(x.numerator), int(x.denominator))
+    if isinstance(x, numbers.Real):
+        raise ValueError("inexact float %s %r; give an int, a Fraction or a string" % (what, x))
+    if isinstance(x, (Decimal, str)):
+        try:
+            return Fraction(x)
+        except (ValueError, ZeroDivisionError, OverflowError):
+            pass
+    raise ValueError("%s %r is not a rational number" % (what, x))
+
+
+def integral(x, what):
+    """x as an int; ValueError naming what when int() would change it,
+    so that a fractional or non-numeric value is refused, not
+    truncated."""
+    if type(x) is int:
+        return x
+    try:
+        whole = int(x)
+    except (TypeError, ValueError, OverflowError):
+        whole = None
+    if whole is None or whole != x:
+        raise ValueError("%s must be an integer, got %r" % (what, x))
+    return whole
+
+
 def _as_coeff_map(value):
-    """Coerce int/Fraction/Laurent to a {exponent: Fraction} map."""
+    """Coerce a rational or a Laurent to a {exponent: Fraction} map."""
     if isinstance(value, Laurent):
         return value.terms
-    q = Fraction(value)
+    q = rational(value, "scalar")
     return {0: q} if q else {}
 
 
@@ -45,9 +88,9 @@ class Laurent:
     def __new__(cls, terms=None):
         clean = {}
         for k, q in (terms or {}).items():
-            q = Fraction(q)
+            k, q = integral(k, "Laurent exponent"), rational(q, "Laurent coefficient")
             if q:
-                clean[int(k)] = q
+                clean[k] = q
         if not clean.keys() - {0}:
             return clean.get(0, Fraction(0))
         self = object.__new__(cls)

@@ -33,6 +33,7 @@ from fractions import Fraction
 import numpy as np
 
 from ..matrices import _sparse
+from ..scalars import integral, rational
 from ..tensor import RATIONAL, Dims, FmmTensor, Term, verify_exact
 from . import kernels
 
@@ -89,19 +90,6 @@ best residual), "exhausted" (ran max_sweeps), "nonfinite"
 keeps)."""
 
 
-def _integral(field, value):
-    """value as an int; ValueError naming field when int() would change
-    it, so that a fractional or non-numeric value is refused, not
-    truncated."""
-    try:
-        whole = int(value)
-    except (TypeError, ValueError, OverflowError):
-        whole = None
-    if whole is None or whole != value:
-        raise ValueError("%s must be an integer, got %r" % (field, value))
-    return whole
-
-
 @dataclass(frozen=True)
 class SearchConfig:
     dims: tuple
@@ -113,12 +101,12 @@ class SearchConfig:
     allow_large: bool = False
 
     def __post_init__(self):
-        dims = Dims(*(_integral("dims", d) for d in self.dims))
+        dims = Dims(*(integral(d, "dims") for d in self.dims))
         if any(d < 1 for d in dims):
             raise ValueError("dims must be positive, got %r" % (tuple(self.dims),))
         object.__setattr__(self, "dims", dims)
         volume = math.prod(dims)
-        object.__setattr__(self, "rank", _integral("rank", self.rank))
+        object.__setattr__(self, "rank", integral(self.rank, "rank"))
         if self.rank < 1:
             raise ValueError("rank must be positive, got %r" % (self.rank,))
         # the classical scheme has rank m*n*p; above it, r x r Gram matrices only grow
@@ -126,7 +114,7 @@ class SearchConfig:
             raise ValueError("rank %d exceeds the classical rank %d of <%d,%d,%d>"
                              % ((self.rank, volume) + dims))
         try:
-            grid = tuple(sorted(set(map(_grid_value, self.snap_grid))))
+            grid = tuple(sorted({rational(g, "snap_grid value") for g in self.snap_grid}))
             for g in grid:
                 float(g)  # the search snaps to the grid's floats
         except OverflowError:
@@ -134,14 +122,14 @@ class SearchConfig:
         if Fraction(0) not in grid:
             raise ValueError("snap_grid must contain 0")
         object.__setattr__(self, "snap_grid", grid)
-        object.__setattr__(self, "max_sweeps", _integral("max_sweeps", self.max_sweeps))
+        object.__setattr__(self, "max_sweeps", integral(self.max_sweeps, "max_sweeps"))
         if self.max_sweeps < 1:
             raise ValueError("max_sweeps must be positive")
         if self.max_sweeps > SWEEP_LIMIT and not self.allow_large:
             raise ValueError(
                 "max_sweeps %d exceeds the sweep limit %d; set allow_large=True to proceed"
                 % (self.max_sweeps, SWEEP_LIMIT))
-        object.__setattr__(self, "restarts", _integral("restarts", self.restarts))
+        object.__setattr__(self, "restarts", integral(self.restarts, "restarts"))
         if self.restarts < 1:
             raise ValueError("restarts must be positive")
         if not self.allow_large:
@@ -154,7 +142,7 @@ class SearchConfig:
                     "restarts * max_sweeps %d exceeds the restart limit's %d sweeps; "
                     "set allow_large=True to proceed"
                     % (self.restarts * self.max_sweeps, RESTART_LIMIT * 2000))
-        object.__setattr__(self, "seed", _integral("seed", self.seed))
+        object.__setattr__(self, "seed", integral(self.seed, "seed"))
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
         if volume > DESK_LIMIT:
@@ -214,22 +202,13 @@ def brent_residual(f, dims):
     return float(kernels.residual(S, kernels.products(P, Q, dims.m), G, math.prod(dims))[0])
 
 
-def _grid_value(g):
-    """The grid value g as a Fraction; a float is refused, since its binary
-    value is rarely the number meant (0.1 is not 1/10)."""
-    if isinstance(g, float):
-        raise ValueError("snap_grid value %r is a float; give an int, a Fraction or a string"
-                         % (g,))
-    return Fraction(g)
-
-
 def _grid(grid):
     """The grid's values as Fractions in ascending order, their floats, and
     the bounds _snap sorts entries into: the midpoints of neighbouring
     floats, each negative one lowered by an ulp so that an entry on it is
     past it.  Values that share a float count once, as the one nearest 0."""
     nearest = {}
-    for g in sorted(map(_grid_value, grid), key=abs):
+    for g in sorted((rational(g, "snap_grid value") for g in grid), key=abs):
         nearest.setdefault(float(g), g)
     floats = np.array(sorted(nearest))
     values = [nearest[x] for x in floats.tolist()]

@@ -59,7 +59,7 @@ from operator import attrgetter, floordiv, itemgetter, mul
 import numpy as np
 
 from .matrices import _sparse
-from .scalars import Laurent, laurent_order
+from .scalars import Laurent, integral, laurent_order
 
 RATIONAL = "rational"
 LAURENT = "laurent"
@@ -75,7 +75,7 @@ class FmmTensor:
     __slots__ = ("dims", "field_mode", "terms", "support")
 
     def __init__(self, dims, field_mode, terms, support=None):
-        dims = Dims(*dims)
+        dims = Dims(*(integral(d, "dims") for d in dims))
         if min(dims) < 1:
             raise ValueError("dimensions must be positive")
         if field_mode not in (RATIONAL, LAURENT):
@@ -157,7 +157,7 @@ def classical_tensor(dims, support=None):
     With a support mask, (i, j) pairs outside the mask are dropped, giving
     the target tensor of a partial matrix product.
     """
-    dims = Dims(*dims)
+    dims = Dims(*(integral(d, "dims") for d in dims))
     m, n, p = dims
     one = Fraction(1)
     terms = [Term(_sparse(m, n, ((i, j, one),)), _sparse(n, p, ((j, k, one),)),
@@ -507,6 +507,7 @@ def explain(t, report, k):
     (coordinate triple, residual value, 1-based indices of the terms with
     a product at that coordinate, ascending).
     """
+    k = integral(k, "k")
     if isinstance(report, VerificationReport):
         failing = report.failing_equations[:k]
     else:

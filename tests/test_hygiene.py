@@ -4,7 +4,9 @@ or constant is referenced somewhere in the package, only matrices.py
 names the shared zero ``ZERO``, ``lcm`` is named only where a scheme's
 coefficients, the evaluator's operands or a Laurent scalar are cleared,
 ``exact_div`` only in the one elimination and the inverse, io.py's
-``parse_scalar`` only in the file's scalar reader, a Matrix's
+``parse_scalar`` only in the file's scalar reader, only
+``scalars.rational`` tests a value for a float, and the local number
+conversions it replaced stay gone, a Matrix's
 dense ``data`` only where a file or a repr reads it out, no function in
 algebra.py builds more than one tensor, the search names no dense
 classical target, every name the benchmark's tracer wraps exists, every
@@ -127,12 +129,12 @@ def mentions(source, name):
     return any(names(node, name) for node in ast.walk(ast.parse(source)))
 
 
-def functions_mentioning(source, name):
+def functions_with(source, hit):
     """Names of the functions (methods and nested ones too) whose body
-    names `name`, in source order, led by "<module>" when a mention lies
-    outside every function."""
+    holds a node for which hit(node) holds, in source order, led by
+    "<module>" when such a node lies outside every function."""
     tree = ast.parse(source)
-    hits = {id(node) for node in ast.walk(tree) if names(node, name)}
+    hits = {id(node) for node in ast.walk(tree) if hit(node)}
     found, inside = [], set()
     for fn in ast.walk(tree):
         if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -141,6 +143,21 @@ def functions_mentioning(source, name):
                 found.append((fn.lineno, fn.name))
             inside |= nodes
     return ["<module>"] * bool(hits - inside) + [fn for _, fn in sorted(found)]
+
+
+def functions_mentioning(source, name):
+    """Names of the functions whose body names `name`, as functions_with
+    lists them."""
+    return functions_with(source, lambda node: names(node, name))
+
+
+def checks_for_float(node):
+    """Whether node is an isinstance call whose classes name float,
+    numbers.Real or numpy's floating."""
+    return (isinstance(node, ast.Call) and names(node.func, "isinstance")
+            and len(node.args) == 2
+            and any(names(part, kind) for part in ast.walk(node.args[1])
+                    for kind in ("float", "Real", "floating")))
 
 
 def test_mentions_are_found():
@@ -152,6 +169,14 @@ def test_mentions_are_found():
               "        return lcm\n\ndef g():\n    def h():\n        return math.lcm\n"
               "    return h\n\ndef k():\n    return 1\n")
     assert functions_mentioning(source, "lcm") == ["<module>", "f", "g", "h"]
+
+
+def test_float_tests_are_found():
+    source = ("def f(x):\n    return isinstance(x, float)\n"
+              "def g(x):\n    return isinstance(x, (int, numbers.Real))\n"
+              "def h(x):\n    return float(x), isinstance(x, int)\n"
+              "X = isinstance(1, np.floating)\n")
+    assert functions_with(source, checks_for_float) == ["<module>", "f", "g"]
 
 
 def test_only_matrices_names_the_shared_zero():
@@ -190,6 +215,20 @@ def test_only_read_outs_name_the_dense_rows():
     assert [(p.relative_to(PACKAGE).as_posix(), name) for p in SOURCES
             for name in functions_mentioning(p.read_text(), "data")] == [
         ("io.py", "write_matrix"), ("matrices.py", "__new__"), ("matrices.py", "__repr__")]
+
+
+def test_one_rule_settles_a_callers_numbers():
+    # scalars.rational is the one place that refuses a float for an exact
+    # value (and scalars.integral the one place that settles an integer);
+    # a second float test would be a second rule, and the local copies the
+    # two replaced must not come back
+    assert [(p.relative_to(PACKAGE).as_posix(), name) for p in SOURCES
+            for name in functions_with(p.read_text(), checks_for_float)] == [
+        ("scalars.py", "rational")]
+    gone = ("_exact", "_grid_value", "_integral")
+    assert [(p.relative_to(PACKAGE).as_posix(), node.lineno) for p in SOURCES
+            for node in ast.walk(ast.parse(p.read_text())) for name in gone
+            if names(node, name) or getattr(node, "name", None) == name] == []
 
 
 def test_only_the_scalar_reader_parses_file_tokens():

@@ -155,7 +155,7 @@ def test_float_grid_values_are_refused(strassen):
     for grid in ((-0.1, 0, 0.1), (0, 1, -1.0), (0, np.float64(0.5))):
         for build in (lambda: SearchConfig((2, 2, 2), 7, snap_grid=grid),
                       lambda: snap_models(f, grid), lambda: rationalize(f, (2, 2, 2), grid)):
-            with pytest.raises(ValueError, match="snap_grid value .* is a float"):
+            with pytest.raises(ValueError, match="inexact float snap_grid value "):
                 build()
     exact = (Fraction(-1, 10), 0, "1/10")
     assert SearchConfig((2, 2, 2), 7, snap_grid=exact).snap_grid == (
