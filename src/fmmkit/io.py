@@ -19,23 +19,25 @@ comma, ' + ' around monomial sums); whitespace-separated compact tokens
 such as `1/2*e^-3+2` are accepted on input.  Matrix files carry a
 `rows cols` header and then row-major rational entries.
 
-A factor stores only its nonzero entries (see matrices), and the parser
-builds it straight from them.  A scheme file repeats a few hundred row
-texts and a handful of cell tokens (0, 1, -1, ...) thousands of times,
-so each distinct token is parsed once per file (the file's scalar
-reader keeps a table from token to value) and each distinct row text
-once per width (one row table per width, from row text to the row's
-nonzero (column, scalar) pairs).  The cursor holds the significant
-lines' numbers and bodies as two parallel lists.  After the header a
-term block is always 1+m+n+p significant lines, so the parser reads the
-file by row position, across all terms at once: bodies[start+o::block]
-holds the text at offset o of every term block, the 'term k' lines at
-offset 0 and one factor row at each other offset.  The 'term' lines are
-checked as one list; each row position's texts are looked up in their
-width's row table, only the texts not found are parsed, and a table
-from each distinct text to its (row, column, scalar) triples, one per
-position, turns them into every term's row with one map.  Each factor
-is then one _sparse over the triples of its rows.
+The parser fills the tensor's stored form (see tensor), the per-slot
+arrays of nonzero entries, with no Matrix per factor.  A scheme file
+repeats a few hundred row texts and a handful of cell tokens (0, 1, -1,
+...) thousands of times, so each distinct token is parsed once per file
+(the file's scalar reader keeps a table from token to value) and each
+distinct row text once per width (one row table per width, from row
+text to the row's nonzero (column, scalar) pairs).  The cursor holds
+the significant lines' numbers and bodies as two parallel lists.  After
+the header a term block is always 1+m+n+p significant lines, so the
+parser reads the file by row position, across all terms at once:
+bodies[start+o::block] holds the text at offset o of every term block,
+the 'term k' lines at offset 0 and one factor row at each other offset.
+The 'term' lines are checked as one list, and each row position's texts
+are looked up in their width's row table, only the texts not found
+parsed.  Then, per slot, one map from each of the slot's texts to a
+text id gives every term's rows as ids, and np.repeat gathers each
+row's nonzero columns and value indices from its text's run: the
+distinct texts alone are walked in Python, and the distinct value
+objects are told apart by id as they are met.
 
 Errors are those of reading the file line by line: the first bad line in
 file order, with the same text and line number, then a missing line,
@@ -49,20 +51,22 @@ A matrix file is read as one flat token list, its entries through the
 file's scalar reader with one map; a bad token's line is worked out
 only after that token fails.
 
-The writer works from the same nonzeros.  It formats each distinct value
-object once per call: a table local to the call maps id(value) to its
-text, which stays valid because the tensor holds every value while the
-call runs (a table keyed by the value itself is slower, since hashing a
-Fraction costs more than formatting it).  A factor's all-zero rows are
-one shared text per width, and only the rows that hold nonzeros are
-built cell by cell.
+The writer reads the tensor's terms view, each factor's nonzeros.  It
+formats each distinct value object once per call: a table local to the
+call maps id(value) to its text, which stays valid because the tensor
+holds every value while the call runs (a table keyed by the value itself
+is slower, since hashing a Fraction costs more than formatting it).  A
+factor's all-zero rows are one shared text per width, and only the rows
+that hold nonzeros are built cell by cell.
 """
 
-from itertools import compress
+from itertools import chain, compress
+
+import numpy as np
 
 from .matrices import _sparse
 from .scalars import ScalarParseError, format_rational, format_scalar, parse_scalar
-from .tensor import LAURENT, RATIONAL, FmmTensor, Term
+from .tensor import LAURENT, RATIONAL, _from_arrays, _within
 
 
 class TensorFormatError(ValueError):
@@ -243,27 +247,21 @@ def parse_tensor(text):
 
     read = _scalar_reader(mode == LAURENT)
     tables = {width: {} for width in (n, p, m)}  # per width: row text -> its nonzero pairs
-    slots = []
+    slots = []  # per slot: each row position's texts, one per term
     at = start + 1  # the first line of the slot's rows
     for slot, rows, width in (("P", m, n), ("Q", n, p), ("S", p, m)):
         table = tables[width]
-        positions = []  # per row: each term's (row, column, scalar) triples
+        positions = []
         for r in range(min(rows, len(bodies) - at)):
             texts = bodies[at + r:stop:block]
-            distinct = set(texts)
-            new = distinct.difference(table)
+            new = set(texts).difference(table)
             failure = new and _parse_new(texts, new, table, width, read)
             if failure:
                 k, exc = failure
                 bad, stop = at + r + k * block, start + k * block
                 message = "term %d %s row %d: %s" % (k + 1, slot, r + 1, exc)
-            elif message is None:
-                triples = {body: tuple([(r, j, x) for j, x in table[body]])
-                           for body in distinct}
-                positions.append(list(map(triples.__getitem__, texts)))
-        # at a scheme's few rows per factor, adding the row tuples is a
-        # quicker join than chaining them
-        slots.append([_sparse(rows, width, sum(row, ())) for row in zip(*positions)])
+            positions.append(texts)
+        slots.append((positions, table))
         at += rows
 
     if message is not None:
@@ -279,8 +277,37 @@ def parse_tensor(text):
                 "rank mismatch: header says %d terms but more follow" % rank, no)
         raise TensorFormatError("trailing content %r" % body, no)
 
+    values, index = [], {}  # the distinct value objects; id(value) -> its place in values
+    entries = []
+    for positions, table in slots:
+        # each of the slot's distinct texts once: its id, and its nonzeros'
+        # columns and value indices, laid end to end
+        distinct = list(dict.fromkeys(chain.from_iterable(positions)))
+        text_id = dict(zip(distinct, range(len(distinct))))
+        cols, picks, size = [], [], []
+        for body in distinct:
+            pairs = table[body]
+            size.append(len(pairs))
+            for j, x in pairs:
+                k = index.get(id(x))
+                if k is None:
+                    k = index[id(x)] = len(values)
+                    values.append(x)
+                cols.append(j)
+                picks.append(k)
+        # every term's rows in order, each row a text id, then each row's
+        # nonzeros gathered from its text's run
+        ids = np.array([list(map(text_id.__getitem__, texts)) for texts in positions],
+                       np.intp).T.ravel()
+        size = np.array(size, np.intp)
+        counts = size[ids]
+        pick = np.repeat((np.cumsum(size) - size)[ids], counts) + _within(counts)
+        term, row = np.divmod(np.arange(len(ids)), len(positions))
+        entries.append((np.repeat(term, counts), np.repeat(row, counts),
+                        np.array(cols, np.intp)[pick], np.array(picks, np.intp)[pick]))
+
     try:
-        return FmmTensor((m, n, p), mode, list(map(Term, *slots)), support)
+        return _from_arrays((m, n, p), mode, rank, values, entries, support)
     except ValueError as exc:
         raise TensorFormatError(str(exc)) from None
 

@@ -105,7 +105,7 @@ class Matrix:
         negative indices count from the end, others out of range raise
         IndexError."""
         i, j = key
-        i, j = range(self.rows)[i], range(self.cols)[j]
+        i, j = range(self.rows)[integral(i, "row")], range(self.cols)[integral(j, "column")]
         # (i, j) sorts just before the triple at (i, j), so no value is compared
         at = bisect_left(self.nonzeros, (i, j))
         if at < len(self.nonzeros) and self.nonzeros[at][:2] == (i, j):

@@ -34,7 +34,7 @@ import numpy as np
 
 from ..matrices import _sparse
 from ..scalars import integral, rational
-from ..tensor import RATIONAL, Dims, FmmTensor, Term, verify_exact
+from ..tensor import RATIONAL, Dims, FmmTensor, Term, _settled_dims, verify_exact
 from . import kernels
 
 FactorSet = namedtuple("FactorSet", ["P", "Q", "S"])
@@ -101,9 +101,7 @@ class SearchConfig:
     allow_large: bool = False
 
     def __post_init__(self):
-        dims = Dims(*(integral(d, "dims") for d in self.dims))
-        if any(d < 1 for d in dims):
-            raise ValueError("dims must be positive, got %r" % (tuple(self.dims),))
+        dims = _settled_dims(self.dims)
         object.__setattr__(self, "dims", dims)
         volume = math.prod(dims)
         object.__setattr__(self, "rank", integral(self.rank, "rank"))

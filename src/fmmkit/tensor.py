@@ -3,8 +3,21 @@
 A tensor here is a sum of rank-one terms P_i (x) Q_i (x) S_i describing a
 bilinear matrix-product scheme for <m,n,p>: P_i is m x n, Q_i is n x p and
 S_i is p x m (the output factor lives in the dual slot, so the scheme
-computes C = sum <P_i,A> <Q_i,B> S_i^T).  A tensor keeps the factor
-matrices it is given, whose entries each Matrix settled when it was built.
+computes C = sum <P_i,A> <Q_i,B> S_i^T).
+
+A tensor stores one form.  For each slot P, Q and S it keeps int arrays
+term, row, col and value over the slot's nonzero entries, in term order
+and then each factor's row-major order (``entries``); value indexes one
+tuple of the tensor's distinct value objects (``values``), each a
+nonzero Fraction or Laurent.  io.parse_tensor fills the arrays straight
+from its row tables (_from_arrays); a tensor built from terms takes
+them from its factors' nonzeros, whose entries each Matrix settled when
+it was built, telling the value objects apart by id once.  Either way
+the constructor makes the same checks, with the same errors in the same
+order.  ``terms`` is a read-only view: the Terms the tensor was built
+from, or, for a tensor built from arrays, Terms of Matrix factors built
+on first use (sharing the value objects) and then kept.  Equality
+compares the arrays and each entry's value.
 
 Verification expands the terms into the full (mn) x (np) x (pm) coefficient
 array and compares it to the classical tensor
@@ -22,17 +35,15 @@ one builder of its coordinates, _classical_coords; the search reads the
 tensor only through its structure, one matrix product per term.
 
 The expansion runs on integers.  _cleared, the one place a scheme's
-denominators are cleared (the evaluator reads it too), reads the nonzero
-entries each factor found when it was built (``Matrix.nonzeros``) once
-per check, and the tensor keeps no cleared form between checks: for each
-factor slot P, Q, S it takes the lcm d of the slot's denominators and
-gives, as columns over every nonzero monomial c/d * e^k, its term index,
-row, column, exponent k (0 in rational mode) and integer numerator c.
-The columns come from C-level passes over the slot's nonzeros (zip and
-map, and np.unique over the values' ids): only the distinct scalar
-objects, a handful in a parsed scheme, are split into monomials in
-Python, each once, and every entry gathers its value's monomials as an
-array slice.  With scale d_P * d_Q * d_S, scale times the expansion is a
+denominators are cleared (the evaluator reads it too), reads the stored
+arrays once per check, and the tensor keeps no cleared form between
+checks: for each factor slot P, Q, S it takes the lcm d of the slot's
+denominators and gives, as columns over every nonzero monomial
+c/d * e^k, its term index, row, column, exponent k (0 in rational mode)
+and integer numerator c.  Only the distinct values the slot uses, a
+handful in a parsed scheme, are split into monomials in Python, each
+once, and every entry gathers its value's monomials as an array slice.
+With scale d_P * d_Q * d_S, scale times the expansion is a
 sum of integer products p * q * s.  The products are formed as per-term
 outer products of index arrays, sorted once by (coordinate, exponent)
 key and summed with np.add.reduceat; the classical target, scale * e^q
@@ -68,40 +79,87 @@ Dims = namedtuple("Dims", ["m", "n", "p"])
 
 Term = namedtuple("Term", ["P", "Q", "S"])
 
+# one slot's nonzero entries: term index, row, column and index into values
+Entries = namedtuple("Entries", ["term", "row", "col", "value"])
+
+
+def _settled_dims(dims):
+    """dims as Dims: exactly three values, each through scalars.integral
+    and each positive, or a ValueError that names dims."""
+    values = tuple(dims)
+    if len(values) != 3:
+        raise ValueError("dims must be three integers, got %r" % (dims,))
+    settled = Dims(*(integral(d, "dims") for d in values))
+    if min(settled) < 1:
+        raise ValueError("dims must be positive, got %r" % (values,))
+    return settled
+
 
 class FmmTensor:
-    """Immutable sum of rank-one terms with optional A-support mask."""
+    """Immutable sum of rank-one terms with optional A-support mask.
 
-    __slots__ = ("dims", "field_mode", "terms", "support")
+    Stored as the nonzero entries of each slot P, Q, S (``entries``, one
+    Entries of int arrays per slot) over one tuple of the tensor's
+    distinct value objects (``values``); ``terms`` is a view of them.
+    """
+
+    __slots__ = ("dims", "field_mode", "rank", "values", "entries", "support", "_terms")
 
     def __init__(self, dims, field_mode, terms, support=None):
-        dims = Dims(*(integral(d, "dims") for d in dims))
-        if min(dims) < 1:
-            raise ValueError("dimensions must be positive")
+        dims = _settled_dims(dims)
+        terms = [x if type(x) is Term else Term._make(x) for x in terms]
+        # the first term with a factor of the wrong shape ends the stored
+        # terms, and _store raises its error after checking those
+        bad, error = len(terms), None
+        for name, factors, want in zip("PQS", zip(*terms), _shapes(dims)):
+            got = list(map(attrgetter("rows", "cols"), factors[:bad]))
+            if got.count(want) != len(got):
+                bad = next(k for k, shape in enumerate(got) if shape != want)
+                error = "term %d: %s is %dx%d, expected %dx%d" % (bad + 1, name, *got[bad], *want)
+        kept = tuple(terms[:bad])
+        # every P factor's nonzeros in term order, then every Q's and S's
+        nonzeros = [f.nonzeros for f in chain.from_iterable(zip(*kept))]
+        counts = list(map(len, nonzeros))
+        flat = list(chain.from_iterable(nonzeros))
+        row, col = (np.fromiter(map(itemgetter(k), flat), np.intp, len(flat)) for k in (0, 1))
+        # the distinct value objects, each read from the last entry that
+        # holds it: the tensor holds each while it lives, so its id names it
+        ids = np.fromiter(map(id, map(itemgetter(2), flat)), np.uintp, len(flat))
+        distinct, which = np.unique(ids, return_inverse=True)
+        last = np.zeros(len(distinct), np.intp)
+        last[which] = np.arange(len(flat))
+        rank = len(kept)
+        columns = (np.repeat(np.tile(np.arange(rank), 3), counts), row, col,
+                   which.astype(np.intp))
+        ends = (0, sum(counts[:rank]), sum(counts[:2 * rank]), None)
+        self._store(dims, field_mode, rank, tuple([flat[k][2] for k in last.tolist()]),
+                    [Entries(*(c[lo:hi] for c in columns)) for lo, hi in zip(ends, ends[1:])],
+                    support, error)
+        object.__setattr__(self, "_terms", kept)
+
+    def _store(self, dims, field_mode, rank, values, entries, support, error=None):
+        """Check and keep the stored form of rank terms.  error is the
+        error of the term after them when it was cut off (a factor of the
+        wrong shape).  The errors are a term-by-term walk's, which stops at
+        the first term with a wrong shape or an all-zero factor: an
+        e-dependent entry of a rational-mode tensor in the terms walked
+        comes first, then that term's error."""
         if field_mode not in (RATIONAL, LAURENT):
             raise ValueError("field_mode must be %r or %r" % (RATIONAL, LAURENT))
-        # one walk up to the first shape or all-zero factor error, then one
-        # pass over the terms walked for e-dependent entries: the first error
-        # in term order is raised (shapes, then e-dependence, then zero factors)
-        shape = ((dims.m, dims.n), (dims.n, dims.p), (dims.p, dims.m))
-        kept, error = [], None
-        for idx, (P, Q, S) in enumerate(terms, start=1):
-            got = ((P.rows, P.cols), (Q.rows, Q.cols), (S.rows, S.cols))
-            if got != shape:
-                name, (rows, cols), want = next(x for x in zip("PQS", got, shape) if x[1] != x[2])
-                error = "term %d: %s is %dx%d, expected %dx%d" % (idx, name, rows, cols, *want)
-                break
-            kept.append(Term(P, Q, S))
-            if not (P.nonzeros and Q.nonzeros and S.nonzeros):
-                error = "term %d has an all-zero factor" % idx
-                break
-        if field_mode == RATIONAL:
-            values = map(itemgetter(2), chain.from_iterable(f.nonzeros for t in kept for f in t))
-            if any(issubclass(kind, Laurent) for kind in set(map(type, values))):
+        empty = np.flatnonzero(np.logical_or.reduce(
+            [np.bincount(e.term, minlength=rank) == 0 for e in entries]))
+        checked = rank
+        if len(empty):
+            checked = int(empty[0]) + 1
+            error = "term %d has an all-zero factor" % checked
+        if field_mode == RATIONAL and any(issubclass(kind, Laurent)
+                                          for kind in set(map(type, values))):
+            laurent = np.fromiter((isinstance(v, Laurent) for v in values), bool, len(values))
+            if any(laurent[e.value[e.term < checked]].any() for e in entries):
                 raise ValueError("e-dependent entry in a rational-mode tensor")
         if error is not None:
             raise ValueError(error)
-        if not kept:
+        if not rank:
             raise ValueError("a tensor needs at least one term")
         if support is not None:
             support = tuple(tuple(bool(v) for v in row) for row in support)
@@ -109,20 +167,35 @@ class FmmTensor:
                 raise ValueError("support mask must be %dx%d" % (dims.m, dims.n))
             if not any(v for row in support for v in row):
                 raise ValueError("support mask allows no entry")
-        object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "field_mode", field_mode)
-        object.__setattr__(self, "terms", tuple(kept))
-        object.__setattr__(self, "support", support)
+        for e in entries:
+            for column in e:
+                column.flags.writeable = False
+        for name, value in (("dims", dims), ("field_mode", field_mode), ("rank", rank),
+                            ("values", values), ("entries", tuple(entries)),
+                            ("support", support), ("_terms", None)):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError("tensors are immutable")
 
     def __reduce__(self):
-        return (FmmTensor, (self.dims, self.field_mode, self.terms, self.support))
+        return (_from_arrays, (self.dims, self.field_mode, self.rank, self.values,
+                               self.entries, self.support))
 
     @property
-    def rank(self):
-        return len(self.terms)
+    def terms(self):
+        """The terms as Term(P, Q, S) Matrix factors: those the tensor was
+        built from, or, for a tensor built from arrays, built from the
+        entries on first use (sharing the value objects) and then kept."""
+        if self._terms is None:
+            slots = []
+            for (term, row, col, value), (rows, cols) in zip(self.entries, _shapes(self.dims)):
+                nonzeros = tuple(zip(row.tolist(), col.tolist(),
+                                     map(self.values.__getitem__, value.tolist())))
+                ends = np.searchsorted(term, np.arange(self.rank + 1)).tolist()
+                slots.append([_sparse(rows, cols, nonzeros[a:b]) for a, b in zip(ends, ends[1:])])
+            object.__setattr__(self, "_terms", tuple(map(Term, *slots)))
+        return self._terms
 
     def __eq__(self, other):
         if not isinstance(other, FmmTensor):
@@ -130,8 +203,13 @@ class FmmTensor:
         return (
             self.dims == other.dims
             and self.field_mode == other.field_mode
+            and self.rank == other.rank
             and self.support == other.support
-            and self.terms == other.terms
+            and all(np.array_equal(a.term, b.term) and np.array_equal(a.row, b.row)
+                    and np.array_equal(a.col, b.col)
+                    and list(map(self.values.__getitem__, a.value.tolist()))
+                    == list(map(other.values.__getitem__, b.value.tolist()))
+                    for a, b in zip(self.entries, other.entries))
         )
 
     def __repr__(self):
@@ -150,6 +228,24 @@ class FmmTensor:
         return FmmTensor(self.dims, self.field_mode, terms, self.support)
 
 
+def _shapes(dims):
+    """The (rows, cols) of a <m,n,p> tensor's P, Q and S factors."""
+    m, n, p = dims
+    return (m, n), (n, p), (p, m)
+
+
+def _from_arrays(dims, field_mode, rank, values, entries, support=None):
+    """The tensor of rank terms whose slot P, Q and S nonzeros are the
+    Entries entries over the value objects values, checked as FmmTensor
+    checks its terms.  The caller keeps the stored form's invariant: each
+    slot's int arrays in term order and then row-major, positions inside
+    the slot's shape, and every value a nonzero Fraction or Laurent."""
+    t = object.__new__(FmmTensor)
+    t._store(_settled_dims(dims), field_mode, rank, tuple(values),
+             [Entries(*map(np.asarray, e)) for e in entries], support)
+    return t
+
+
 def classical_tensor(dims, support=None):
     """The classical scheme: one term per allowed (i, j, k) product, in
     (i, j, k) order, each factor built from its single nonzero.
@@ -157,7 +253,7 @@ def classical_tensor(dims, support=None):
     With a support mask, (i, j) pairs outside the mask are dropped, giving
     the target tensor of a partial matrix product.
     """
-    dims = Dims(*(integral(d, "dims") for d in dims))
+    dims = _settled_dims(dims)
     m, n, p = dims
     one = Fraction(1)
     terms = [Term(_sparse(m, n, ((i, j, one),)), _sparse(n, p, ((j, k, one),)),
@@ -176,38 +272,39 @@ def _cleared(t):
     For each factor slot P, Q, S the columns (d, term, row, col, exp, num):
     d is the lcm of the slot's denominators, and each nonzero monomial
     c/d * e^k at (row, col) of a factor gives its term index, row, column,
-    exponent k (0 for a rational entry) and integer numerator c, in term
-    order and each factor's ``Matrix.nonzeros`` order.  The columns are
-    arrays: term, row and col of indices, exp and num int64 when they fit
-    (num when the slot's 1-norm does) and Python ints otherwise.  They
-    come from passes over the slot's nonzeros, and each distinct scalar
-    object is split into its monomials once: t holds every value for the
-    length of the call, so its id names it.  The one place a scheme's
-    denominators are cleared: the verifier and the evaluator both read it.
+    exponent k (0 for a rational entry) and integer numerator c, in the
+    stored entries' order.  The columns are arrays: term, row and col of
+    indices, exp and num int64 when they fit (num when the slot's 1-norm
+    does) and Python ints otherwise.  Only the distinct values the slot
+    uses are split into their monomials, each once, and every entry
+    gathers its value's monomials as an array slice.  The one place a
+    scheme's denominators are cleared: the verifier and the evaluator both
+    read it.
     """
     slots = []
-    for factors in zip(*t.terms):
-        nonzeros = [f.nonzeros for f in factors]
-        row, col, values = zip(*chain.from_iterable(nonzeros))
-        # the distinct value objects, each value's index among them, and
-        # the distinct values' monomials (k, q) with their cleared numerators
-        ids = np.fromiter(map(id, values), np.uintp, len(values))
-        _, first, which = np.unique(ids, return_index=True, return_inverse=True)
+    for term, row, col, value in t.entries:
+        # the distinct values the slot uses, the uses of each, each entry's
+        # index among them, and their monomials (k, q) with the cleared
+        # numerators
+        uses = np.bincount(value)
+        used = np.flatnonzero(uses)
+        which = (np.cumsum(uses > 0) - 1)[value]
         monomials = [v.terms.items() if isinstance(v, Laurent) else ((0, v),)
-                     for v in map(values.__getitem__, first.tolist())]
+                     for v in map(t.values.__getitem__, used.tolist())]
         exps, qs = zip(*chain.from_iterable(monomials))
         dens = list(map(attrgetter("denominator"), qs))
         d = math.lcm(*set(dens))
         nums = list(map(mul, map(attrgetter("numerator"), qs), map(floordiv, repeat(d), dens)))
-        # each value's run of its distinct value's monomials; the slot's
-        # 1-norm counts a distinct monomial once per use
+        # the slot's 1-norm counts a distinct monomial once per use
         size = np.fromiter(map(len, monomials), np.intp, len(monomials))
-        runs = size[which]
-        pick = np.repeat((np.cumsum(size) - size)[which], runs) + _within(runs)
-        norm = sum(map(mul, map(abs, nums), np.repeat(np.bincount(which), size).tolist()))
-        term = np.repeat(np.arange(len(factors)), list(map(len, nonzeros)))
-        slots.append((d, *(np.repeat(np.array(x), runs) for x in (term, row, col)),
-                      _column(exps, max(map(abs, exps)))[pick], _column(nums, norm)[pick]))
+        norm = sum(map(mul, map(abs, nums), np.repeat(uses[used], size).tolist()))
+        exp, num = _column(exps, max(map(abs, exps))), _column(nums, norm)
+        if len(exps) > len(monomials):
+            # each entry becomes the run of its value's monomials
+            runs = size[which]
+            which = np.repeat((np.cumsum(size) - size)[which], runs) + _within(runs)
+            term, row, col = (np.repeat(x, runs) for x in (term, row, col))
+        slots.append((d, term, row, col, exp[which], num[which]))
     return tuple(slots)
 
 

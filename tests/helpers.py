@@ -1,5 +1,6 @@
 """Shared randomized generators and mutation operators for the tests."""
 
+import itertools
 import math
 import operator
 from fractions import Fraction
@@ -27,6 +28,8 @@ from fmmkit.tensor import (
     Term,
     VerificationReport,
     _classical_coords,
+    _column,
+    _within,
     classical_map,
     verify_exact,
 )
@@ -424,6 +427,31 @@ def reference_cleared(t):
         d = math.lcm(*{den for *_, den in monomials})
         slots.append((d, [(term, i, j, k, num * (d // den))
                           for term, i, j, k, num, den in monomials]))
+    return tuple(slots)
+
+
+def reference_cleared_columns(t):
+    """tensor._cleared(t) as it was read from the Matrix terms: the
+    columns built by passes over each slot's ``Matrix.nonzeros``, the
+    distinct value objects found by np.unique over their ids."""
+    slots = []
+    for factors in zip(*t.terms):
+        nonzeros = [f.nonzeros for f in factors]
+        row, col, values = zip(*itertools.chain.from_iterable(nonzeros))
+        ids = np.fromiter(map(id, values), np.uintp, len(values))
+        _, first, which = np.unique(ids, return_index=True, return_inverse=True)
+        monomials = [v.terms.items() if isinstance(v, Laurent) else ((0, v),)
+                     for v in map(values.__getitem__, first.tolist())]
+        exps, qs = zip(*itertools.chain.from_iterable(monomials))
+        d = math.lcm(*{q.denominator for q in qs})
+        nums = [q.numerator * (d // q.denominator) for q in qs]
+        size = np.fromiter(map(len, monomials), np.intp, len(monomials))
+        runs = size[which]
+        pick = np.repeat((np.cumsum(size) - size)[which], runs) + _within(runs)
+        norm = sum(map(operator.mul, map(abs, nums), np.repeat(np.bincount(which), size).tolist()))
+        term = np.repeat(np.arange(len(factors)), list(map(len, nonzeros)))
+        slots.append((d, *(np.repeat(np.array(x), runs) for x in (term, row, col)),
+                      _column(exps, max(map(abs, exps)))[pick], _column(nums, norm)[pick]))
     return tuple(slots)
 
 

@@ -19,15 +19,19 @@ def load_tool():
 KINDS = ("verify_small", "verify_large", "compose")
 
 
-def record(path, metrics, failed=0, passes=((0.01, 0.01, 0.01),), probes=((0.001,),)):
+def record(path, metrics, failed=0, passes=((0.01, 0.01, 0.01),), probes=((0.001,),),
+           spans=None):
     """A perfbench/run.py --out record of one prove run with these
-    end-to-end metrics and three jobs of the KINDS per pass, `failed` of
-    each pass's jobs not ok: passes gives each pass's job seconds and
-    probes its probe seconds."""
+    metrics and three jobs of the KINDS per pass, `failed` of each pass's
+    jobs not ok: passes gives each pass's job seconds and probes its probe
+    seconds.  With spans, a --trace 1 record: each pass is also run
+    traced, and spans gives the (name, seconds) of its spans."""
     runs = [[[kind, s, {"ok": k >= failed}] for k, (kind, s) in enumerate(zip(KINDS, seconds))]
             for seconds in passes]
+    spans = [{"name": name, "start": 1.0, "end": 1.0 + s} for name, s in spans or ()]
     path.write_text(json.dumps({"runs": {"prove": {
-        "metrics": metrics, "passes": runs, "probes": probes, "traced_passes": []}}}))
+        "metrics": metrics, "passes": runs, "probes": probes,
+        "traced_passes": runs if spans else [], "spans": spans}}}))
     return str(path)
 
 
@@ -93,6 +97,33 @@ def test_each_job_position_is_compared_in_probes(tmp_path, capsys):
         ["1", "verify_small", "10", "7.5", "0.750"],
         ["2", "verify_large", "20", "15", "0.750"],
         ["3", "compose", "45", "20", "0.444"],
+    ]
+
+
+def test_traced_records_compare_each_span_name(tmp_path, capsys):
+    tool = load_tool()
+    layers = {"io.parse_tensor.busy_s": 0.01}  # a traced record's per-layer metrics
+    two = [(0.01, 0.02, 0.03)] * 2
+    # busy seconds per traced pass: each record traces its two passes
+    parents = [record(tmp_path / "p0.json", layers, passes=two, spans=[
+                   ("cli.main", 0.02), ("io.parse_tensor", 0.004), ("io.parse_tensor", 0.004),
+                   ("tensor.verify_exact", 0.006)]),
+               record(tmp_path / "p1.json", layers, passes=two, spans=[
+                   ("cli.main", 0.04), ("io.parse_tensor", 0.012), ("tensor.verify_exact", 0.01)])]
+    changes = [record(tmp_path / "c0.json", layers, passes=two, spans=[
+                   ("cli.main", 0.02), ("io.parse_tensor", 0.003), ("tensor.verify_exact", 0.002)]),
+               record(tmp_path / "c1.json", layers, passes=two, spans=[
+                   ("cli.main", 0.02), ("io.parse_tensor", 0.005), ("tensor.verify_exact", 0.004)])]
+    assert tool.main(parents + ["--"] + changes) == 0
+    lines = capsys.readouterr().out.splitlines()
+    # no end-to-end metric in a traced record, so only the header, jobs and spans
+    assert [line.split()[0] for line in lines[2:]] == ["job"] * 3 + ["span"] * 3
+    spans = [line.split() for line in lines if line.startswith("  span")]
+    # name, parent median, change median, ratio
+    assert [[row[1], row[3], row[5], row[7]] for row in spans] == [
+        ["cli.main", "0.015", "0.01", "0.667"],
+        ["io.parse_tensor", "0.005", "0.002", "0.400"],
+        ["tensor.verify_exact", "0.004", "0.0015", "0.375"],
     ]
 
 

@@ -7,7 +7,8 @@ coefficients, the evaluator's operands or a Laurent scalar are cleared,
 ``parse_scalar`` only in the file's scalar reader, only
 ``scalars.rational`` tests a value for a float, and the local number
 conversions it replaced stay gone, a Matrix's
-dense ``data`` only where a file or a repr reads it out, no function in
+dense ``data`` only where a file or a repr reads it out, the tensor
+parser and the clearing walk name no Matrix builder or nonzeros, no function in
 algebra.py builds more than one tensor, the search names no dense
 classical target, every name the benchmark's tracer wraps exists, every
 restart outcome the search assigns is documented, and every upper-case
@@ -215,6 +216,16 @@ def test_only_read_outs_name_the_dense_rows():
     assert [(p.relative_to(PACKAGE).as_posix(), name) for p in SOURCES
             for name in functions_mentioning(p.read_text(), "data")] == [
         ("io.py", "write_matrix"), ("matrices.py", "__new__"), ("matrices.py", "__repr__")]
+
+
+def test_the_parser_and_the_clearing_walk_build_no_matrix():
+    # io.parse_tensor fills a tensor's stored arrays and tensor._cleared
+    # reads them: neither builds a Matrix (_sparse) or walks one's nonzeros
+    for module, function in (("io.py", "parse_tensor"), ("tensor.py", "_cleared")):
+        source = (PACKAGE / module).read_text()
+        assert function in functions_with(source, lambda node: True)
+        for name in ("_sparse", "nonzeros"):
+            assert function not in functions_mentioning(source, name), (function, name)
 
 
 def test_one_rule_settles_a_callers_numbers():

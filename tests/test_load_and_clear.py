@@ -1,7 +1,7 @@
 """Column-wise clearing and tensor construction against their references.
 
-tensor._cleared builds its columns with passes over each slot's nonzeros
-and splits each distinct scalar object once; helpers.reference_cleared is
+tensor._cleared builds its columns from the tensor's stored arrays and
+splits each distinct value a slot uses once; helpers.reference_cleared is
 the per-monomial walk it replaced.  FmmTensor looks for e-dependent
 entries in one pass per tensor; helpers.reference_construction_error is
 the term-by-term check it replaced, and the error raised must not change.

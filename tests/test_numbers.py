@@ -137,6 +137,7 @@ SIZE_TAKERS = {
     "Matrix.zeros rows": lambda v: Matrix.zeros(v, 2),
     "Matrix.identity size": lambda v: Matrix.identity(v),
     "Matrix.unit row": lambda v: Matrix.unit(3, 3, v, 0),
+    "Matrix entry row": lambda v: Matrix([[1], [2], [3]])[v, 0],
     "symmetry_apply rotation": lambda v: symmetry_apply(classical_tensor((1, 2, 3)), v),
     "explain count": lambda v: explain(_failing(classical_tensor((2, 2, 2))),
                                        verify_exact(_failing(classical_tensor((2, 2, 2)))), v),
@@ -159,6 +160,29 @@ def test_sizes_must_be_integers(name, value):
 def test_a_whole_float_size_settles_to_its_int(name):
     # repr tells 2.0 from 2, which == does not
     assert repr(SIZE_TAKERS[name](2.0)) == repr(SIZE_TAKERS[name](2))
+
+
+def test_an_entry_is_looked_up_as_unit_places_it():
+    # an index settles as Matrix.unit settles it; a negative one still
+    # counts from the end and one out of range still raises IndexError
+    m = Matrix([[1]])
+    assert m[0.0, 0] == 1 == Matrix.unit(1, 1, 0.0, 0)[0, 0]
+    assert m[np.int64(0), -1] == 1
+    with pytest.raises(ValueError, match=r"^row must be an integer, got 0\.5$"):
+        m[0.5, 0]
+    with pytest.raises(IndexError):
+        m[1.0, 0]
+
+
+@pytest.mark.parametrize("call", [
+    lambda dims: FmmTensor(dims, RATIONAL, classical_tensor((2, 2, 2)).terms),
+    lambda dims: SearchConfig(dims, 4),
+    lambda dims: classical_tensor(dims),
+], ids=["FmmTensor", "SearchConfig", "classical_tensor"])
+@pytest.mark.parametrize("dims", [(2, 2), (2, 2, 2, 2)])
+def test_dims_must_be_three_values(call, dims):
+    with pytest.raises(ValueError, match=r"^dims must be three integers, got "):
+        call(dims)
 
 
 def test_unlike_objects_are_not_equal_and_do_not_combine(strassen):

@@ -30,6 +30,14 @@ its seconds over the median probe time of its pass; a record's value is
 the median over its passes and a side's the median over its records.
 These lines show which job moved a metric that sums or averages over
 several.
+
+Records made with ``--trace 1`` carry per-layer metrics in place of the
+end-to-end ones, which are then left out, and the spans of their traced
+passes.  For such records one line per span name gives each side's
+median busy seconds per traced pass (the summed durations of the
+record's spans of that name over its traced passes) and the change's
+over the parent's, so a layer's time (io.parse_tensor,
+tensor.verify_exact, ...) shows next to the jobs that spend it.
 """
 
 import json
@@ -65,6 +73,16 @@ def _job_probes(record, workload):
     return [k for k, _, _ in run["passes"][0]], list(map(statistics.median, zip(*times)))
 
 
+def _span_busy(record, workload):
+    """Span name -> busy seconds per traced pass in one record of one
+    workload; empty for a record without spans."""
+    run = record["runs"][workload]
+    busy = {}
+    for span in run.get("spans", ()):
+        busy[span["name"]] = busy.get(span["name"], 0.0) + span["end"] - span["start"]
+    return {name: s / len(run["traced_passes"]) for name, s in busy.items()}
+
+
 def _compare(spec, parent, change):
     """One report line's fields for one metric: parent and change
     quartiles, the ratio of medians, pairs won and the bound verdict."""
@@ -97,6 +115,8 @@ def report(parents, changes, metrics, out=sys.stdout):
             "ratio", "won", "bound", "within"), file=out)
         for spec in metrics:
             name = spec["name"]
+            if not all(name in r["runs"][workload]["metrics"] for r in parents + changes):
+                continue
             parent = [r["runs"][workload]["metrics"][name] for r in parents]
             change = [r["runs"][workload]["metrics"][name] for r in changes]
             p, c, ratio, won, within = _compare(spec, parent, change)
@@ -109,6 +129,11 @@ def report(parents, changes, metrics, out=sys.stdout):
             p, c = (statistics.median(t[pos] for _, t in side) for side in sides)
             print("  job %-3d %-16s parent %-10.4g change %-10.4g ratio %.3f"
                   % (pos + 1, kind, p, c, c / p), file=out)
+        sides = [[_span_busy(r, workload) for r in records] for records in (parents, changes)]
+        for name in sorted(set().union(*sides[0]) & set().union(*sides[1])):
+            p, c = (statistics.median(busy.get(name, 0.0) for busy in side) for side in sides)
+            print("  span %-30s parent %-10.4g change %-10.4g ratio %.3f"
+                  % (name, p, c, c / p if p else float("inf")), file=out)
 
 
 def main(argv=None):
